@@ -149,15 +149,12 @@ class QuadratureSpec:
 
     half_extent / spacing override the x-integration grid of the smooth
     form (defaults derive from the input functions and truncation radii);
-    nodes_per_octave controls the log-uniform t and annulus nodes;
-    mc_samples / mc_seed configure Monte-Carlo cross-checks.
+    nodes_per_octave controls the log-uniform t and annulus nodes.
     """
 
     half_extent: float | None = None
     spacing: float | None = None
     nodes_per_octave: int = 32
-    mc_samples: int = 20000
-    mc_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.half_extent is not None and not self.half_extent > 0.0:
@@ -166,8 +163,6 @@ class QuadratureSpec:
             raise ValueError("spacing must be positive when given")
         if self.nodes_per_octave < 1:
             raise ValueError("nodes_per_octave must be >= 1")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
 
 
 @dataclass(frozen=True)

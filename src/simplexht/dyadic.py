@@ -11,15 +11,21 @@ order of its value array.  All integrals reduce to exact finite sums over
 unit cells; scales run l = 1..m so Haar halves align with unit cells.
 
 Batched contractions: at scale l each grid splits into blocks of side 2^l,
-a tuple selects one block per function, and the cell sum over a tuple's box
-is a single einsum over within-block coordinates with one Haar sign vector
-per integration variable.  Per-scale results are reduced with numpy's
-pairwise summation, scales in increasing order, so evaluations are
-deterministic and independent of worker scheduling.
+and a tuple selects one block per function; the tuples biject onto the
+blocks of each function.  Plans are built once per (n, L, scale) and kept
+in a bounded cache: the XOR-zero tuples, each function's block
+permutation, the Haar sign vector and the einsum contraction paths.  A
+slot's per-tuple kernel contracts the other n blocks with one Haar sign
+vector per integration variable, and its inner product with the slot's own
+block is the tuple's pairing, so pairings and slot gradients come from the
+same pass.  Per-scale results are reduced with numpy's pairwise summation,
+scales in increasing order, so evaluations are deterministic and
+independent of worker scheduling.
 """
 
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -30,6 +36,8 @@ from .core import CellFunction, DyadicInterval, IntervalTuple, walsh_add
 from .workers import parallel_map
 
 _AXIS_LETTERS = string.ascii_lowercase
+# A sweep at one size needs L plans; the bound caps memory across many sizes.
+_PLAN_CACHE_SIZE = 64
 
 
 def _check_functions(functions: Sequence[CellFunction]) -> tuple[int, int]:
@@ -98,23 +106,93 @@ def enumerate_tuples(scale: int, side_exponent: int, degree: int):
         yield IntervalTuple(tuple(DyadicInterval(scale, int(i)) for i in row))
 
 
-def _pairing_subscripts(n: int, batch: bool) -> str:
+def _pairing_subscripts(n: int) -> str:
     letters = _AXIS_LETTERS[: n + 1]
-    prefix = "t" if batch else ""
-    operands = [prefix + "".join(letters[j] for j in range(n + 1) if j != i) for i in range(n + 1)]
+    operands = ["".join(letters[j] for j in range(n + 1) if j != i) for i in range(n + 1)]
     operands += list(letters)
-    return ",".join(operands) + "->" + prefix
+    return ",".join(operands) + "->"
+
+
+def _kernel_subscripts(n: int, slot: int) -> str:
+    """Per-tuple kernel of one slot: the other blocks against every Haar sign."""
+    letters = _AXIS_LETTERS[: n + 1]
+
+    def without(i: int) -> str:
+        return "t" + "".join(letters[j] for j in range(n + 1) if j != i)
+
+    operands = [without(i) for i in range(n + 1) if i != slot]
+    operands += list(letters)
+    return ",".join(operands) + "->" + without(slot)
+
+
+@dataclass(frozen=True, eq=False)
+class _ScalePlan:
+    """What one scale's contractions need beyond the function values.
+
+    idx holds the XOR-zero tuples, shape (T, n+1).  Tuples biject onto each
+    function's blocks: rows[i] is the flat block index (over the block axes
+    of _block_view) of function i's block for every tuple, and order[i] its
+    inverse permutation.  kernels[s] is the einsum spec of slot s's
+    per-tuple kernel with its contraction path.
+    """
+
+    idx: np.ndarray
+    rows: tuple
+    order: tuple
+    signs: np.ndarray
+    weight: float
+    kernels: tuple
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _scale_plan(degree: int, side_exponent: int, scale: int) -> _ScalePlan:
+    n = degree
+    idx = _tuple_index_array(scale, side_exponent, n)
+    block_grid = (1 << (side_exponent - scale),) * n
+    rows = tuple(
+        np.ravel_multi_index(tuple(np.delete(idx, i, axis=1).T), block_grid)
+        for i in range(n + 1)
+    )
+    order = tuple(np.argsort(r) for r in rows)
+    signs = _haar_signs(scale)
+    for arr in (idx, signs, *rows, *order):
+        arr.flags.writeable = False
+    # einsum_path reads only shapes: a zero-stride stand-in allocates nothing.
+    block = np.broadcast_to(0.0, (idx.shape[0],) + signs.shape * n)
+    kernels = []
+    for slot in range(n + 1):
+        spec = _kernel_subscripts(n, slot)
+        path, _ = np.einsum_path(spec, *[block] * n, *[signs] * (n + 1), optimize="greedy")
+        kernels.append((spec, path))
+    return _ScalePlan(idx, rows, order, signs, 2.0**-scale, tuple(kernels))
 
 
 def _gather_blocks(
-    functions: Sequence[CellFunction], scale: int, idx: np.ndarray
+    functions: Sequence[CellFunction], scale: int, plan: _ScalePlan
 ) -> list[np.ndarray]:
-    gathered = []
-    for i, f in enumerate(functions):
-        bv = _block_view(f.values, scale)
-        cols = tuple(idx[:, j] for j in range(idx.shape[1]) if j != i)
-        gathered.append(bv[cols])
-    return gathered
+    """Each function's block for every tuple, shape (T, 2^l, ..., 2^l)."""
+    blocks = []
+    for f, rows in zip(functions, plan.rows):
+        view = _block_view(f.values, scale)
+        flat = view.reshape((len(rows),) + view.shape[f.dimension :])
+        blocks.append(flat[rows])
+    return blocks
+
+
+def _slot_kernel(
+    plan: _ScalePlan, blocks: Sequence[np.ndarray], slot: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unsigned per-tuple kernel H of one slot and the weighted pairings.
+
+    H[t] contracts every block but the slot's own against the Haar signs, so
+    the pairing of tuple t is 2^{-l} * <H[t], own block of t>.
+    """
+    spec, path = plan.kernels[slot]
+    others = [b for i, b in enumerate(blocks) if i != slot]
+    kern = np.einsum(spec, *others, *[plan.signs] * len(blocks), optimize=path)
+    held = spec.split("->")[1]
+    pairings = np.einsum(f"{held},{held}->t", kern, blocks[slot]) * plan.weight
+    return kern, pairings
 
 
 def _scale_pairings(
@@ -122,13 +200,9 @@ def _scale_pairings(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pairing values for every tuple at one scale: (indices, values)."""
     n = functions[0].dimension
-    L = functions[0].side_exponent
-    idx = _tuple_index_array(scale, L, n)
-    blocks = _gather_blocks(functions, scale, idx)
-    signs = [_haar_signs(scale)] * (n + 1)
-    spec = _pairing_subscripts(n, batch=True)
-    vals = np.einsum(spec, *blocks, *signs, optimize=True) * (2.0 ** -scale)
-    return idx, vals
+    plan = _scale_plan(n, functions[0].side_exponent, scale)
+    _, vals = _slot_kernel(plan, _gather_blocks(functions, scale, plan), 0)
+    return plan.idx, vals
 
 
 def haar_pairing(
@@ -155,7 +229,7 @@ def haar_pairing(
         bv = _block_view(f.values, scale)
         ops.append(bv[tuple(idx[j] for j in range(n + 1) if j != i)])
     signs = [_haar_signs(scale)] * (n + 1)
-    spec = _pairing_subscripts(n, batch=False)
+    spec = _pairing_subscripts(n)
     return float(np.einsum(spec, *ops, *signs, optimize=True) * (2.0 ** -scale))
 
 
@@ -284,34 +358,24 @@ def sup_gradient(
 
     With eps fixed at the current pairing signs the sup is linear in slot
     `slot`; the returned array G satisfies sum(G * F_slot) == the sup, so a
-    Hoelder-extremal replacement of F_slot can only increase the sup.
+    Hoelder-extremal replacement of F_slot can only increase the sup.  One
+    fused pass per scale: the slot's per-tuple kernel H gives the pairings
+    as <H, own block>, and sign(pairing) * 2^{-l} * H is scattered back
+    onto the slot's blocks.
     """
     n, L = _check_functions(functions)
     _check_scale_count(scale_count, L)
     if not (0 <= slot <= n):
         raise ValueError(f"slot {slot} outside [0, {n}]")
-    letters = _AXIS_LETTERS[: n + 1]
-    out_letters = "".join(letters[j] for j in range(n + 1) if j != slot)
     grad = np.zeros(functions[0].values.shape, dtype=np.float64)
     for scale in range(1, scale_count + 1):
-        idx, vals = _scale_pairings(functions, scale)
-        eps = np.where(vals >= 0.0, 1.0, -1.0)
-        blocks = _gather_blocks(functions, scale, idx)
-        operands = [eps]
-        spec_parts = ["t"]
-        for i in range(n + 1):
-            if i == slot:
-                continue
-            spec_parts.append("t" + "".join(letters[j] for j in range(n + 1) if j != i))
-            operands.append(blocks[i])
-        spec_parts.extend(letters)
-        operands.extend([_haar_signs(scale)] * (n + 1))
-        spec = ",".join(spec_parts) + "->t" + out_letters
-        contrib = np.einsum(spec, *operands, optimize=True) * (2.0 ** -scale)
-        gview = _block_view(grad, scale)
-        cols = tuple(idx[:, j] for j in range(n + 1) if j != slot)
-        # Tuples biject onto the blocks seen from one slot, so no collisions.
-        gview[cols] += contrib
+        plan = _scale_plan(n, L, scale)
+        kern, vals = _slot_kernel(plan, _gather_blocks(functions, scale, plan), slot)
+        eps = np.where(vals >= 0.0, plan.weight, -plan.weight)
+        contrib = eps.reshape((-1,) + (1,) * n) * kern
+        # Tuples biject onto the slot's blocks: reorder, then add in place.
+        view = _block_view(grad, scale)
+        view += contrib[plan.order[slot]].reshape(view.shape)
     return grad
 
 

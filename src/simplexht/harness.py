@@ -5,7 +5,9 @@ random functions, normalize each slot, then cycle Hoelder-extremal slot
 updates until the objective stalls.  Freezing the optimal signs makes the
 objective linear in any single slot, so each update solves its slot
 subproblem exactly and the value trace is nondecreasing after the first
-full cycle.
+full cycle.  Trace values are read off the slot-0 kernel as
+sum(kernel * F_0), and that kernel also opens the next cycle, so a cycle
+costs n+1 kernel passes and no separate evaluation.
 
 Every sweep row carries its seed and a digest of the remaining settings,
 so any record can be reproduced bit-for-bit; timestamps are left unset by
@@ -233,11 +235,10 @@ class ContinuousTruncatedForm:
     def kernel(
         self, functions: Sequence[GridSampledFunction], slot: int
     ) -> np.ndarray:
-        signed = eval_simplex_truncated(functions, self.trunc, self.quad)
-        orientation = 1.0 if signed >= 0.0 else -1.0
-        return orientation * truncated_form_gradient(
-            functions, self.trunc, slot, self.quad
-        )
+        grad = truncated_form_gradient(functions, self.trunc, slot, self.quad)
+        # The form is linear in the slot, so sum(grad * F_slot) is its value.
+        signed = float(np.sum(grad * functions[slot].samples))
+        return grad if signed >= 0.0 else -grad
 
     def values_of(self, f: GridSampledFunction) -> np.ndarray:
         return f.samples
@@ -273,7 +274,8 @@ def alternating_maximize(
     Starting from seeded random functions normalized to unit L^{p_i} norm,
     each cycle replaces every slot in turn by the Hoelder-extremal function
     of its frozen-sign kernel.  The per-cycle value trace (including the
-    initial value) is nondecreasing after the first full cycle.  Slots
+    initial value) is nondecreasing after the first full cycle; each value
+    is sum(kernel_0 * F_0), the objective's slot-0 linear form.  Slots
     whose kernel vanishes identically are kept and the result is flagged
     stagnated; an all-zero initial slot triggers a reseed.
     """
@@ -299,13 +301,17 @@ def alternating_maximize(
         )
     functions = list(normalize_tuple(functions, exponents))
 
-    trace = [form.value(functions)]
+    # The objective is linear in slot 0 with kernel kern, so its value is
+    # sum(kern * F_0), and a cycle's closing kernel opens the next cycle.
+    kern = form.kernel(functions, 0)
+    trace = [float(np.sum(kern * form.values_of(functions[0])))]
     stagnated = False
     cycles = 0
     for _ in range(max_iter):
         updated_any = False
         for slot in range(form.slot_count):
-            kern = form.kernel(functions, slot)
+            if slot:
+                kern = form.kernel(functions, slot)
             if not np.any(kern):
                 stagnated = True
                 continue
@@ -317,7 +323,8 @@ def alternating_maximize(
             )
             updated_any = True
         cycles += 1
-        trace.append(form.value(functions))
+        kern = form.kernel(functions, 0)
+        trace.append(float(np.sum(kern * form.values_of(functions[0]))))
         if not updated_any:
             break
         if abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):

@@ -48,6 +48,30 @@ def brute_sup(functions, scale_count: int) -> float:
     return total
 
 
+def brute_sup_gradient(functions, scale_count: int, slot: int) -> np.ndarray:
+    """Gradient of brute_sup in one slot, with the pairing signs frozen.
+
+    Every pairing is linear in F_slot, so the entry at cell c sums, over the
+    tuples whose box holds c, sign(pairing) times the pairing with F_slot
+    replaced by the indicator of c (the sign of 0 taken as +1).
+    """
+    n = functions[0].dimension
+    L = functions[0].side_exponent
+    shape = functions[slot].values.shape
+    grad = np.zeros(shape)
+    for scale in range(1, scale_count + 1):
+        for tup in enumerate_tuples(scale, L, n):
+            eps = 1.0 if brute_pairing(functions, tup) >= 0.0 else -1.0
+            ranges = [r for j, r in enumerate(cell_ranges(tup)) if j != slot]
+            for cell in itertools.product(*ranges):
+                indicator = np.zeros(shape)
+                indicator[cell] = 1.0
+                probe = list(functions)
+                probe[slot] = CellFunction(n, L, indicator)
+                grad[cell] += eps * brute_pairing(probe, tup)
+    return grad
+
+
 def brute_form(functions, coefficients, scale_count: int) -> float:
     n = functions[0].dimension
     L = functions[0].side_exponent

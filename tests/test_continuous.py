@@ -226,7 +226,6 @@ class TestQuadratureSpec:
             {"half_extent": 0.0},
             {"spacing": -1.0},
             {"nodes_per_octave": 0},
-            {"mc_samples": 0},
         ],
     )
     def test_validation(self, kwargs):

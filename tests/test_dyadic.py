@@ -36,6 +36,7 @@ from helpers import (
     brute_form,
     brute_pairing,
     brute_sup,
+    brute_sup_gradient,
     random_cell_functions,
 )
 
@@ -311,6 +312,25 @@ class TestSupGradient:
             assert float(np.sum(grad * fs[slot].values)) == pytest.approx(
                 sup, rel=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "n,L,slot,m",
+        [
+            (n, L, slot, m)
+            for n, L in ((1, 4), (2, 3), (3, 2))
+            for slot in range(n + 1)
+            for m in range(1, L + 1)
+        ],
+    )
+    def test_matches_brute_force_oracle(self, n, L, slot, m):
+        rng = np.random.default_rng(100 * n + 10 * slot + m)
+        fs = random_cell_functions(rng, n, L)
+        grad = sup_gradient(fs, m, slot)
+        sup = brute_sup(fs, m)
+        assert float(np.sum(grad * fs[slot].values)) == pytest.approx(sup, rel=1e-12)
+        np.testing.assert_allclose(
+            grad, brute_sup_gradient(fs, m, slot), rtol=1e-12, atol=1e-12 * sup
+        )
 
     def test_slot_update_cannot_decrease_sup(self):
         rng = np.random.default_rng(22)

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from simplexht.continuous import eval_simplex_truncated
 from simplexht.core import (
     CellFunction,
     HoelderExponents,
@@ -193,6 +194,31 @@ class WarmStartForm(DyadicSupForm):
         return list(self.start)
 
 
+class CallCounter:
+    """Mixin counting a form's kernel() and value() calls."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.kernel_calls = 0
+        self.value_calls = 0
+
+    def kernel(self, functions, slot):
+        self.kernel_calls += 1
+        return super().kernel(functions, slot)
+
+    def value(self, functions):
+        self.value_calls += 1
+        return super().value(functions)
+
+
+class CountingDyadicForm(CallCounter, DyadicSupForm):
+    pass
+
+
+class CountingContinuousForm(CallCounter, ContinuousTruncatedForm):
+    pass
+
+
 class TestAlternatingMaximize:
     def test_trace_nondecreasing_fifty_seeds(self):
         cases = [DyadicSupForm(1, 3, 2), DyadicSupForm(2, 2, 2)]
@@ -216,6 +242,29 @@ class TestAlternatingMaximize:
         res = alternating_maximize(form, exps, max_iter=10, seed=1)
         again = eval_dyadic_sup(list(res.functions), form.scale_count)
         assert res.trace[-1] == pytest.approx(again, abs=1e-12)
+
+    def test_continuous_final_value_equals_engine_value(self):
+        trunc = TruncationRange(0.5, 4.0)
+        form = ContinuousTruncatedForm(1, trunc)
+        exps = HoelderExponents.geometric(1)
+        res = alternating_maximize(form, exps, max_iter=6, seed=1)
+        again = abs(eval_simplex_truncated(list(res.functions), trunc, form.quad))
+        assert res.trace[-1] == pytest.approx(again, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CountingDyadicForm(2, 3, 3),
+            lambda: CountingContinuousForm(1, TruncationRange(0.5, 4.0)),
+        ],
+        ids=["dyadic", "continuous"],
+    )
+    def test_cycle_costs_n_plus_one_kernel_calls(self, make):
+        form = make()
+        exps = HoelderExponents.geometric(form.n)
+        res = alternating_maximize(form, exps, max_iter=6, seed=3)
+        assert form.kernel_calls == 1 + form.slot_count * res.iterations
+        assert form.value_calls == 0
 
     def test_converges_to_exhaustive_sign_pattern_max(self):
         # Degree 1 on a 4-cell grid with p = (2, 2): enumerate every +/-1
