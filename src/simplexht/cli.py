@@ -2,12 +2,14 @@
 
 Exit codes: 0 on success, 1 when a verification suite reports a failing
 check, 2 on usage or input errors (argparse problems, missing or malformed
-files, parameters outside an engine's range).  Every subcommand is
-deterministic given its flags and seeds.
+files, parameters outside an engine's range), 3 on an unexpected internal
+error, whose traceback goes to stderr.  Every subcommand is deterministic
+given its flags and seeds.
 
 A config file passed via --config holds `key=value` lines (one flag per
 line, without the leading dashes); flags given on the command line override
-the file.  SIMPLEXHT_THREADS caps the worker count used by the engines.
+the file.  SIMPLEXHT_THREADS caps the worker count used by sweeps, the
+dyadic engine and the analytic suite.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -407,6 +410,9 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,6 +8,18 @@ profile function against the respective kernel, with the profile computed
 by midpoint quadrature on the functions' common grid and multilinear
 interpolation along the off-grid first argument.
 
+Interpolation plans: where each node's interpolated first argument falls
+depends on the grid and the x nodes only, never on the samples.  A plan
+holds, for every (node, grid point), the flat indices of the two sample
+rows of each interpolated function (into a copy padded with two zero rows
+at both ends of axis 0, so off-box rows read and receive zeros without
+masks), the fraction on the upper row, and the node weights.  The plan of
+the truncated form's nodes +-e^s is cached by (grid, truncation, nodes per
+octave) for the last key only, and only when its arrays fit one chunk of
+_CHUNK_BUDGET doubles; larger node sets, and the arbitrary x of
+simplex_profile, are built chunk by chunk and dropped after use.  Applying
+a plan is gathers, products and one bincount scatter.
+
 The mollified kernel satisfies (g(x/R) - g(x/r))/x = -int_r^R h_t(x) dt/t
 with h = g', so the smooth form carries that orientation: truncated and
 smooth evaluations differ by the pairing with the residual kernel phi, and
@@ -16,6 +28,7 @@ their gap is bounded by the L^1 norm of phi times the norm product.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -23,11 +36,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import GridSampledFunction, TruncationRange
-from .workers import parallel_map
 
 _MAX_DEGREE = 3
 _MAX_CELLS_PER_AXIS = 128
 _CHUNK_BUDGET = 1 << 21  # doubles per interpolation chunk
+_PAD = 2  # zero sample rows added at both ends of axis 0
 
 
 def gaussian(x):
@@ -232,6 +245,97 @@ def _common_grid(functions: Sequence[GridSampledFunction]):
     return n, f0.half_extent, f0.spacing, f0.cells_per_axis
 
 
+@dataclass(frozen=True, eq=False)
+class _InterpPlan:
+    """The sample-independent part of the profile at a list of x nodes.
+
+    For every (node, grid point) the first argument of F_i (i >= 1) falls
+    between two rows of F_i's samples along axis 0.  rows[i - 1] holds the
+    flat indices of both, shape (2, K, N, ..., N), into F_i's samples
+    raveled after _padded; frac is the weight of the upper row.  weights
+    are the quadrature weights of the K nodes (None for bare profiles).
+    """
+
+    rows: tuple
+    frac: np.ndarray
+    weights: np.ndarray | None
+
+
+def _build_plan(
+    grid: tuple, xs: np.ndarray, weights=None, index_dtype=np.int32
+) -> _InterpPlan:
+    """The plan at nodes xs; index_dtype np.intp for a plan applied often.
+
+    numpy widens int32 indices to intp on every gather and bincount, which
+    a plan applied once pays once, at half the memory while it lives.
+    """
+    n, A, delta, N = grid
+    coords = -A + (np.arange(N, dtype=np.float64) + 0.5) * delta
+    grid_sum = np.zeros((N,) * n)
+    for m in np.meshgrid(*([coords] * n), indexing="ij"):
+        grid_sum = grid_sum + m
+    pos = xs.reshape((-1,) + (1,) * n) - grid_sum
+    pos += A
+    pos /= delta
+    pos -= 0.5
+    lo = np.floor(pos)
+    frac = np.subtract(pos, lo, out=pos)
+    # Clamped to [-_PAD, N], both rows of an off-box node lie in the zero
+    # padding; fmax/fmin (unlike clip) also send a NaN node there.
+    np.fmin(np.fmax(lo, -_PAD, out=lo), N, out=lo)
+    stride = N ** (n - 1)
+    lo += _PAD
+    lo *= stride
+    cell = np.indices((N,) * n)
+    rows = []
+    for i in range(1, n + 1):
+        others = [cell[j - 1] for j in range(1, n + 1) if j != i]
+        trail = sum(c * N ** (n - 2 - k) for k, c in enumerate(others))
+        both = np.empty((2,) + lo.shape, dtype=index_dtype)
+        np.add(lo, trail, out=both[0], casting="unsafe")
+        np.add(both[0], stride, out=both[1])
+        rows.append(both)
+    for arr in (frac, *rows, weights):
+        if arr is not None:
+            arr.flags.writeable = False
+    return _InterpPlan(tuple(rows), frac, weights)
+
+
+def _padded(samples: np.ndarray) -> np.ndarray:
+    """Samples raveled with _PAD zero rows added at both ends of axis 0."""
+    out = np.zeros((samples.shape[0] + 2 * _PAD,) + samples.shape[1:])
+    out[_PAD:-_PAD] = samples
+    return out.ravel()
+
+
+def _interpolate(
+    plan: _InterpPlan, i: int, samples: np.ndarray, lower_weight: np.ndarray
+) -> np.ndarray:
+    """F_i at every (node, grid point); lower_weight is 1 - plan.frac."""
+    lower, upper = _padded(samples)[plan.rows[i - 1]]
+    lower *= lower_weight
+    upper *= plan.frac
+    lower += upper
+    return lower
+
+
+def _profile(plan: _InterpPlan, functions, delta: float) -> np.ndarray:
+    n = functions[0].dimension
+    lower_weight = 1.0 - plan.frac
+    prod = _interpolate(plan, 1, functions[1].samples, lower_weight)
+    for i in range(2, n + 1):
+        prod *= _interpolate(plan, i, functions[i].samples, lower_weight)
+    prod *= functions[0].samples
+    return prod.reshape(len(prod), -1).sum(axis=1) * delta**n
+
+
+def _node_chunks(grid: tuple, count: int):
+    """Node slices whose (node, grid point) arrays fit the chunk budget."""
+    n, _, _, N = grid
+    chunk = max(1, _CHUNK_BUDGET // N**n)
+    return [slice(i, i + chunk) for i in range(0, count, chunk)]
+
+
 def simplex_profile(
     functions: Sequence[GridSampledFunction], x
 ) -> np.ndarray:
@@ -242,51 +346,13 @@ def simplex_profile(
     rule; the first argument of each F_i for i >= 1 falls off-grid and is
     linearly interpolated along axis 0 (zero beyond the sampled box).
     """
-    n, A, delta, N = _common_grid(functions)
+    grid = _common_grid(functions)
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    coords = functions[0].coordinates()
-    mesh = np.meshgrid(*([coords] * n), indexing="ij")
-    grid_sum = np.zeros((N,) * n)
-    for m in mesh:
-        grid_sum = grid_sum + m
-    trailing_index: list[list[np.ndarray]] = []
-    for i in range(1, n + 1):
-        arrays = []
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            shape = [1] * (n + 1)
-            shape[j] = N
-            arrays.append(np.arange(N).reshape(shape))
-        trailing_index.append(arrays)
-
-    chunk = max(1, _CHUNK_BUDGET // N**n)
-    pieces = [xs[i : i + chunk] for i in range(0, len(xs), chunk)]
-
-    def profile_chunk(xc: np.ndarray) -> np.ndarray:
-        u = xc.reshape((-1,) + (1,) * n) - grid_sum
-        pos = (u + A) / delta - 0.5
-        base = np.floor(pos)
-        frac = pos - base
-        lo = base.astype(np.int64)
-        hi = lo + 1
-        lo_ok = (lo >= 0) & (lo < N)
-        hi_ok = (hi >= 0) & (hi < N)
-        lo_clip = np.clip(lo, 0, N - 1)
-        hi_clip = np.clip(hi, 0, N - 1)
-        prod = np.ones(u.shape)
-        for i in range(1, n + 1):
-            vals = functions[i].samples
-            trail = trailing_index[i - 1]
-            lower = np.where(lo_ok, vals[(lo_clip, *trail)], 0.0)
-            upper = np.where(hi_ok, vals[(hi_clip, *trail)], 0.0)
-            prod *= (1.0 - frac) * lower + frac * upper
-        prod *= functions[0].samples
-        return prod.reshape(len(xc), -1).sum(axis=1) * delta**n
-
-    parts = parallel_map(profile_chunk, pieces)
-    out = np.concatenate(parts) if parts else np.zeros(0)
-    return out
+    parts = [
+        _profile(_build_plan(grid, xs[part]), functions, grid[2])
+        for part in _node_chunks(grid, len(xs))
+    ]
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def _log_midpoint_nodes(trunc: TruncationRange, per_octave: int):
@@ -294,6 +360,37 @@ def _log_midpoint_nodes(trunc: TruncationRange, per_octave: int):
     step = trunc.log_ratio / count
     s = math.log(trunc.r) + (np.arange(count) + 0.5) * step
     return s, step
+
+
+def _truncated_nodes(trunc: TruncationRange, per_octave: int):
+    """Nodes e^s then -e^s of the truncated form, with weights ds and -ds."""
+    s, step = _log_midpoint_nodes(trunc, per_octave)
+    radii = np.exp(s)
+    weights = np.concatenate([np.full(len(s), step), np.full(len(s), -step)])
+    return np.concatenate([radii, -radii]), weights
+
+
+@functools.lru_cache(maxsize=1)
+def _truncated_plan(
+    grid: tuple, trunc: TruncationRange, per_octave: int
+) -> _InterpPlan:
+    return _build_plan(grid, *_truncated_nodes(trunc, per_octave), np.intp)
+
+
+def _truncated_plans(grid: tuple, trunc: TruncationRange, quad: QuadratureSpec):
+    """Plans covering the truncated form's nodes in order, one chunk each.
+
+    Nodes within one chunk budget share a single cached plan; larger node
+    sets are built chunk by chunk and dropped after use.
+    """
+    s, _ = _log_midpoint_nodes(trunc, quad.nodes_per_octave)
+    chunks = _node_chunks(grid, 2 * len(s))
+    if len(chunks) == 1:
+        yield _truncated_plan(grid, trunc, quad.nodes_per_octave)
+        return
+    xs, weights = _truncated_nodes(trunc, quad.nodes_per_octave)
+    for part in chunks:
+        yield _build_plan(grid, xs[part], weights[part])
 
 
 def eval_simplex_truncated(
@@ -307,13 +404,17 @@ def eval_simplex_truncated(
     profile(x)/x over r <= |x| <= R, evaluated with log-uniform midpoint
     nodes: sum over nodes of (profile(e^s) - profile(-e^s)) * ds.
     """
-    _common_grid(functions)
+    grid = _common_grid(functions)
     if trunc.r == trunc.R:
         return 0.0
-    s, step = _log_midpoint_nodes(trunc, quad.nodes_per_octave)
-    radii = np.exp(s)
-    plus = simplex_profile(functions, radii)
-    minus = simplex_profile(functions, -radii)
+    _, step = _log_midpoint_nodes(trunc, quad.nodes_per_octave)
+    profile = np.concatenate(
+        [
+            _profile(plan, functions, grid[2])
+            for plan in _truncated_plans(grid, trunc, quad)
+        ]
+    )
+    plus, minus = np.split(profile, 2)
     return float(step * np.sum(plus - minus))
 
 
@@ -329,84 +430,45 @@ def truncated_form_gradient(
     partial derivatives with respect to slot `slot` form an array G with
     sum(G * samples) equal to the evaluated form.  For interpolated slots
     each quadrature node scatters its two interpolation weights back onto
-    the sample grid.
+    the sample grid, through the plan's row indices, in node order.
+
+    The plan is shared with eval_simplex_truncated: per interpolated
+    function two row indices per (node, grid point), plus one fraction per
+    (node, grid point) and one weight per node, keyed by (grid, trunc,
+    quad.nodes_per_octave) in a one-entry cache.  It is cached only when
+    2 * nodes * N**n fits _CHUNK_BUDGET (at most 2**21 fractions, about
+    16 MB plus 32 MB of indices per interpolated function); beyond that
+    each chunk's plan is built, applied and dropped.
     """
-    n, A, delta, N = _common_grid(functions)
+    grid = _common_grid(functions)
+    n, _, delta, N = grid
     if not (0 <= slot <= n):
         raise ValueError(f"slot {slot} outside [0, {n}]")
     if trunc.r == trunc.R:
         return np.zeros((N,) * n)
-    s, step = _log_midpoint_nodes(trunc, quad.nodes_per_octave)
-    radii = np.exp(s)
-    xs = np.concatenate([radii, -radii])
-    node_weights = np.concatenate(
-        [np.full(len(s), step), np.full(len(s), -step)]
-    )
-    coords = functions[0].coordinates()
-    mesh = np.meshgrid(*([coords] * n), indexing="ij")
-    grid_sum = np.zeros((N,) * n)
-    for m in mesh:
-        grid_sum = grid_sum + m
-    trailing_index: list[list[np.ndarray]] = []
-    for i in range(1, n + 1):
-        arrays = []
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            shape = [1] * (n + 1)
-            shape[j] = N
-            arrays.append(np.arange(N).reshape(shape))
-        trailing_index.append(arrays)
-    # C-order strides of the (N,)*n sample array being differentiated.
-    strides = N ** np.arange(n - 1, -1, -1)
-
-    chunk = max(1, _CHUNK_BUDGET // N**n)
-    pieces = [
-        (xs[i : i + chunk], node_weights[i : i + chunk])
-        for i in range(0, len(xs), chunk)
-    ]
-
-    def grad_chunk(piece: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        xc, wc = piece
-        u = xc.reshape((-1,) + (1,) * n) - grid_sum
-        pos = (u + A) / delta - 0.5
-        base = np.floor(pos)
-        frac = pos - base
-        lo = base.astype(np.int64)
-        hi = lo + 1
-        lo_ok = (lo >= 0) & (lo < N)
-        hi_ok = (hi >= 0) & (hi < N)
-        lo_clip = np.clip(lo, 0, N - 1)
-        hi_clip = np.clip(hi, 0, N - 1)
-        partial = np.full(u.shape, delta**n) * wc.reshape((-1,) + (1,) * n)
+    stride = N ** (n - 1)
+    parts = []
+    for plan in _truncated_plans(grid, trunc, quad):
+        lower_weight = 1.0 - plan.frac
+        partial = np.empty(plan.frac.shape)
+        partial[...] = (delta**n * plan.weights).reshape((-1,) + (1,) * n)
         for i in range(1, n + 1):
-            if i == slot:
-                continue
-            vals = functions[i].samples
-            trail = trailing_index[i - 1]
-            lower = np.where(lo_ok, vals[(lo_clip, *trail)], 0.0)
-            upper = np.where(hi_ok, vals[(hi_clip, *trail)], 0.0)
-            partial *= (1.0 - frac) * lower + frac * upper
+            if i != slot:
+                partial *= _interpolate(plan, i, functions[i].samples, lower_weight)
         if slot == 0:
-            return partial.sum(axis=0)
+            parts.append(partial.sum(axis=0))
+            continue
         partial *= functions[0].samples
-        flat_base = np.zeros((1,) * (n + 1), dtype=np.int64)
-        for k, arr in enumerate(trailing_index[slot - 1]):
-            flat_base = flat_base + arr * strides[1 + k]
-        grad = np.zeros(N**n)
-        np.add.at(
-            grad,
-            (lo_clip * strides[0] + flat_base)[lo_ok],
-            (partial * (1.0 - frac))[lo_ok],
+        # Lower rows then upper rows, each in node order: one pass of sums.
+        spread = np.empty((2,) + partial.shape)
+        np.multiply(partial, lower_weight, out=spread[0])
+        np.multiply(partial, plan.frac, out=spread[1])
+        scattered = np.bincount(
+            plan.rows[slot - 1].ravel(),
+            spread.ravel(),
+            minlength=(N + 2 * _PAD) * stride,
         )
-        np.add.at(
-            grad,
-            (hi_clip * strides[0] + flat_base)[hi_ok],
-            (partial * frac)[hi_ok],
-        )
-        return grad.reshape((N,) * n)
-
-    parts = parallel_map(grad_chunk, pieces)
+        parts.append(scattered[_PAD * stride : (N + _PAD) * stride].reshape((N,) * n))
     return np.sum(parts, axis=0)
 
 

@@ -8,6 +8,7 @@ the vectorized contraction kernels it checks.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -152,6 +153,56 @@ def mc_truncated_form(functions, trunc, n_samples: int, seed: int):
     est = float(np.mean(vals))
     err = float(np.std(vals, ddof=1) / np.sqrt(n_samples))
     return est, err
+
+
+def brute_truncated_form(functions, trunc, quad) -> float:
+    """The truncated form's quadrature, one node and one grid point at a time.
+
+    Log-uniform midpoint nodes x = +-e^s in the kernel variable, the
+    midpoint rule over the grid variables y, and interp_eval for every
+    F_i(x - sum y, y without y_i).  The interpolated factors are taken
+    sparsest first, so a term stops at its first zero factor.
+    """
+    f0 = functions[0]
+    n = f0.dimension
+    log_ratio = math.log(trunc.R / trunc.r)
+    count = max(1, math.ceil(math.log2(trunc.R / trunc.r) * quad.nodes_per_octave))
+    step = log_ratio / count
+    coords = -f0.half_extent + (np.arange(f0.cells_per_axis) + 0.5) * f0.spacing
+    order = sorted(
+        range(1, n + 1), key=lambda i: np.count_nonzero(functions[i].samples)
+    )
+    total = 0.0
+    for k in range(count):
+        radius = math.exp(math.log(trunc.r) + (k + 0.5) * step)
+        for x, sign in ((radius, 1.0), (-radius, -1.0)):
+            for cell in itertools.product(range(f0.cells_per_axis), repeat=n):
+                y = [coords[c] for c in cell]
+                term = float(f0.samples[cell])
+                for i in order:
+                    if term == 0.0:
+                        break
+                    args = [x - sum(y)] + [y[j] for j in range(n) if j != i - 1]
+                    term *= interp_eval(functions[i], args)
+                total += sign * term
+    return total * step * f0.spacing**n
+
+
+def brute_truncated_gradient(functions, trunc, slot: int, quad) -> np.ndarray:
+    """Gradient of brute_truncated_form in one slot, by linearity.
+
+    The quadrature is linear in F_slot's samples, so the entry at cell c is
+    the form with F_slot replaced by the indicator of c.
+    """
+    shape = functions[slot].samples.shape
+    grad = np.zeros(shape)
+    for cell in np.ndindex(shape):
+        indicator = np.zeros(shape)
+        indicator[cell] = 1.0
+        probe = list(functions)
+        probe[slot] = functions[slot].with_samples(indicator, tail_threshold=None)
+        grad[cell] = brute_truncated_form(probe, trunc, quad)
+    return grad
 
 
 def interp_eval(f, point):

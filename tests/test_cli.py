@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from simplexht import cli
 from simplexht.cli import CliError, main, parse_exponents, parse_range
 from simplexht.harness import ExperimentRecord, GrowthFit, save_records
 from simplexht.plotting import emit_plot
@@ -233,6 +234,16 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "verify" in capsys.readouterr().out
+
+    def test_unexpected_error_exits_3_with_traceback(self, capsys, monkeypatch):
+        def broken_handler(args):
+            raise RuntimeError("internal fault")
+
+        monkeypatch.setattr(cli, "_cmd_fit", broken_handler)
+        code, _, err = run_cli(capsys, "fit", "--input", "none.csv")
+        assert code == 3
+        assert "Traceback" in err
+        assert "RuntimeError: internal fault" in err
 
 
 class TestConfigFile:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import exp1
 
+from simplexht import continuous
 from simplexht.continuous import (
     DilationParams,
     QuadratureSpec,
@@ -30,7 +31,7 @@ from simplexht.core import (
     normalize_tuple,
 )
 
-from helpers import mc_truncated_form
+from helpers import brute_truncated_form, brute_truncated_gradient, mc_truncated_form
 
 # L^1 norm of the residual kernel for (r, R) = (1, 4), frozen from an
 # independent high-resolution quadrature of the defining integral.
@@ -462,8 +463,105 @@ class TestTruncatedFormGradient:
         assert grad.shape == fs[0].samples.shape
         assert not np.any(grad)
 
+    @pytest.mark.parametrize(
+        "n, half_extent, spacing", [(1, 2.0, 0.5), (2, 0.9, 0.3), (3, 0.75, 0.5)]
+    )
+    def test_matches_brute_force_oracle(self, n, half_extent, spacing):
+        # The oracle evaluates the same quadrature pointwise, shares no code
+        # with the engine's interpolation plan, and differentiates by
+        # linearity; the nodes reach past the box on both sides.
+        rng = np.random.default_rng(40 + n)
+        cells = round(2.0 * half_extent / spacing)
+        fs = [
+            GridSampledFunction(
+                n, half_extent, spacing, rng.standard_normal((cells,) * n),
+                tail_threshold=None,
+            )
+            for _ in range(n + 1)
+        ]
+        trunc = TruncationRange(0.4, 1.6)
+        quad = QuadratureSpec(nodes_per_octave=2)
+        value = brute_truncated_form(fs, trunc, quad)
+        assert math.isclose(
+            eval_simplex_truncated(fs, trunc, quad), value, rel_tol=1e-12
+        )
+        for slot in range(n + 1):
+            expected = brute_truncated_gradient(fs, trunc, slot, quad)
+            grad = truncated_form_gradient(fs, trunc, slot, quad)
+            scale = np.max(np.abs(expected))
+            assert scale > 0.0
+            assert np.max(np.abs(grad - expected)) <= 1e-12 * scale
+
     def test_rejects_out_of_range_slot(self):
         rng = np.random.default_rng(4)
         fs = random_bump_tuple(rng, 1, spacing=0.25)
         with pytest.raises(ValueError, match="slot"):
             truncated_form_gradient(fs, TruncationRange(0.5, 4.0), 2)
+
+
+class TestInterpolationPlan:
+    def test_chunked_nodes_match_one_plan(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        fs = random_bump_tuple(rng, 2, spacing=0.25)
+        grid_points = fs[0].samples.size
+        trunc = TruncationRange(0.5, 4.0)
+        quad = QuadratureSpec(nodes_per_octave=8)  # 2 * 24 nodes
+        xs = np.linspace(-6.0, 6.0, 101)
+        continuous._truncated_plan.cache_clear()
+        value = eval_simplex_truncated(fs, trunc, quad)
+        grads = [truncated_form_gradient(fs, trunc, slot, quad) for slot in range(3)]
+        profile = simplex_profile(fs, xs)
+        assert continuous._truncated_plan.cache_info().misses == 1
+
+        budget = 10 * grid_points  # ten nodes per chunk
+        built = []
+        build = continuous._build_plan
+
+        def recording_build(grid, xs, *args):
+            built.append(len(xs))
+            return build(grid, xs, *args)
+
+        monkeypatch.setattr(continuous, "_CHUNK_BUDGET", budget)
+        monkeypatch.setattr(continuous, "_build_plan", recording_build)
+        continuous._truncated_plan.cache_clear()
+        assert math.isclose(
+            eval_simplex_truncated(fs, trunc, quad), value, rel_tol=1e-12
+        )
+        for slot, whole in enumerate(grads):
+            split = truncated_form_gradient(fs, trunc, slot, quad)
+            assert np.max(np.abs(split - whole)) <= 1e-12 * np.max(np.abs(whole))
+        # Profile nodes are independent, so chunking leaves them bit-identical.
+        assert np.array_equal(simplex_profile(fs, xs), profile)
+
+        # Over the budget, every plan was built for one chunk and none cached.
+        assert built and max(built) == 10
+        assert sum(built) == 4 * 48 + len(xs)
+        info = continuous._truncated_plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_cache_holds_one_plan(self):
+        rng = np.random.default_rng(9)
+        fs = random_bump_tuple(rng, 1, spacing=0.25)
+        continuous._truncated_plan.cache_clear()
+        for octaves in (1, 2, 3, 2):
+            trunc = TruncationRange(0.5, 0.5 * 2.0**octaves)
+            value = eval_simplex_truncated(fs, trunc)
+            grad = truncated_form_gradient(fs, trunc, 1)
+            assert math.isclose(
+                float(np.sum(grad * fs[1].samples)), value, rel_tol=1e-12
+            )
+            info = continuous._truncated_plan.cache_info()
+            assert info.maxsize == 1 and info.currsize == 1
+        # One build per new truncation; the gradient reused the value's plan.
+        assert (info.hits, info.misses) == (4, 4)
+
+    def test_cached_plan_is_read_only(self):
+        rng = np.random.default_rng(10)
+        fs = random_bump_tuple(rng, 1, spacing=0.25)
+        trunc = TruncationRange(0.5, 2.0)
+        eval_simplex_truncated(fs, trunc)
+        plan = continuous._truncated_plan(
+            continuous._common_grid(fs), trunc, QuadratureSpec().nodes_per_octave
+        )
+        for arr in (plan.frac, plan.weights, *plan.rows):
+            assert not arr.flags.writeable
