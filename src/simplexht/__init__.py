@@ -4,145 +4,9 @@ Two models of the same object: a dyadic model built from Haar functions on
 the unit cube and a continuous model built from Gaussian-mollified kernel
 truncations.  The package evaluates both, verifies the exact identities and
 single-scale inequalities they satisfy, and measures how the coefficient-
-optimal norm estimates grow with the number of active scales.
+optimal norm estimates grow with the number of active scales.  Import the
+submodules (`simplexht.core`, `.dyadic`, `.continuous`, `.identities`,
+`.harness`, `.plotting`, `.cli`) for their functions.
 """
 
-from .continuous import (
-    DilationParams,
-    QuadratureSpec,
-    adaptive_simpson,
-    dilate,
-    eval_simplex_truncated,
-    eval_smooth_form,
-    gaussian,
-    gaussian_deriv,
-    phi_l1,
-    residual_kernel_phi,
-    simplex_profile,
-    truncated_form_gradient,
-)
-from .core import (
-    CellFunction,
-    DyadicInterval,
-    GridSampledFunction,
-    HoelderExponents,
-    IntervalTuple,
-    TruncationRange,
-    haar_eval,
-    interval_oplus,
-    lp_norm,
-    normalize_tuple,
-    walsh_add,
-)
-from .dyadic import (
-    CoefficientMap,
-    ProductPattern,
-    enumerate_tuples,
-    eval_dyadic_aux,
-    eval_dyadic_form,
-    eval_dyadic_sup,
-    haar_pairing,
-    run_parity_trials,
-    run_telescoping_suite,
-    scale_contributions,
-    sign_optimal_coefficients,
-    sup_gradient,
-    verify_dyadic_telescoping,
-    verify_parity_rule,
-)
-from .harness import (
-    ContinuousTruncatedForm,
-    DyadicSupForm,
-    ExperimentRecord,
-    GrowthFit,
-    MaximizeResult,
-    alternating_maximize,
-    fit_exponent,
-    growth_sweep,
-    load_records,
-    save_records,
-    settings_digest,
-)
-from .identities import (
-    DOMINATION_RATIO_BOUND,
-    FrequencyPoint,
-    Gaussian1D,
-    GtProduct,
-    SeparableGaussian,
-    SingleScaleCheck,
-    check_convolution,
-    check_domination,
-    check_ftc,
-    check_fourier_pair,
-    check_poly_identity,
-    check_single_scale,
-    run_analytic_suite,
-)
-from .plotting import emit_plot
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CellFunction",
-    "CoefficientMap",
-    "ContinuousTruncatedForm",
-    "DilationParams",
-    "DOMINATION_RATIO_BOUND",
-    "DyadicInterval",
-    "DyadicSupForm",
-    "ExperimentRecord",
-    "FrequencyPoint",
-    "Gaussian1D",
-    "GridSampledFunction",
-    "GrowthFit",
-    "GtProduct",
-    "HoelderExponents",
-    "IntervalTuple",
-    "MaximizeResult",
-    "ProductPattern",
-    "QuadratureSpec",
-    "SeparableGaussian",
-    "SingleScaleCheck",
-    "TruncationRange",
-    "adaptive_simpson",
-    "alternating_maximize",
-    "check_convolution",
-    "check_domination",
-    "check_ftc",
-    "check_fourier_pair",
-    "check_poly_identity",
-    "check_single_scale",
-    "dilate",
-    "emit_plot",
-    "enumerate_tuples",
-    "eval_dyadic_aux",
-    "eval_dyadic_form",
-    "eval_dyadic_sup",
-    "eval_simplex_truncated",
-    "eval_smooth_form",
-    "fit_exponent",
-    "gaussian",
-    "gaussian_deriv",
-    "growth_sweep",
-    "haar_eval",
-    "haar_pairing",
-    "interval_oplus",
-    "load_records",
-    "lp_norm",
-    "normalize_tuple",
-    "phi_l1",
-    "residual_kernel_phi",
-    "run_analytic_suite",
-    "run_parity_trials",
-    "run_telescoping_suite",
-    "save_records",
-    "scale_contributions",
-    "settings_digest",
-    "sign_optimal_coefficients",
-    "simplex_profile",
-    "sup_gradient",
-    "truncated_form_gradient",
-    "verify_dyadic_telescoping",
-    "verify_parity_rule",
-    "walsh_add",
-]

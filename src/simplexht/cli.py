@@ -8,8 +8,7 @@ given its flags and seeds.
 
 A config file passed via --config holds `key=value` lines (one flag per
 line, without the leading dashes); flags given on the command line override
-the file.  SIMPLEXHT_THREADS caps the worker count used by sweeps, the
-dyadic engine and the analytic suite.
+the file.
 """
 
 from __future__ import annotations

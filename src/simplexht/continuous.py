@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import GridSampledFunction, TruncationRange
+from .core import GridSampledFunction, TruncationRange, check_cells
 
 _MAX_DEGREE = 3
 _MAX_CELLS_PER_AXIS = 128
@@ -355,8 +355,12 @@ def simplex_profile(
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
+def _node_count(trunc: TruncationRange, per_octave: int) -> int:
+    return max(1, math.ceil(trunc.octaves * per_octave))
+
+
 def _log_midpoint_nodes(trunc: TruncationRange, per_octave: int):
-    count = max(1, math.ceil(trunc.octaves * per_octave))
+    count = _node_count(trunc, per_octave)
     step = trunc.log_ratio / count
     s = math.log(trunc.r) + (np.arange(count) + 0.5) * step
     return s, step
@@ -488,11 +492,15 @@ def eval_smooth_form(
     n, A, delta, _ = _common_grid(functions)
     if trunc.r == trunc.R:
         return 0.0
-    s, t_step = _log_midpoint_nodes(trunc, quad.nodes_per_octave)
-    ts = np.exp(s)
     half = quad.half_extent if quad.half_extent is not None else (n + 1) * A
     dx = min(quad.spacing if quad.spacing is not None else delta, trunc.r / 8.0)
     count = math.ceil(2.0 * half / dx)
+    check_cells(
+        count * _node_count(trunc, quad.nodes_per_octave),
+        f"smooth-form kernel matrix at r={trunc.r}, R={trunc.R}",
+    )
+    s, t_step = _log_midpoint_nodes(trunc, quad.nodes_per_octave)
+    ts = np.exp(s)
     dx = 2.0 * half / count
     x = -half + (np.arange(count) + 0.5) * dx
     profile = simplex_profile(functions, x)

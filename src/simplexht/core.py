@@ -4,7 +4,7 @@ The dyadic side works with carry-free (XOR) arithmetic on dyadic interval
 indices, L^inf-normalized Haar steps, and piecewise-constant cell functions
 on [0, 2^L)^n at unit-cell resolution.  The continuous side works with
 uniformly sampled rapidly decaying functions on [-A, A]^n.  Everything here
-is immutable after construction and safe to share between workers.
+is immutable after construction.
 """
 
 from __future__ import annotations
@@ -18,6 +18,16 @@ import numpy as np
 
 # XOR arithmetic stays exact on machine integers below this bound.
 MAX_INDEX = 2**63
+
+# Elements in the largest array one evaluation may ask for (2**26 doubles
+# are 512 MiB).  Engines check a size against it before allocating.
+MAX_CELLS = 2**26
+
+
+def check_cells(cells: int, what: str) -> None:
+    """Refuse, with a ValueError naming the size, more than MAX_CELLS cells."""
+    if cells > MAX_CELLS:
+        raise ValueError(f"{what} needs {cells} cells, over the limit of {MAX_CELLS}")
 
 
 def walsh_add(a: int, b: int) -> int:

@@ -19,8 +19,7 @@ slot's per-tuple kernel contracts the other n blocks with one Haar sign
 vector per integration variable, and its inner product with the slot's own
 block is the tuple's pairing, so pairings and slot gradients come from the
 same pass.  Per-scale results are reduced with numpy's pairwise summation,
-scales in increasing order, so evaluations are deterministic and
-independent of worker scheduling.
+scales in increasing order, so evaluations are deterministic.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import CellFunction, DyadicInterval, IntervalTuple, walsh_add
-from .workers import parallel_map
+from .core import CellFunction, DyadicInterval, IntervalTuple, check_cells, walsh_add
 
 _AXIS_LETTERS = string.ascii_lowercase
 # A sweep at one size needs L plans; the bound caps memory across many sizes.
@@ -321,21 +319,14 @@ def eval_dyadic_form(
             raise ValueError("coefficient magnitudes must stay <= 1")
         return float(np.sum(eps * vals))
 
-    return float(sum(parallel_map(one_scale, range(1, scale_count + 1))))
+    return float(sum(one_scale(scale) for scale in range(1, scale_count + 1)))
 
 
 def eval_dyadic_sup(
     functions: Sequence[CellFunction], scale_count: int
 ) -> float:
     """Largest form value over all coefficient choices: the sum of |pairings|."""
-    n, L = _check_functions(functions)
-    _check_scale_count(scale_count, L)
-
-    def one_scale(scale: int) -> float:
-        _, vals = _scale_pairings(functions, scale)
-        return float(np.sum(np.abs(vals)))
-
-    return float(sum(parallel_map(one_scale, range(1, scale_count + 1))))
+    return float(sum(scale_contributions(functions, scale_count)))
 
 
 def scale_contributions(
@@ -522,6 +513,7 @@ def verify_dyadic_telescoping(n: int, k: int, l: int, L: int) -> int:
     nb = 1 << (L - l)          # scale-l blocks per axis
     B = 1 << (L - l + 1)       # scale-(l-1) blocks per axis
     n_axes = 2 * n - k + 2
+    check_cells(B**n_axes, f"telescoping n={n} k={k} l={l} L={L}")
 
     haar_vecs = np.zeros((nb, B), dtype=np.int64)
     ind_vecs = np.zeros((nb, B), dtype=np.int64)
@@ -594,17 +586,10 @@ def run_telescoping_suite(
         for l in range(2, L + 1)
     ]
 
-    def run(case: tuple[int, int, int, int]) -> dict:
-        n, k, l, L = case
-        return {
-            "n": n,
-            "k": k,
-            "l": l,
-            "L": L,
-            "discrepancy": verify_dyadic_telescoping(n, k, l, L),
-        }
-
-    return parallel_map(run, cases)
+    return [
+        dict(n=n, k=k, l=l, L=L, discrepancy=verify_dyadic_telescoping(n, k, l, L))
+        for n, k, l, L in cases
+    ]
 
 
 def run_parity_trials(

@@ -36,11 +36,11 @@ from .core import (
     GridSampledFunction,
     HoelderExponents,
     TruncationRange,
+    check_cells,
     lp_norm,
     normalize_tuple,
 )
 from .dyadic import eval_dyadic_sup, sup_gradient
-from .workers import parallel_map
 
 MODELS = ("dyadic", "continuous")
 _MAX_CONTINUOUS_DEGREE = 2
@@ -136,6 +136,8 @@ class DyadicSupForm:
                 f"scale_count must lie in 1..side_exponent={side_exponent}, "
                 f"got {scale_count}"
             )
+        cells = (n + 1) << (side_exponent * n)
+        check_cells(cells, f"dyadic slots at n={n}, L={side_exponent}")
         self.n = n
         self.side_exponent = side_exponent
         self.scale_count = scale_count
@@ -376,10 +378,10 @@ def growth_sweep(
 
     Dyadic sweeps walk the scale count m (requires side_exponent, m <=
     side_exponent); continuous sweeps walk log2(R/r) with R = base_radius *
-    2**abscissa.  Every (abscissa, seed) maximization runs independently
-    (in parallel when workers allow) and each abscissa keeps its best final
-    value; ties go to the earliest listed seed.  Records are deterministic
-    given seeds and carry no timestamp.
+    2**abscissa.  The (abscissa, seed) maximizations run one after another,
+    in that order, and each abscissa keeps its best final value; ties go to
+    the earliest listed seed.  Records are deterministic given seeds and
+    carry no timestamp.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
@@ -412,20 +414,16 @@ def growth_sweep(
     }
     digest = settings_digest(settings)
 
-    # Validate every abscissa up front so failures precede any long run.
-    for a in abscissae:
+    # Build every form up front so an invalid abscissa fails before any run.
+    forms = [
         _sweep_form(model, n, a, side_exponent, base_radius, half_extent, spacing)
-
-    jobs = [(a, seed) for a in abscissae for seed in seeds]
-
-    def run(job: tuple) -> MaximizeResult:
-        abscissa, seed = job
-        form = _sweep_form(
-            model, n, abscissa, side_exponent, base_radius, half_extent, spacing
-        )
-        return alternating_maximize(form, exponents, max_iter, tol, seed)
-
-    results = parallel_map(run, jobs)
+        for a in abscissae
+    ]
+    results = [
+        alternating_maximize(form, exponents, max_iter, tol, seed)
+        for form in forms
+        for seed in seeds
+    ]
     records = []
     for i, a in enumerate(abscissae):
         per_seed = results[i * len(seeds) : (i + 1) * len(seeds)]

@@ -25,7 +25,6 @@ from .continuous import (
     gaussian,
     gaussian_deriv,
 )
-from .workers import parallel_map
 
 # Largest observed ratio |h(x)| / int_1^inf g_beta(x) beta^{-4} d(beta),
 # frozen from a dense scan of x in [-100, 100] (attained near |x| = 0.63).
@@ -501,7 +500,7 @@ def run_analytic_suite(seed: int = 0) -> list[dict]:
     )
 
     dom_xs = [float(x) for x in np.arange(-10.0, 10.0 + 1e-9, 0.1)]
-    ratios = parallel_map(check_domination, dom_xs)
+    ratios = [check_domination(x) for x in dom_xs]
     dom_excess = max(0.0, max(ratios) - DOMINATION_RATIO_BOUND)
     report.append(
         {
@@ -539,10 +538,7 @@ def run_analytic_suite(seed: int = 0) -> list[dict]:
         point = _random_point(rng, count, span=2.0)
         params = _random_params(rng, count, _SQRT_HALF, 4.0)
         ftc_cases.append((point, params))
-    ftc_errs = parallel_map(
-        lambda case: check_ftc(case[0], case[1], trunc), ftc_cases
-    )
-    ftc_worst = max(ftc_errs)
+    ftc_worst = max(check_ftc(point, params, trunc) for point, params in ftc_cases)
     report.append(
         {
             "check": "ftc",

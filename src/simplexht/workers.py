@@ -1,38 +1,18 @@
-"""Deterministic work partitioning.
+"""A serial, order-preserving map that no package module calls any more.
 
-SIMPLEXHT_THREADS caps the worker count (default 1).  Results are always
-reduced in input order, so parallel and serial runs produce identical
-output; the engines hold no mutable shared state.
+The package runs on one serial path.  This module stays only because the
+benchmark's tracer (`perfbench/tracer.py`) imports it and wraps
+`parallel_map`; it goes away with the next change to the benchmark.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-ENV_VAR = "SIMPLEXHT_THREADS"
-
-
-def worker_count() -> int:
-    raw = os.environ.get(ENV_VAR, "")
-    try:
-        requested = int(raw)
-    except ValueError:
-        requested = 1
-    if requested < 1:
-        requested = 1
-    return min(requested, os.cpu_count() or 1)
-
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Map preserving input order; worker scheduling never affects results."""
-    seq: Sequence[T] = list(items)
-    workers = worker_count()
-    if workers == 1 or len(seq) <= 1:
-        return [fn(item) for item in seq]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seq))
+    """[fn(item) for item in items], in input order."""
+    return [fn(item) for item in items]

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from simplexht import cli
+from simplexht import cli, core
 from simplexht.cli import CliError, main, parse_exponents, parse_range
+from simplexht.dyadic import eval_dyadic_sup
 from simplexht.harness import ExperimentRecord, GrowthFit, save_records
 from simplexht.plotting import emit_plot
+
+from helpers import brute_sup, random_cell_functions
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +164,7 @@ class TestSweepAndFit:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_worker_count_does_not_change_results(self, tmp_path, capsys, monkeypatch):
+        # SIMPLEXHT_THREADS is retired: whatever it holds, the records match.
         serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
         args = (
             "sweep", "--model", "dyadic", "--n", "1", "--m", "1..2",
@@ -170,6 +175,28 @@ class TestSweepAndFit:
         monkeypatch.setenv("SIMPLEXHT_THREADS", "4")
         assert run_cli(capsys, *args, "--out", str(threaded))[0] == 0
         assert serial.read_bytes() == threaded.read_bytes()
+
+    def test_starts_no_thread_whatever_the_environment(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # One serial path: the retired SIMPLEXHT_THREADS variable has nothing
+        # to act on.  Run-to-run determinism is the byte-deterministic test.
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setenv("SIMPLEXHT_THREADS", "4")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        code, _, _ = run_cli(
+            capsys,
+            "sweep", "--model", "dyadic", "--n", "1", "--m", "1..2", "--L", "2",
+            "--seeds", "2", "--max-iter", "6", "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 0
+        fs = random_cell_functions(np.random.default_rng(11), 2, 3)
+        assert eval_dyadic_sup(fs, 3) == pytest.approx(brute_sup(fs, 3), abs=1e-12)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--trials", "5")
+        assert code == 0
+        assert out.endswith("checks passed\n")
 
     def test_continuous_sweep_runs(self, tmp_path, capsys):
         out_csv = tmp_path / "c.csv"
@@ -244,6 +271,40 @@ class TestUsageErrors:
         assert code == 3
         assert "Traceback" in err
         assert "RuntimeError: internal fault" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(core, "MAX_CELLS"), reason="without a budget these allocate gigabytes"
+)
+class TestCellBudget:
+    """Real sizes far past the cell budget: exit 2 at once, naming the size."""
+
+    def test_verify_telescoping_case(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "dyadic", "--n", "3", "--L", "6"
+        )
+        assert code == 2
+        assert "telescoping n=3 k=1 l=2 L=6 needs 34359738368 cells" in err
+        assert out == ""
+
+    def test_dyadic_eval(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--model", "dyadic", "--n", "3", "--L", "12", "--m", "1"
+        )
+        assert code == 2
+        assert "dyadic slots at n=3, L=12 needs 274877906944 cells" in err
+        assert out == ""
+
+    def test_dyadic_sweep(self, tmp_path, capsys):
+        out_csv = tmp_path / "never.csv"
+        code, _, err = run_cli(
+            capsys,
+            "sweep", "--model", "dyadic", "--n", "3", "--L", "12", "--m", "1..2",
+            "--out", str(out_csv),
+        )
+        assert code == 2
+        assert "needs 274877906944 cells" in err
+        assert not out_csv.exists()
 
 
 class TestConfigFile:

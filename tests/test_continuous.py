@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import exp1
 
-from simplexht import continuous
+from simplexht import continuous, core
 from simplexht.continuous import (
     DilationParams,
     QuadratureSpec,
@@ -385,6 +385,26 @@ class TestSmoothForm:
         kernel = np.where(xs == 0.0, 0.0, kernel)
         direct = float(np.sum(profile * kernel) * dx)
         assert math.isclose(value, direct, rel_tol=1e-4, abs_tol=1e-6)
+
+    def test_cell_budget_bounds_the_kernel_matrix(self, monkeypatch):
+        # x-grid of 2 * (2 * 4.0) / (0.5 / 8) = 256 points by 3 * 32 t-nodes.
+        fs = random_bump_tuple(np.random.default_rng(5), 1, spacing=0.25)
+        trunc = TruncationRange(0.5, 4.0)
+        expected = eval_smooth_form(fs, trunc)
+        monkeypatch.setattr(core, "MAX_CELLS", 256 * 96 - 1)
+        with pytest.raises(ValueError, match="kernel matrix .* needs 24576 cells"):
+            eval_smooth_form(fs, trunc)
+        monkeypatch.setattr(core, "MAX_CELLS", 256 * 96)
+        assert eval_smooth_form(fs, trunc) == expected
+
+    @pytest.mark.skipif(
+        not hasattr(core, "MAX_CELLS"), reason="without a budget this allocates ~690 MB"
+    )
+    def test_real_size_kernel_matrix_is_refused(self):
+        # 192000 x-points by 447 t-nodes: about 86M doubles.
+        fs = random_bump_tuple(np.random.default_rng(5), 2, spacing=0.25)
+        with pytest.raises(ValueError, match="kernel matrix at r=0.001, R=16.0 needs"):
+            eval_smooth_form(fs, TruncationRange(1e-3, 16.0))
 
     def test_equal_radii_give_zero(self):
         rng = np.random.default_rng(1)

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from simplexht import core
 from simplexht.core import (
     CellFunction,
     DyadicInterval,
@@ -224,6 +225,7 @@ class TestEvalDyadicSup:
         assert eval_dyadic_sup(fs, 2) == pytest.approx(brute_sup(fs, 2), abs=1e-12)
 
     def test_deterministic_across_worker_counts(self, monkeypatch):
+        # SIMPLEXHT_THREADS is retired: whatever it holds, the value matches.
         rng = np.random.default_rng(11)
         fs = random_cell_functions(rng, 2, 4)
         monkeypatch.setenv("SIMPLEXHT_THREADS", "1")
@@ -366,6 +368,20 @@ class TestTelescoping:
     def test_split_validation(self):
         with pytest.raises(ValueError):
             verify_dyadic_telescoping(2, 3, 2, 2)
+
+    def test_cell_budget_refused_before_any_allocation(self, monkeypatch):
+        # n=2, k=1, l=2, L=3 spans 2n-k+2 = 5 axes of 4 coarse blocks.
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        monkeypatch.setattr(core, "MAX_CELLS", 4**5 - 1)
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(ValueError, match="n=2 k=1 l=2 L=3 needs 1024 cells"):
+            verify_dyadic_telescoping(2, 1, 2, 3)
+
+    def test_cell_budget_admits_its_own_size(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_CELLS", 4**5)
+        assert verify_dyadic_telescoping(2, 1, 2, 3) == 0
 
     def test_suite_reports_all_cases(self):
         report = run_telescoping_suite(ns=(1, 2), side_exponents=(2, 3))

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from simplexht import core
 from simplexht.continuous import eval_simplex_truncated
 from simplexht.core import (
     CellFunction,
@@ -128,6 +129,21 @@ class TestDyadicSupForm:
     def test_rejects_zero_scale_count(self):
         with pytest.raises(ValueError, match="scale_count"):
             DyadicSupForm(2, 3, 0)
+
+    def test_cell_budget_covers_all_slots(self, monkeypatch):
+        # n+1 = 3 slots of 8x8 cells.
+        monkeypatch.setattr(core, "MAX_CELLS", 3 * 8**2 - 1)
+        with pytest.raises(ValueError, match="n=2, L=3 needs 192 cells"):
+            DyadicSupForm(2, 3, 2)
+        monkeypatch.setattr(core, "MAX_CELLS", 3 * 8**2)
+        assert DyadicSupForm(2, 3, 2).slot_count == 3
+
+    def test_sweep_refuses_oversized_slots(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_CELLS", 3 * 8**2 - 1)
+        with pytest.raises(ValueError, match="192 cells"):
+            growth_sweep(
+                "dyadic", 2, [1, 2], HoelderExponents.geometric(2), side_exponent=3
+            )
 
 
 class TestContinuousTruncatedForm:
