@@ -25,6 +25,7 @@ import numpy as np
 
 from .continuous import eval_simplex_truncated
 from .core import HoelderExponents, TruncationRange, lp_norm, normalize_tuple
+from .core import MAX_VERIFY_DEGREE, MAX_VERIFY_SIDE
 from .dyadic import run_parity_trials, run_telescoping_suite
 from .harness import (
     ContinuousTruncatedForm,
@@ -36,9 +37,6 @@ from .harness import (
 )
 from .identities import run_analytic_suite
 from .plotting import emit_plot
-
-_MAX_VERIFY_DEGREE = 3
-_MAX_VERIFY_SIDE = 6
 
 
 class CliError(Exception):
@@ -246,10 +244,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks = 0
     failures = 0
     if args.suite in ("dyadic", "all"):
-        if args.n is not None and not (1 <= args.n <= _MAX_VERIFY_DEGREE):
-            raise CliError(f"--n must lie in 1..{_MAX_VERIFY_DEGREE}")
-        if args.L is not None and not (2 <= args.L <= _MAX_VERIFY_SIDE):
-            raise CliError(f"--L must lie in 2..{_MAX_VERIFY_SIDE}")
+        if args.n is not None and not (1 <= args.n <= MAX_VERIFY_DEGREE):
+            raise CliError(f"--n must lie in 1..{MAX_VERIFY_DEGREE}")
+        if args.L is not None and not (2 <= args.L <= MAX_VERIFY_SIDE):
+            raise CliError(f"--L must lie in 2..{MAX_VERIFY_SIDE}")
         if args.trials < 1:
             raise CliError("--trials must be >= 1")
         ns = (args.n,) if args.n is not None else (1, 2, 3)

@@ -36,9 +36,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import GridSampledFunction, TruncationRange, check_cells
+from .core import MAX_CELLS_PER_AXIS, MAX_CONTINUOUS_DEGREE
 
-_MAX_DEGREE = 3
-_MAX_CELLS_PER_AXIS = 128
 _CHUNK_BUDGET = 1 << 21  # doubles per interpolation chunk
 _PAD = 2  # zero sample rows added at both ends of axis 0
 
@@ -226,8 +225,10 @@ def _common_grid(functions: Sequence[GridSampledFunction]):
         raise ValueError(
             f"degree-{n} forms pair n+1 = {n + 1} functions, got {len(functions)}"
         )
-    if n > _MAX_DEGREE:
-        raise ValueError(f"continuous evaluation capped at degree {_MAX_DEGREE}")
+    if n > MAX_CONTINUOUS_DEGREE:
+        raise ValueError(
+            f"continuous evaluation capped at degree {MAX_CONTINUOUS_DEGREE}"
+        )
     for i, f in enumerate(functions):
         if not isinstance(f, GridSampledFunction):
             raise TypeError(f"function {i} is not a GridSampledFunction")
@@ -237,9 +238,9 @@ def _common_grid(functions: Sequence[GridSampledFunction]):
             or f.spacing != f0.spacing
         ):
             raise ValueError("all functions must share dimension, extent, spacing")
-    if f0.cells_per_axis > _MAX_CELLS_PER_AXIS:
+    if f0.cells_per_axis > MAX_CELLS_PER_AXIS:
         raise ValueError(
-            f"grids capped at {_MAX_CELLS_PER_AXIS} cells per axis, "
+            f"grids capped at {MAX_CELLS_PER_AXIS} cells per axis, "
             f"got {f0.cells_per_axis}"
         )
     return n, f0.half_extent, f0.spacing, f0.cells_per_axis

@@ -23,6 +23,17 @@ MAX_INDEX = 2**63
 # are 512 MiB).  Engines check a size against it before allocating.
 MAX_CELLS = 2**26
 
+# Highest degree the continuous evaluators accept.
+MAX_CONTINUOUS_DEGREE = 3
+# Largest continuous grid, in cells per axis.
+MAX_CELLS_PER_AXIS = 128
+# Highest degree of continuous maximization and sweeps.
+MAX_CONTINUOUS_SWEEP_DEGREE = 2
+# Highest degree `verify --suite dyadic --n` accepts.
+MAX_VERIFY_DEGREE = 3
+# Largest side exponent `verify --suite dyadic --L` accepts.
+MAX_VERIFY_SIDE = 6
+
 
 def check_cells(cells: int, what: str) -> None:
     """Refuse, with a ValueError naming the size, more than MAX_CELLS cells."""

@@ -18,8 +18,11 @@ permutation, the Haar sign vector and the einsum contraction paths.  A
 slot's per-tuple kernel contracts the other n blocks with one Haar sign
 vector per integration variable, and its inner product with the slot's own
 block is the tuple's pairing, so pairings and slot gradients come from the
-same pass.  Per-scale results are reduced with numpy's pairwise summation,
-scales in increasing order, so evaluations are deterministic.
+same pass.  The sup, the form, the gradient, the single-tuple pairing and
+the aux majorant all read the per-scale plan: each gathers its blocks for
+every tuple at once and contracts them with a leading tuple axis, with no
+loop over tuples.  Per-scale results are reduced with numpy's pairwise
+summation, scales in increasing order, so evaluations are deterministic.
 """
 
 from __future__ import annotations
@@ -102,13 +105,6 @@ def enumerate_tuples(scale: int, side_exponent: int, degree: int):
         return
     for row in _tuple_index_array(scale, side_exponent, degree):
         yield IntervalTuple(tuple(DyadicInterval(scale, int(i)) for i in row))
-
-
-def _pairing_subscripts(n: int) -> str:
-    letters = _AXIS_LETTERS[: n + 1]
-    operands = ["".join(letters[j] for j in range(n + 1) if j != i) for i in range(n + 1)]
-    operands += list(letters)
-    return ",".join(operands) + "->"
 
 
 def _kernel_subscripts(n: int, slot: int) -> str:
@@ -221,14 +217,9 @@ def haar_pairing(
     nb = 1 << (L - scale)
     if any(i >= nb for i in interval_tuple.indices):
         raise ValueError("tuple extends beyond [0, 2^L)")
-    idx = np.array(interval_tuple.indices, dtype=np.int64)
-    ops = []
-    for i, f in enumerate(functions):
-        bv = _block_view(f.values, scale)
-        ops.append(bv[tuple(idx[j] for j in range(n + 1) if j != i)])
-    signs = [_haar_signs(scale)] * (n + 1)
-    spec = _pairing_subscripts(n)
-    return float(np.einsum(spec, *ops, *signs, optimize=True) * (2.0 ** -scale))
+    _, vals = _scale_pairings(functions, scale)
+    # Rows run lexicographically over the free indices m_1..m_n.
+    return float(vals[np.ravel_multi_index(interval_tuple.indices[1:], (nb,) * n)])
 
 
 def _coefficient_key(indices: "IntervalTuple | Sequence[int]") -> tuple[int, ...]:
@@ -420,7 +411,12 @@ def eval_dyadic_aux(
     """
     n, L = _check_functions(functions)
     _check_scale_count(scale_count, L)
-    pattern = ProductPattern(n, k)
+    factors = ProductPattern(n, k).factors()
+    # Scale l holds 2^{(L-l)n} tuples of (2^l)^{2(n-k)} doubled-variable cells.
+    check_cells(
+        max(1 << ((L - l) * n + 2 * l * (n - k)) for l in range(1, scale_count + 1)),
+        f"aux majorant n={n} k={k} L={L} m={scale_count}",
+    )
     inner_letters = _AXIS_LETTERS[: k + 1]
     pair_letters = [
         (_AXIS_LETTERS[k + 1 + 2 * j], _AXIS_LETTERS[k + 2 + 2 * j])
@@ -435,26 +431,17 @@ def eval_dyadic_aux(
         )
         return sub
 
-    subs = [factor_subscript(f) for f in pattern.factors()]
-    subs += list(inner_letters)
-    spec = ",".join(subs) + "->" + out_spec
+    subs = ["t" + factor_subscript(f) for f in factors] + list(inner_letters)
+    spec = ",".join(subs) + "->t" + out_spec
 
     total = 0.0
     for scale in range(1, scale_count + 1):
-        idx = _tuple_index_array(scale, L, n)
-        signs = [_haar_signs(scale)] * (k + 1)
-        weight = (2.0 ** -scale) ** (n - k + 1)
-        views = [_block_view(f.values, scale) for f in functions[: k + 1]]
-        per_tuple = np.empty(idx.shape[0], dtype=np.float64)
-        for t, row in enumerate(idx):
-            operands = []
-            for factor in pattern.factors():
-                i = factor.function_index
-                block = views[i][tuple(row[j] for j in range(n + 1) if j != i)]
-                operands.append(block)
-            inner = np.einsum(spec, *operands, *signs, optimize=True)
-            per_tuple[t] = weight * float(np.sum(np.abs(inner)))
-        total += float(np.sum(per_tuple))
+        plan = _scale_plan(n, L, scale)
+        blocks = _gather_blocks(functions[: k + 1], scale, plan)
+        operands = [blocks[f.function_index] for f in factors]
+        inner = np.einsum(spec, *operands, *[plan.signs] * (k + 1), optimize=True)
+        per_tuple = np.abs(inner, out=inner).reshape(len(plan.idx), -1).sum(axis=1)
+        total += float(np.sum(plan.weight ** (n - k + 1) * per_tuple))
     return total
 
 
@@ -543,35 +530,30 @@ def verify_dyadic_telescoping(n: int, k: int, l: int, L: int) -> int:
             shape[pos] = dim
         return vec.reshape(shape)
 
+    def term(row: np.ndarray, single: np.ndarray, doubled: np.ndarray) -> np.ndarray:
+        out = np.ones((1,) * n_axes, dtype=np.int64)
+        for i in range(n + 1):
+            out = out * expand((single if i < k else doubled)[row[i]], axis_position(i))
+        return out
+
+    # Each term goes into lhs as soon as it is built, and rhs is subtracted
+    # in place, so about two arrays of the checked size are alive at once.
     lhs = np.zeros((B,) * n_axes, dtype=np.int64)
     for row in _tuple_index_array(l, L, n):
-        term1 = np.ones((1,) * n_axes, dtype=np.int64)
-        term2 = np.ones((1,) * n_axes, dtype=np.int64)
-        for i in range(n + 1):
-            pos = axis_position(i)
-            if i < k:
-                term1 = term1 * expand(haar_vecs[row[i]], pos)
-                term2 = term2 * expand(ind_vecs[row[i]], pos)
-            else:
-                term1 = term1 * expand(mixed[row[i]], pos)
-                term2 = term2 * expand(matched[row[i]], pos)
-        lhs += term1
-        lhs += term2
+        lhs += term(row, haar_vecs, mixed)
+        lhs += term(row, ind_vecs, matched)
 
     iota = np.arange(B, dtype=np.int64)
     xor_total = np.zeros((1,) * n_axes, dtype=np.int64)
-    rhs = np.ones((1,) * n_axes, dtype=np.int64)
+    rhs = np.full((1,) * n_axes, 1 << (n - k + 2), dtype=np.int64)
     for i in range(n + 1):
         pos = axis_position(i)
-        if i < k:
-            xor_total = xor_total ^ expand(iota, (pos[0],))
-        else:
-            xor_total = xor_total ^ expand(iota, (pos[0],))
+        xor_total = xor_total ^ expand(iota, (pos[0],))
+        if i >= k:
             eq = expand(iota, (pos[0],)) == expand(iota, (pos[1],))
-            rhs = rhs * eq.astype(np.int64)
-    rhs = rhs * (xor_total == 0).astype(np.int64) * (1 << (n - k + 2))
-
-    return int(np.max(np.abs(lhs - rhs)))
+            rhs = rhs * eq
+    lhs -= rhs * (xor_total == 0)
+    return int(max(lhs.max(), -lhs.min()))
 
 
 def run_telescoping_suite(

@@ -32,6 +32,7 @@ from .continuous import (
     truncated_form_gradient,
 )
 from .core import (
+    MAX_CONTINUOUS_SWEEP_DEGREE,
     CellFunction,
     GridSampledFunction,
     HoelderExponents,
@@ -43,7 +44,6 @@ from .core import (
 from .dyadic import eval_dyadic_sup, sup_gradient
 
 MODELS = ("dyadic", "continuous")
-_MAX_CONTINUOUS_DEGREE = 2
 _RESEED_ATTEMPTS = 5
 
 CSV_COLUMNS = ("model", "n", "abscissa", "S", "iters", "seed", "digest")
@@ -191,9 +191,9 @@ class ContinuousTruncatedForm:
         quad: QuadratureSpec = QuadratureSpec(),
         bumps_per_slot: int = 3,
     ) -> None:
-        if not (1 <= n <= _MAX_CONTINUOUS_DEGREE):
+        if not (1 <= n <= MAX_CONTINUOUS_SWEEP_DEGREE):
             raise ValueError(
-                f"continuous maximization capped at degree {_MAX_CONTINUOUS_DEGREE}"
+                f"continuous maximization capped at degree {MAX_CONTINUOUS_SWEEP_DEGREE}"
             )
         if trunc.r == trunc.R:
             raise ValueError("degenerate truncation range: the form is identically 0")

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from simplexht import core
+from simplexht import core, dyadic
 from simplexht.core import (
     CellFunction,
     DyadicInterval,
@@ -97,12 +98,13 @@ class TestHaarPairing:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
-        fs = random_cell_functions(rng, 1, 2)
-        for scale in (1, 2):
-            for tup in enumerate_tuples(scale, 2, 1):
-                assert haar_pairing(fs, tup) == pytest.approx(
-                    brute_pairing(fs, tup), abs=1e-12
-                )
+        for n in (1, 3):
+            fs = random_cell_functions(rng, n, 2)
+            for scale in (1, 2):
+                for tup in enumerate_tuples(scale, 2, n):
+                    assert haar_pairing(fs, tup) == pytest.approx(
+                        brute_pairing(fs, tup), abs=1e-12
+                    )
 
     def test_matches_brute_force_degree_two(self):
         rng = np.random.default_rng(42)
@@ -262,13 +264,15 @@ class TestEvalDyadicAux:
         fs = random_cell_functions(rng, 2, 2)
         assert eval_dyadic_aux(fs, 1, 2) >= 0.0
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_brute_force(self, k):
+        # Every degree n >= k, at m = L: L=3 for n <= 2 and L=2 for n=3.
         rng = np.random.default_rng(6)
-        fs = random_cell_functions(rng, 2, 2)
-        assert eval_dyadic_aux(fs, k, 2) == pytest.approx(
-            brute_aux(fs, k, 2), rel=1e-12, abs=1e-12
-        )
+        for n, L in [(1, 3), (2, 3), (3, 2)][k - 1 :]:
+            fs = random_cell_functions(rng, n, L)
+            assert eval_dyadic_aux(fs, k, L) == pytest.approx(
+                brute_aux(fs, k, L), rel=1e-12, abs=1e-12
+            )
 
     def test_dominates_sup(self):
         rng = np.random.default_rng(9)
@@ -282,6 +286,25 @@ class TestEvalDyadicAux:
         for bad in (0, 2):
             with pytest.raises(ValueError):
                 eval_dyadic_aux(fs, bad, 1)
+
+    def test_cell_budget_refused_before_any_contraction(self, monkeypatch):
+        # n=3, k=1, L=3: scale l holds 2^{3(3-l)} tuples of 4^{2l} cells,
+        # so the largest scale is the last one.
+        fs = random_cell_functions(np.random.default_rng(0), 3, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("contracted before the budget check")
+
+        monkeypatch.setattr(core, "MAX_CELLS", 2**12 - 1)
+        monkeypatch.setattr(np, "einsum", refuse)
+        with pytest.raises(ValueError, match="n=3 k=1 L=3 m=3 needs 4096 cells"):
+            eval_dyadic_aux(fs, 1, 3)
+
+    def test_cell_budget_admits_its_own_size(self, monkeypatch):
+        fs = random_cell_functions(np.random.default_rng(0), 3, 3)
+        expected = eval_dyadic_aux(fs, 1, 3)
+        monkeypatch.setattr(core, "MAX_CELLS", 2**12)
+        assert eval_dyadic_aux(fs, 1, 3) == expected
 
 
 class TestProductPattern:
@@ -382,6 +405,23 @@ class TestTelescoping:
     def test_cell_budget_admits_its_own_size(self, monkeypatch):
         monkeypatch.setattr(core, "MAX_CELLS", 4**5)
         assert verify_dyadic_telescoping(2, 1, 2, 3) == 0
+
+    def test_peak_memory_stays_near_two_checked_arrays(self):
+        # n=2, k=1, l=2, L=5 spans 5 axes of 16 coarse blocks: 2^20 cells.
+        tracemalloc.start()
+        try:
+            assert verify_dyadic_telescoping(2, 1, 2, 5) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 16**5 * 8
+
+    def test_dropped_tuple_is_reported(self, monkeypatch):
+        full = dyadic._tuple_index_array
+        monkeypatch.setattr(
+            dyadic, "_tuple_index_array", lambda *args: full(*args)[1:]
+        )
+        assert verify_dyadic_telescoping(2, 1, 2, 3) > 0
 
     def test_suite_reports_all_cases(self):
         report = run_telescoping_suite(ns=(1, 2), side_exponents=(2, 3))
