@@ -23,10 +23,11 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from . import core
 from .continuous import eval_simplex_truncated
 from .core import HoelderExponents, TruncationRange, lp_norm, normalize_tuple
 from .core import MAX_VERIFY_DEGREE, MAX_VERIFY_SIDE
-from .dyadic import run_parity_trials, run_telescoping_suite
+from .dyadic import run_parity_trials, run_telescoping_suite, telescoping_cells
 from .harness import (
     ContinuousTruncatedForm,
     DyadicSupForm,
@@ -153,7 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=int, default=None, help="restrict the dyadic suite to one degree"
     )
     verify.add_argument(
-        "--L", type=int, default=None, help="restrict to one side exponent"
+        "--L",
+        type=int,
+        default=None,
+        help=f"restrict to one side exponent; admitted per degree: {_verify_side_table()}",
     )
     verify.add_argument(
         "--trials", type=int, default=200, help="parity trials per degree"
@@ -240,6 +244,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _verify_sides(n: int) -> range:
+    """Side exponents `verify` admits at degree n: the side cap, then the budget.
+
+    A telescoping grid is largest at k = 1, l = 2, so that case decides
+    for every (k, l) of the same (n, L).
+    """
+    top = MAX_VERIFY_SIDE
+    while top >= 2 and telescoping_cells(n, 1, 2, top) > core.MAX_CELLS:
+        top -= 1
+    return range(2, top + 1)
+
+
+def _verify_side_table() -> str:
+    return ", ".join(
+        f"n={n}: --L 2..{_verify_sides(n).stop - 1}"
+        for n in range(1, MAX_VERIFY_DEGREE + 1)
+    )
+
+
+def _check_verify_sizes(ns: Sequence[int], sides: Sequence[int]) -> None:
+    """Refuse, before any check runs, an (n, L) whose grid is over the budget."""
+    refused = [(n, L) for n in ns for L in sides if L not in _verify_sides(n)]
+    if refused:
+        n, L = refused[0]
+        raise CliError(
+            f"telescoping n={n} k=1 l=2 L={L} needs {telescoping_cells(n, 1, 2, L)} "
+            f"cells, over the limit of {core.MAX_CELLS}; verify admits {_verify_side_table()}"
+        )
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     checks = 0
     failures = 0
@@ -247,11 +281,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.n is not None and not (1 <= args.n <= MAX_VERIFY_DEGREE):
             raise CliError(f"--n must lie in 1..{MAX_VERIFY_DEGREE}")
         if args.L is not None and not (2 <= args.L <= MAX_VERIFY_SIDE):
-            raise CliError(f"--L must lie in 2..{MAX_VERIFY_SIDE}")
+            raise CliError(
+                f"--L must lie in 2..{MAX_VERIFY_SIDE}; verify admits {_verify_side_table()}"
+            )
         if args.trials < 1:
             raise CliError("--trials must be >= 1")
         ns = (args.n,) if args.n is not None else (1, 2, 3)
         sides = (args.L,) if args.L is not None else (2, 3, 4)
+        _check_verify_sizes(ns, sides)
         for row in run_telescoping_suite(ns=ns, side_exponents=sides):
             checks += 1
             if row["discrepancy"] != 0:

@@ -12,17 +12,25 @@ unit cells; scales run l = 1..m so Haar halves align with unit cells.
 
 Batched contractions: at scale l each grid splits into blocks of side 2^l,
 and a tuple selects one block per function; the tuples biject onto the
-blocks of each function.  Plans are built once per (n, L, scale) and kept
-in a bounded cache: the XOR-zero tuples, each function's block
-permutation, the Haar sign vector and the einsum contraction paths.  A
-slot's per-tuple kernel contracts the other n blocks with one Haar sign
-vector per integration variable, and its inner product with the slot's own
-block is the tuple's pairing, so pairings and slot gradients come from the
-same pass.  The sup, the form, the gradient, the single-tuple pairing and
-the aux majorant all read the per-scale plan: each gathers its blocks for
-every tuple at once and contracts them with a leading tuple axis, with no
-loop over tuples.  Per-scale results are reduced with numpy's pairwise
-summation, scales in increasing order, so evaluations are deterministic.
+blocks of each function.  Plans are built once per (n, L, scale): the
+XOR-zero tuples, one flat gather index per function, the Haar sign
+tensors and each slot's contraction steps.  One fancy index on the raveled
+values gathers a function's block for every tuple, and the same index
+scatters a slot gradient back.  The plan cache keeps no more index cells
+than core.MAX_CELLS, so a large grid rebuilds its plans instead of
+keeping one index per function and scale.
+
+The Haar signs factor out of every integrand.  Slot s's per-tuple kernel
+is the outer sign tensor of the other n variables times the sign-free sum
+over x_s of h(x_s) times the other n blocks; h(x_s) is folded into one of
+those blocks, and the sum is one batched matmul (at n >= 3, one per x_last
+slice, so no intermediate outgrows one grid); no step calls np.einsum.
+The kernel's inner product with the slot's own block is the tuple's
+pairing, so pairings and slot gradients come from the same pass.  The sup,
+the form, the gradient, the single-tuple pairing and the aux majorant all
+read the per-scale plan, with no loop over tuples.  Per-scale results are
+reduced in a fixed order, scales in increasing order, so evaluations are
+deterministic.
 """
 
 from __future__ import annotations
@@ -34,11 +42,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import core
 from .core import CellFunction, DyadicInterval, IntervalTuple, check_cells, walsh_add
 
 _AXIS_LETTERS = string.ascii_lowercase
-# A sweep at one size needs L plans; the bound caps memory across many sizes.
-_PLAN_CACHE_SIZE = 64
 
 
 def _check_functions(functions: Sequence[CellFunction]) -> tuple[int, int]:
@@ -64,17 +71,6 @@ def _haar_signs(scale: int) -> np.ndarray:
     s = np.ones(2 * half, dtype=np.float64)
     s[half:] = -1.0
     return s
-
-
-def _block_view(values: np.ndarray, scale: int) -> np.ndarray:
-    """View with axes (block_0..block_{n-1}, cell_0..cell_{n-1}) at this scale."""
-    n = values.ndim
-    side = values.shape[0]
-    cell = 1 << scale
-    nb = side >> scale
-    interleaved = values.reshape(sum(((nb, cell) for _ in range(n)), ()))
-    perm = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-    return interleaved.transpose(perm)
 
 
 def _tuple_index_array(scale: int, side_exponent: int, degree: int) -> np.ndarray:
@@ -107,86 +103,202 @@ def enumerate_tuples(scale: int, side_exponent: int, degree: int):
         yield IntervalTuple(tuple(DyadicInterval(scale, int(i)) for i in row))
 
 
-def _kernel_subscripts(n: int, slot: int) -> str:
-    """Per-tuple kernel of one slot: the other blocks against every Haar sign."""
-    letters = _AXIS_LETTERS[: n + 1]
+def _gather_index(
+    idx: np.ndarray, function: int, side_exponent: int, scale: int
+) -> np.ndarray:
+    """Flat cell index of one function's block for every tuple, shape (T, 2^l, ..).
 
-    def without(i: int) -> str:
-        return "t" + "".join(letters[j] for j in range(n + 1) if j != i)
+    Function i's block of tuple t sits at the block coordinates
+    (idx[t, j])_{j != i}; its cells follow in row-major order.  Tuples
+    biject onto the blocks, so the index is a permutation of the grid.
+    """
+    n = idx.shape[1] - 1
+    cell = 1 << scale
+    strides = (1 << (side_exponent * np.arange(n - 1, -1, -1))).astype(np.intp)
+    origin = (np.delete(idx, function, axis=1).astype(np.intp) * cell) @ strides
+    within = np.indices((cell,) * n, dtype=np.intp).reshape(n, -1).T @ strides
+    flat = origin[:, None] + within[None, :]
+    return flat.reshape((len(idx),) + (cell,) * n)
 
-    operands = [without(i) for i in range(n + 1) if i != slot]
-    operands += list(letters)
-    return ",".join(operands) + "->" + without(slot)
+
+@dataclass(frozen=True, eq=False)
+class _SlotSteps:
+    """One slot's sign-free kernel: a product of blocks, then one matmul.
+
+    The kernel of slot s sums over x_s the product of h(x_s) and the other
+    n blocks.  Operands are viewed in the full layout (tuple, x_0, .., x_n,
+    spare), where block i has a unit axis at x_i and the spare unit axis
+    stands in for a matmul dimension an operand lacks.  `signs` (h(x_s)
+    in the left operand's layout) times the `folded` blocks, transposed by
+    `left_axes`, is the left operand; block `last`, transposed by
+    `right_axes`, is the right one; their batched matmul sums over x_s.
+    At n >= 3 the product would hold every variable, so it is built and
+    contracted one x_last slice at a time (`chunked`) and no intermediate
+    outgrows one grid.  `shape` is the kernel's shape when not chunked.
+    """
+
+    signs: np.ndarray
+    folded: tuple
+    last: int
+    left_axes: tuple
+    right_axes: tuple
+    chunked: bool
+    shape: tuple
+
+
+def _slot_steps(n: int, slot: int, signs: np.ndarray) -> _SlotSteps:
+    variables = set(range(n + 1))
+    others = sorted(variables - {slot})
+    last, folded = others[0], tuple(others[1:])
+    product_vars = {slot}.union(*(variables - {i} for i in folded))
+    last_vars = variables - {last}
+    # A variable held by one operand only becomes its matmul row or column:
+    # x_last for the product (none at n = 1), and at n = 2 also the folded
+    # block's own variable for block `last`.  The others are batch axes,
+    # ascending, so the result's axes follow the kernel's variable order.
+    (row,) = (product_vars - last_vars - {slot}) or {None}
+    (col,) = (last_vars - product_vars - {slot}) or {None}
+    batch = [1 + v for v in others if v not in (row, col)]
+    spare = n + 2
+    row_axis = spare if row is None else 1 + row
+    col_axis = spare if col is None else 1 + col
+    units = set(range(1, n + 3)) - set(batch) - {1 + slot}
+    left_axes = (0, *sorted(units - {row_axis}), *batch, row_axis, 1 + slot)
+    right_axes = (0, *sorted(units - {col_axis}), *batch, 1 + slot, col_axis)
+    cell = len(signs)
+    full_signs = signs.reshape(
+        (1,) + tuple(cell if v == slot else 1 for v in range(n + 1)) + (1,)
+    )
+    held = product_vars | last_vars
+    return _SlotSteps(
+        signs=full_signs.transpose(left_axes),
+        folded=folded,
+        last=last,
+        left_axes=left_axes,
+        right_axes=right_axes,
+        chunked=len(folded) >= 2,
+        shape=(-1,) + tuple(cell if v in held else 1 for v in others),
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class _ScalePlan:
     """What one scale's contractions need beyond the function values.
 
-    idx holds the XOR-zero tuples, shape (T, n+1).  Tuples biject onto each
-    function's blocks: rows[i] is the flat block index (over the block axes
-    of _block_view) of function i's block for every tuple, and order[i] its
-    inverse permutation.  kernels[s] is the einsum spec of slot s's
-    per-tuple kernel with its contraction path.
+    idx holds the XOR-zero tuples, shape (T, n+1), rows lexicographic over
+    m_1..m_n.  gather[i] is function i's flat cell index for every tuple,
+    shape (T, 2^l, .., 2^l) (see _gather_index): a permutation of the grid
+    that gathers its blocks and scatters a slot gradient back.
+    full_shapes[i] views function i's gathered block in the full layout of
+    _SlotSteps, and steps[s] is slot s's contraction.  outer, shape
+    (2^l,)*n, is the product of n variables' Haar signs: every slot's
+    kernel carries the signs of all variables but its own, so outer signs
+    each of them.  signs is one variable's Haar sign vector.
     """
 
     idx: np.ndarray
-    rows: tuple
-    order: tuple
+    gather: tuple
+    full_shapes: tuple
+    steps: tuple
+    outer: np.ndarray
     signs: np.ndarray
     weight: float
-    kernels: tuple
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _index_cells(degree: int, side_exponent: int) -> int:
+    """Cells of one plan's gather indices: one grid per function."""
+    return (degree + 1) << (side_exponent * degree)
+
+
+# Plans by (n, L, scale), least recently used first.
+_plans: dict[tuple[int, int, int], _ScalePlan] = {}
+
+
 def _scale_plan(degree: int, side_exponent: int, scale: int) -> _ScalePlan:
+    """The plan of one scale, built once and kept while the budget allows.
+
+    A plan's gather indices are charged to core.check_cells before it is
+    built.  The cache drops its least recently used plans until the
+    indices of every plan it keeps fit core.MAX_CELLS together, the most
+    one plan may hold, so a sweep over many scales of a large grid
+    rebuilds plans instead of keeping one grid per function and scale.
+    """
+    key = (degree, side_exponent, scale)
+    plan = _plans.pop(key, None)
+    if plan is None:
+        cells = _index_cells(degree, side_exponent)
+        check_cells(cells, f"gather index n={degree} L={side_exponent} l={scale}")
+        room = core.MAX_CELLS - cells
+        while _plans and sum(_index_cells(n, L) for n, L, _ in _plans) > room:
+            del _plans[next(iter(_plans))]
+        plan = _build_scale_plan(degree, side_exponent, scale)
+    _plans[key] = plan
+    return plan
+
+
+def _build_scale_plan(degree: int, side_exponent: int, scale: int) -> _ScalePlan:
     n = degree
     idx = _tuple_index_array(scale, side_exponent, n)
-    block_grid = (1 << (side_exponent - scale),) * n
-    rows = tuple(
-        np.ravel_multi_index(tuple(np.delete(idx, i, axis=1).T), block_grid)
+    gather = tuple(_gather_index(idx, i, side_exponent, scale) for i in range(n + 1))
+    signs = _haar_signs(scale)
+    outer = functools.reduce(np.multiply.outer, [signs] * n)
+    for arr in (idx, signs, outer, *gather):
+        arr.flags.writeable = False
+    cell = len(signs)
+    full_shapes = tuple(
+        (-1,) + tuple(1 if v == i else cell for v in range(n + 1)) + (1,)
         for i in range(n + 1)
     )
-    order = tuple(np.argsort(r) for r in rows)
-    signs = _haar_signs(scale)
-    for arr in (idx, signs, *rows, *order):
-        arr.flags.writeable = False
-    # einsum_path reads only shapes: a zero-stride stand-in allocates nothing.
-    block = np.broadcast_to(0.0, (idx.shape[0],) + signs.shape * n)
-    kernels = []
-    for slot in range(n + 1):
-        spec = _kernel_subscripts(n, slot)
-        path, _ = np.einsum_path(spec, *[block] * n, *[signs] * (n + 1), optimize="greedy")
-        kernels.append((spec, path))
-    return _ScalePlan(idx, rows, order, signs, 2.0**-scale, tuple(kernels))
+    steps = tuple(_slot_steps(n, slot, signs) for slot in range(n + 1))
+    return _ScalePlan(idx, gather, full_shapes, steps, outer, signs, 2.0**-scale)
 
 
 def _gather_blocks(
-    functions: Sequence[CellFunction], scale: int, plan: _ScalePlan
+    functions: Sequence[CellFunction], plan: _ScalePlan, rows=slice(None)
 ) -> list[np.ndarray]:
-    """Each function's block for every tuple, shape (T, 2^l, ..., 2^l)."""
-    blocks = []
-    for f, rows in zip(functions, plan.rows):
-        view = _block_view(f.values, scale)
-        flat = view.reshape((len(rows),) + view.shape[f.dimension :])
-        blocks.append(flat[rows])
-    return blocks
+    """Each function's block for the selected tuples, shape (T, 2^l, ..., 2^l)."""
+    return [f.values.reshape(-1)[g[rows]] for f, g in zip(functions, plan.gather)]
 
 
 def _slot_kernel(
     plan: _ScalePlan, blocks: Sequence[np.ndarray], slot: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unsigned per-tuple kernel H of one slot and the weighted pairings.
+    """Per-tuple kernel H of one slot and the weighted pairings.
 
-    H[t] contracts every block but the slot's own against the Haar signs, so
-    the pairing of tuple t is 2^{-l} * <H[t], own block of t>.
+    H[t] sums the product of every block but the slot's own against the
+    Haar signs of all variables, so the pairing of tuple t is
+    2^{-l} * <H[t], own block of t>.
     """
-    spec, path = plan.kernels[slot]
-    others = [b for i, b in enumerate(blocks) if i != slot]
-    kern = np.einsum(spec, *others, *[plan.signs] * len(blocks), optimize=path)
-    held = spec.split("->")[1]
-    pairings = np.einsum(f"{held},{held}->t", kern, blocks[slot]) * plan.weight
-    return kern, pairings
+    step = plan.steps[slot]
+    full = [b.reshape(shape) for b, shape in zip(blocks, plan.full_shapes)]
+    factors = [full[i].transpose(step.left_axes) for i in step.folded]
+    right = full[step.last].transpose(step.right_axes)
+    if step.chunked:
+        # Every slice reads all of its operands: lay them out for matmul once.
+        factors = [np.ascontiguousarray(f) for f in factors]
+        right = np.ascontiguousarray(right)
+
+    def fold(part: slice) -> np.ndarray:
+        # h(x_slot) times the folded blocks at x_last in `part`, laid out
+        # as matmul reads it: x_slot innermost.
+        product = step.signs
+        for f in factors:
+            product = np.multiply(product, f[..., part, :], order="C")
+        return product
+
+    if step.chunked:
+        kern = np.empty((len(blocks[0]),) + plan.outer.shape)
+        for j in range(kern.shape[1]):
+            kern[:, j] = np.matmul(fold(slice(j, j + 1)), right).reshape(
+                kern[:, j].shape
+            )
+    else:
+        kern = np.matmul(fold(slice(None)), right).reshape(step.shape)
+    kern = kern * plan.outer
+    own = blocks[slot]
+    flat = (len(own), -1)
+    pairings = np.matmul(kern.reshape(flat)[:, None, :], own.reshape(flat)[:, :, None])
+    return kern, pairings.reshape(-1) * plan.weight
 
 
 def _scale_pairings(
@@ -195,7 +307,7 @@ def _scale_pairings(
     """Pairing values for every tuple at one scale: (indices, values)."""
     n = functions[0].dimension
     plan = _scale_plan(n, functions[0].side_exponent, scale)
-    _, vals = _slot_kernel(plan, _gather_blocks(functions, scale, plan), 0)
+    _, vals = _slot_kernel(plan, _gather_blocks(functions, plan), 0)
     return plan.idx, vals
 
 
@@ -217,9 +329,11 @@ def haar_pairing(
     nb = 1 << (L - scale)
     if any(i >= nb for i in interval_tuple.indices):
         raise ValueError("tuple extends beyond [0, 2^L)")
-    _, vals = _scale_pairings(functions, scale)
+    plan = _scale_plan(n, L, scale)
     # Rows run lexicographically over the free indices m_1..m_n.
-    return float(vals[np.ravel_multi_index(interval_tuple.indices[1:], (nb,) * n)])
+    row = int(np.ravel_multi_index(interval_tuple.indices[1:], (nb,) * n))
+    _, vals = _slot_kernel(plan, _gather_blocks(functions, plan, [row]), 0)
+    return float(vals[0])
 
 
 def _coefficient_key(indices: "IntervalTuple | Sequence[int]") -> tuple[int, ...]:
@@ -350,14 +464,13 @@ def sup_gradient(
     if not (0 <= slot <= n):
         raise ValueError(f"slot {slot} outside [0, {n}]")
     grad = np.zeros(functions[0].values.shape, dtype=np.float64)
+    flat = grad.reshape(-1)
     for scale in range(1, scale_count + 1):
         plan = _scale_plan(n, L, scale)
-        kern, vals = _slot_kernel(plan, _gather_blocks(functions, scale, plan), slot)
+        kern, vals = _slot_kernel(plan, _gather_blocks(functions, plan), slot)
         eps = np.where(vals >= 0.0, plan.weight, -plan.weight)
-        contrib = eps.reshape((-1,) + (1,) * n) * kern
-        # Tuples biject onto the slot's blocks: reorder, then add in place.
-        view = _block_view(grad, scale)
-        view += contrib[plan.order[slot]].reshape(view.shape)
+        # The slot's gather index is a permutation of the grid: no repeats.
+        flat[plan.gather[slot]] += eps.reshape((-1,) + (1,) * n) * kern
     return grad
 
 
@@ -437,7 +550,7 @@ def eval_dyadic_aux(
     total = 0.0
     for scale in range(1, scale_count + 1):
         plan = _scale_plan(n, L, scale)
-        blocks = _gather_blocks(functions[: k + 1], scale, plan)
+        blocks = _gather_blocks(functions[: k + 1], plan)
         operands = [blocks[f.function_index] for f in factors]
         inner = np.einsum(spec, *operands, *[plan.signs] * (k + 1), optimize=True)
         per_tuple = np.abs(inner, out=inner).reshape(len(plan.idx), -1).sum(axis=1)
@@ -470,6 +583,15 @@ def verify_parity_rule(
     return acc == 0
 
 
+def telescoping_cells(n: int, k: int, l: int, L: int) -> int:
+    """Cells of the integer grid verify_dyadic_telescoping checks at (n, k, l, L).
+
+    2n-k+2 axes of 2^{L-l+1} scale-(l-1) blocks; the largest case of a
+    given (n, L) is k = 1, l = 2.
+    """
+    return (1 << (L - l + 1)) ** (2 * n - k + 2)
+
+
 def verify_dyadic_telescoping(n: int, k: int, l: int, L: int) -> int:
     """Exact discrepancy of the two-scale Haar/indicator splitting identity.
 
@@ -500,7 +622,7 @@ def verify_dyadic_telescoping(n: int, k: int, l: int, L: int) -> int:
     nb = 1 << (L - l)          # scale-l blocks per axis
     B = 1 << (L - l + 1)       # scale-(l-1) blocks per axis
     n_axes = 2 * n - k + 2
-    check_cells(B**n_axes, f"telescoping n={n} k={k} l={l} L={L}")
+    check_cells(telescoping_cells(n, k, l, L), f"telescoping n={n} k={k} l={l} L={L}")
 
     haar_vecs = np.zeros((nb, B), dtype=np.int64)
     ind_vecs = np.zeros((nb, B), dtype=np.int64)

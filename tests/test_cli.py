@@ -90,6 +90,19 @@ class TestVerifyCommand:
         assert code == 2
         assert "--n" in err
 
+    @pytest.mark.parametrize("side", ["1", "5", "7"])
+    def test_inadmissible_side_refused_before_any_check(self, capsys, side):
+        # --L 5 fits n = 1 and 2 but not n = 3, the last default degree.
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--L", side)
+        assert code == 2
+        assert out == ""
+        assert "n=1: --L 2..6, n=2: --L 2..6, n=3: --L 2..4" in err
+
+    def test_help_lists_admissible_sides(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--help")
+        assert code == 0
+        assert "n=1: --L 2..6, n=2: --L 2..6, n=3: --L 2..4" in " ".join(out.split())
+
     def test_output_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--suite", "analytic", "--seed", "3")
         _, second, _ = run_cli(capsys, "verify", "--suite", "analytic", "--seed", "3")

@@ -226,15 +226,20 @@ class TestEvalDyadicSup:
         fs = random_cell_functions(rng, 1, 2)
         assert eval_dyadic_sup(fs, 2) == pytest.approx(brute_sup(fs, 2), abs=1e-12)
 
-    def test_deterministic_across_worker_counts(self, monkeypatch):
-        # SIMPLEXHT_THREADS is retired: whatever it holds, the value matches.
+    def test_deterministic_across_plan_rebuilds(self):
+        # A rebuilt plan must give the same bits as the cached one.
         rng = np.random.default_rng(11)
         fs = random_cell_functions(rng, 2, 4)
-        monkeypatch.setenv("SIMPLEXHT_THREADS", "1")
-        serial = eval_dyadic_sup(fs, 4)
-        monkeypatch.setenv("SIMPLEXHT_THREADS", "4")
-        threaded = eval_dyadic_sup(fs, 4)
-        assert serial == threaded
+
+        def evaluate():
+            grads = [sup_gradient(fs, 4, slot).tobytes() for slot in range(3)]
+            return eval_dyadic_sup(fs, 4), grads
+
+        cached = evaluate()
+        dyadic._plans.clear()
+        rebuilt = evaluate()
+        assert cached[0].hex() == rebuilt[0].hex()
+        assert cached[1] == rebuilt[1]
 
     def test_per_scale_contributions_bounded_for_normalized(self):
         rng = np.random.default_rng(13)
@@ -371,6 +376,95 @@ class TestSupGradient:
         fs = [CellFunction(1, 2, np.ones(4)) for _ in range(2)]
         with pytest.raises(ValueError):
             sup_gradient(fs, 2, 2)
+
+
+class TestScalePlan:
+    def test_kernels_run_without_einsum(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        fs = random_cell_functions(rng, 2, 3)
+        tup = list(enumerate_tuples(2, 3, 2))[1]
+        sup, pairing = brute_sup(fs, 3), brute_pairing(fs, tup)
+        grads = [brute_sup_gradient(fs, 3, slot) for slot in range(3)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.einsum called")
+
+        dyadic._plans.clear()
+        monkeypatch.setattr(np, "einsum", refuse)
+        monkeypatch.setattr(np, "einsum_path", refuse)
+        assert eval_dyadic_sup(fs, 3) == pytest.approx(sup, rel=1e-12)
+        assert haar_pairing(fs, tup) == pytest.approx(pairing, abs=1e-12)
+        for slot, expected in enumerate(grads):
+            np.testing.assert_allclose(
+                sup_gradient(fs, 3, slot), expected, rtol=1e-12, atol=1e-12 * sup
+            )
+
+    @pytest.mark.parametrize("n,L", [(1, 5), (2, 4), (3, 3)])
+    def test_gather_indices_permute_the_grid(self, n, L):
+        for scale in range(1, L + 1):
+            plan = dyadic._scale_plan(n, L, scale)
+            assert len(plan.gather) == n + 1
+            for index in plan.gather:
+                assert index.shape == (len(plan.idx),) + (1 << scale,) * n
+                assert np.array_equal(np.sort(index, axis=None), np.arange(2 ** (L * n)))
+
+    @pytest.mark.parametrize("n,L", [(1, 4), (2, 3), (3, 3)])
+    def test_slot_zero_gathers_blocks_in_plain_order(self, n, L):
+        # Rows run lexicographically over m_1..m_n, which are exactly the
+        # block coordinates of F_0, so its index lists the blocks in order.
+        for scale in range(1, L + 1):
+            nb, cell = 1 << (L - scale), 1 << scale
+            grid = np.arange(2 ** (L * n)).reshape((nb, cell) * n)
+            blocks = grid.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)))
+            plan = dyadic._scale_plan(n, L, scale)
+            assert np.array_equal(plan.gather[0], blocks.reshape((nb**n,) + (cell,) * n))
+
+    def test_index_budget_refused_before_allocation(self, monkeypatch):
+        # n=2, L=3: three gather indices of 2^6 cells each.
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        monkeypatch.setattr(dyadic, "_plans", {})
+        monkeypatch.setattr(core, "MAX_CELLS", 3 * 2**6 - 1)
+        monkeypatch.setattr(np, "indices", refuse)
+        with pytest.raises(ValueError, match="gather index n=2 L=3 l=1 needs 192 cells"):
+            dyadic._scale_plan(2, 3, 1)
+
+    def test_index_budget_admits_its_own_size(self, monkeypatch):
+        monkeypatch.setattr(dyadic, "_plans", {})
+        monkeypatch.setattr(core, "MAX_CELLS", 3 * 2**6)
+        plan = dyadic._scale_plan(2, 3, 1)
+        assert sum(index.size for index in plan.gather) == 3 * 2**6
+
+    def test_cached_indices_fit_the_budget_together(self, monkeypatch):
+        # n=1, L=12: each plan holds two 2^12-cell indices, so the budget
+        # keeps two of a sweep's twelve plans; the rest are rebuilt.
+        n, L = 1, 12
+        budget = 4 << L
+        fs = random_cell_functions(np.random.default_rng(37), n, L)
+        monkeypatch.setattr(dyadic, "_plans", {})
+        monkeypatch.setattr(core, "MAX_CELLS", budget)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for slot in range(n + 1):
+                sup_gradient(fs, L, slot)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        held = [index.size for plan in dyadic._plans.values() for index in plan.gather]
+        assert sum(held) <= budget
+        assert list(dyadic._plans) == [(n, L, L - 1), (n, L, L)]
+        # Indices, tuples and sign vectors of the two kept plans, not twelve.
+        assert kept <= 2 * 8 * budget
+
+    def test_plans_are_reused_in_recency_order(self, monkeypatch):
+        monkeypatch.setattr(dyadic, "_plans", {})
+        first = dyadic._scale_plan(2, 3, 1)
+        second = dyadic._scale_plan(2, 3, 2)
+        assert dyadic._scale_plan(2, 3, 1) is first
+        assert list(dyadic._plans) == [(2, 3, 2), (2, 3, 1)]
+        assert dyadic._plans[(2, 3, 2)] is second
 
 
 class TestTelescoping:
