@@ -411,20 +411,36 @@ def eval_dyadic_form(
     coefficients: CoefficientMap,
     scale_count: int,
 ) -> float:
-    """Coefficient-weighted sum of pairings over scales 1..scale_count."""
+    """Coefficient-weighted sum of pairings over scales 1..scale_count.
+
+    Entries at scales in (scale_count, L] are truncated away; any other
+    entry that names no tuple of the grid raises a ValueError naming it.
+    """
     n, L = _check_functions(functions)
     _check_scale_count(scale_count, L)
-
-    def one_scale(scale: int) -> float:
+    entries = coefficients._entries
+    sums, matched = [], 0
+    for scale in range(1, scale_count + 1):
         idx, vals = _scale_pairings(functions, scale)
-        eps = np.array(
-            [coefficients.value(scale, row) for row in idx.tolist()], dtype=np.float64
-        )
+        found = [entries.get((scale, row)) for row in map(tuple, idx.tolist())]
+        matched += len(found) - found.count(None)
+        eps = np.array([0.0 if e is None else e for e in found], dtype=np.float64)
         if np.any(np.abs(eps) > 1.0):
             raise ValueError("coefficient magnitudes must stay <= 1")
-        return float(np.sum(eps * vals))
-
-    return float(sum(one_scale(scale) for scale in range(1, scale_count + 1)))
+        sums.append(float(np.sum(eps * vals)))
+    # Every key must have matched a row above or sit at a truncated scale.
+    if matched + sum(scale_count < s <= L for s, _ in entries) != len(entries):
+        rows = {
+            (s, tuple(row))
+            for s in range(1, scale_count + 1)
+            for row in _tuple_index_array(s, L, n).tolist()
+        }
+        key = next(k for k in entries if k not in rows and not scale_count < k[0] <= L)
+        raise ValueError(
+            f"coefficient key {key} names no XOR-zero tuple of {n + 1} intervals "
+            f"in [0, 2^{L}) at a scale in 1..{L}"
+        )
+    return float(sum(sums))
 
 
 def eval_dyadic_sup(
@@ -607,7 +623,11 @@ def verify_dyadic_telescoping(n: int, k: int, l: int, L: int) -> int:
 
     Every term is constant on scale-(l-1) cells, so evaluating per block at
     that scale covers every unit-cell configuration in [0, 2^L)^{2n-k+2}.
-    Returns the maximum absolute difference, computed in integer
+    A scale-l interval covers two scale-(l-1) blocks, so each tuple's left
+    terms live on its own block of 2^{2n-k+2} cells and form the same small
+    tensor for every tuple; it is added on every tuple's block at once.  The
+    right side is built over the whole grid, and the sides are compared on
+    every cell.  Returns the maximum absolute difference, computed in integer
     arithmetic; the identity holds exactly, so anything but 0 is a failure.
     """
     if n < 1:
@@ -623,57 +643,36 @@ def verify_dyadic_telescoping(n: int, k: int, l: int, L: int) -> int:
     B = 1 << (L - l + 1)       # scale-(l-1) blocks per axis
     n_axes = 2 * n - k + 2
     check_cells(telescoping_cells(n, k, l, L), f"telescoping n={n} k={k} l={l} L={L}")
+    # The variable of each axis: x_i for i < k, x_i^{(0)} and x_i^{(1)} after.
+    owner = [i for i in range(n + 1) for _ in range(1 if i < k else 2)]
 
-    haar_vecs = np.zeros((nb, B), dtype=np.int64)
-    ind_vecs = np.zeros((nb, B), dtype=np.int64)
-    for a in range(nb):
-        haar_vecs[a, 2 * a] = 1
-        haar_vecs[a, 2 * a + 1] = -1
-        ind_vecs[a, 2 * a] = 1
-        ind_vecs[a, 2 * a + 1] = 1
-    mixed = (
-        np.einsum("ab,ac->abc", ind_vecs, haar_vecs)
-        + np.einsum("ab,ac->abc", haar_vecs, ind_vecs)
-    )
-    matched = (
-        np.einsum("ab,ac->abc", ind_vecs, ind_vecs)
-        + np.einsum("ab,ac->abc", haar_vecs, haar_vecs)
-    )
+    # One tuple's terms on its block: Haar [1, -1] and indicator [1, 1] on
+    # the halves of a single axis, their pair factors on doubled axes.
+    haar = np.array([1, -1], dtype=np.int64)
+    ind = np.array([1, 1], dtype=np.int64)
+    mixed = np.multiply.outer(ind, haar) + np.multiply.outer(haar, ind)
+    matched = np.multiply.outer(ind, ind) + np.multiply.outer(haar, haar)
+    doubled = n - k + 1
+    local = functools.reduce(np.multiply.outer, [haar] * k + [mixed] * doubled)
+    local += functools.reduce(np.multiply.outer, [ind] * k + [matched] * doubled)
 
-    def axis_position(i: int) -> tuple[int, ...]:
-        if i < k:
-            return (i,)
-        base = k + 2 * (i - k)
-        return (base, base + 1)
-
-    def expand(vec: np.ndarray, positions: tuple[int, ...]) -> np.ndarray:
-        shape = [1] * n_axes
-        for dim, pos in zip(vec.shape, positions):
-            shape[pos] = dim
-        return vec.reshape(shape)
-
-    def term(row: np.ndarray, single: np.ndarray, doubled: np.ndarray) -> np.ndarray:
-        out = np.ones((1,) * n_axes, dtype=np.int64)
-        for i in range(n + 1):
-            out = out * expand((single if i < k else doubled)[row[i]], axis_position(i))
-        return out
-
-    # Each term goes into lhs as soon as it is built, and rhs is subtracted
-    # in place, so about two arrays of the checked size are alive at once.
+    # lhs viewed as (block per axis.., half per axis..).  Distinct tuples
+    # own distinct blocks, so the fancy index repeats no cell.
     lhs = np.zeros((B,) * n_axes, dtype=np.int64)
-    for row in _tuple_index_array(l, L, n):
-        lhs += term(row, haar_vecs, mixed)
-        lhs += term(row, ind_vecs, matched)
+    blocks = lhs.reshape((nb, 2) * n_axes).transpose(
+        tuple(range(0, 2 * n_axes, 2)) + tuple(range(1, 2 * n_axes, 2))
+    )
+    blocks[tuple(_tuple_index_array(l, L, n)[:, owner].T)] += local
 
-    iota = np.arange(B, dtype=np.int64)
-    xor_total = np.zeros((1,) * n_axes, dtype=np.int64)
-    rhs = np.full((1,) * n_axes, 1 << (n - k + 2), dtype=np.int64)
+    # rhs is subtracted in place, so about two arrays of the checked size
+    # are alive at once.
+    coarse = np.ix_(*[np.arange(B, dtype=np.int64)] * n_axes)
+    xor_total, rhs = 0, 1 << (n - k + 2)
     for i in range(n + 1):
-        pos = axis_position(i)
-        xor_total = xor_total ^ expand(iota, (pos[0],))
+        axis = owner.index(i)
+        xor_total = xor_total ^ coarse[axis]
         if i >= k:
-            eq = expand(iota, (pos[0],)) == expand(iota, (pos[1],))
-            rhs = rhs * eq
+            rhs = rhs * (coarse[axis] == coarse[axis + 1])
     lhs -= rhs * (xor_total == 0)
     return int(max(lhs.max(), -lhs.min()))
 

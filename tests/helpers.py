@@ -7,12 +7,14 @@ the vectorized contraction kernels it checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
-from simplexht.core import CellFunction, haar_eval
+from simplexht.core import CellFunction, DyadicInterval, haar_eval
 from simplexht.dyadic import enumerate_tuples
 
 
@@ -111,6 +113,59 @@ def brute_aux(functions, k: int, scale_count: int) -> float:
                     inner_total += prod
                 total += weight * abs(inner_total)
     return total
+
+
+def brute_telescoping_discrepancy(n: int, k: int, l: int, L: int, rows) -> int:
+    """Max |left - right| of the two-scale splitting identity, cell by cell.
+
+    The variables are (x_0..x_{k-1}, x_k^(0), x_k^(1), .., x_n^(0), x_n^(1)).
+    At one point of every scale-(l-1) cell of [0, 2^L)^{2n-k+2}, where
+    every factor is constant, the left side sums over the given scale-l index
+    rows the Haar/indicator products (Haar on single variables with
+    indicator*haar + haar*indicator on doubled ones, plus indicator with
+    indicator*indicator + haar*haar), and the right side is 2^{n-k+2}
+    times the indicator products summed over every XOR-zero scale-(l-1)
+    tuple.  Every factor is haar_eval or an interval's indicator.
+    """
+
+    def ind(interval, x):
+        return 1 if interval.contains(x) else 0
+
+    coarse = 1 << (l - 1)
+    side = 1 << (L - l + 1)
+    fine_tuples = [[DyadicInterval(l, int(i)) for i in row] for row in rows]
+    coarse_tuples = [
+        [DyadicInterval(l - 1, j) for j in js]
+        for js in itertools.product(range(side), repeat=n + 1)
+        if functools.reduce(operator.xor, js) == 0
+    ]
+    worst = 0
+    for cell in itertools.product(range(side), repeat=2 * n - k + 2):
+        x = [c * coarse + 0.5 for c in cell]
+        single = x[:k]
+        pairs = [(x[k + 2 * j], x[k + 2 * j + 1]) for j in range(n - k + 1)]
+        left = 0
+        for tup in fine_tuples:
+            haar_term = ind_term = 1
+            for interval, y in zip(tup[:k], single):
+                haar_term *= haar_eval(interval, y)
+                ind_term *= ind(interval, y)
+            for interval, (a, b) in zip(tup[k:], pairs):
+                ha, hb = haar_eval(interval, a), haar_eval(interval, b)
+                ia, ib = ind(interval, a), ind(interval, b)
+                haar_term *= ia * hb + ha * ib
+                ind_term *= ia * ib + ha * hb
+            left += haar_term + ind_term
+        right = 0
+        for tup in coarse_tuples:
+            term = 1
+            for interval, y in zip(tup[:k], single):
+                term *= ind(interval, y)
+            for interval, (a, b) in zip(tup[k:], pairs):
+                term *= ind(interval, a) * ind(interval, b)
+            right += term
+        worst = max(worst, abs(left - (right << (n - k + 2))))
+    return worst
 
 
 def random_cell_functions(rng, n: int, L: int, count: int | None = None):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,7 @@ from helpers import (
     brute_pairing,
     brute_sup,
     brute_sup_gradient,
+    brute_telescoping_discrepancy,
     random_cell_functions,
 )
 
@@ -207,6 +209,30 @@ class TestEvalDyadicForm:
         for bad in (0, 3):
             with pytest.raises(ValueError):
                 eval_dyadic_form(fs, CoefficientMap(), bad)
+
+    @pytest.mark.parametrize(
+        "key",
+        [(1, (0, 0)), (1, (1, 2, 0)), (1, (0, 9, 9)), (0, (0, 0, 0)), (4, (0, 0, 0))],
+        ids=["wrong-degree", "not-xor-zero", "outside-grid", "scale-0", "scale-above-L"],
+    )
+    def test_unmatched_entry_is_refused(self, key):
+        fs = random_cell_functions(np.random.default_rng(6), 2, 3)
+        cm = CoefficientMap({(1, (0, 0, 0)): 0.5, key: 0.5})
+        with pytest.raises(ValueError, match=re.escape(f"key {key} ")):
+            eval_dyadic_form(fs, cm, 2)
+
+    def test_first_unmatched_entry_is_named(self):
+        fs = random_cell_functions(np.random.default_rng(6), 2, 3)
+        cm = CoefficientMap({(1, (1, 2, 0)): 0.5, (2, (0, 0, 0)): 0.5, (9, (0, 0, 0)): 1.0})
+        with pytest.raises(ValueError, match=re.escape("key (1, (1, 2, 0)) ")):
+            eval_dyadic_form(fs, cm, 2)
+
+    def test_entry_above_the_scale_count_is_truncated(self):
+        fs = random_cell_functions(np.random.default_rng(6), 2, 3)
+        kept = {(1, (0, 0, 0)): 0.5, (2, (1, 0, 1)): -1.0}
+        cm = CoefficientMap({**kept, (3, (0, 0, 0)): 1.0})
+        assert eval_dyadic_form(fs, cm, 2) == eval_dyadic_form(fs, CoefficientMap(kept), 2)
+        assert eval_dyadic_form(fs, cm, 3) != eval_dyadic_form(fs, cm, 2)
 
 
 class TestEvalDyadicSup:
@@ -516,6 +542,21 @@ class TestTelescoping:
             dyadic, "_tuple_index_array", lambda *args: full(*args)[1:]
         )
         assert verify_dyadic_telescoping(2, 1, 2, 3) > 0
+
+    @pytest.mark.parametrize("n,k,l,L", [(1, 1, 2, 3), (2, 1, 2, 3), (2, 2, 2, 3)])
+    @pytest.mark.parametrize("rows", ["full", "dropped", "not-xor-zero"])
+    def test_matches_pointwise_oracle(self, monkeypatch, n, k, l, L, rows):
+        # Every size has two scale-l blocks per axis, so flipping the low
+        # bit of a row's m_0 keeps it on the grid.
+        idx = dyadic._tuple_index_array(l, L, n).copy()
+        if rows == "dropped":
+            idx = idx[1:]
+        elif rows == "not-xor-zero":
+            idx[0, 0] ^= 1
+        monkeypatch.setattr(dyadic, "_tuple_index_array", lambda *args: idx)
+        expected = brute_telescoping_discrepancy(n, k, l, L, idx)
+        assert verify_dyadic_telescoping(n, k, l, L) == expected
+        assert (expected == 0) == (rows == "full")
 
     def test_suite_reports_all_cases(self):
         report = run_telescoping_suite(ns=(1, 2), side_exponents=(2, 3))
