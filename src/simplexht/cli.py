@@ -27,7 +27,8 @@ from . import core
 from .continuous import eval_simplex_truncated
 from .core import HoelderExponents, TruncationRange, lp_norm, normalize_tuple
 from .core import MAX_VERIFY_DEGREE, MAX_VERIFY_SIDE
-from .dyadic import run_parity_trials, run_telescoping_suite, telescoping_cells
+from .dyadic import eval_dyadic_sup, run_parity_trials
+from .dyadic import run_telescoping_suite, telescoping_cells
 from .harness import (
     ContinuousTruncatedForm,
     DyadicSupForm,
@@ -330,7 +331,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             raise CliError("dyadic eval needs --L and --m")
         form = DyadicSupForm(args.n, args.L, args.m)
         functions = normalize_tuple(form.initial(rng), exps)
-        value = form.value(list(functions))
+        value = eval_dyadic_sup(list(functions), args.m)
         bound = float(args.m)
         settings = {"L": args.L, "m": args.m, "seed": args.seed}
     else:
@@ -341,7 +342,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             args.n, trunc, args.half_extent, args.spacing
         )
         functions = normalize_tuple(form.initial(rng), exps)
-        value = eval_simplex_truncated(list(functions), trunc, form.quad)
+        value = eval_simplex_truncated(list(functions), trunc)
         bound = 2.0 * trunc.log_ratio
         settings = {
             "r": args.r,
@@ -438,10 +439,7 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
         return 0 if exc.code is None else int(exc.code)
     try:
         return args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

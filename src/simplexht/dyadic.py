@@ -36,7 +36,6 @@ deterministic.
 from __future__ import annotations
 
 import functools
-import string
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -44,8 +43,6 @@ import numpy as np
 
 from . import core
 from .core import CellFunction, DyadicInterval, IntervalTuple, check_cells, walsh_add
-
-_AXIS_LETTERS = string.ascii_lowercase
 
 
 def _check_functions(functions: Sequence[CellFunction]) -> tuple[int, int]:
@@ -356,7 +353,7 @@ class CoefficientMap:
         for (scale, indices), eps in (entries or {}).items():
             key = (int(scale), _coefficient_key(indices))
             val = float(eps)
-            if abs(val) > 1.0:
+            if not abs(val) <= 1.0:
                 raise ValueError(f"coefficient {val!r} at {key} exceeds magnitude 1")
             self._entries[key] = val
 
@@ -425,8 +422,6 @@ def eval_dyadic_form(
         found = [entries.get((scale, row)) for row in map(tuple, idx.tolist())]
         matched += len(found) - found.count(None)
         eps = np.array([0.0 if e is None else e for e in found], dtype=np.float64)
-        if np.any(np.abs(eps) > 1.0):
-            raise ValueError("coefficient magnitudes must stay <= 1")
         sums.append(float(np.sum(eps * vals)))
     # Every key must have matched a row above or sit at a truncated scale.
     if matched + sum(scale_count < s <= L for s, _ in entries) != len(entries):
@@ -490,85 +485,49 @@ def sup_gradient(
     return grad
 
 
-@dataclass(frozen=True)
-class PatternFactor:
-    """One factor of the split product: function index plus its pair choices."""
-
-    function_index: int
-    pair_choices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ProductPattern:
-    """Argument layout of the split function product of degree n at level k.
-
-    Functions F_0..F_k each appear once per choice vector r in {0,1}^{n-k}:
-    factor (i, r) takes the single variables (x_j)_{j <= k, j != i} followed
-    by the doubled variables (x_j^{r_j})_{j = k+1..n}.
-    """
-
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.k <= self.n):
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-
-    def factors(self) -> tuple[PatternFactor, ...]:
-        out = []
-        doubled = self.n - self.k
-        for i in range(self.k + 1):
-            for code in range(1 << doubled):
-                choices = tuple((code >> b) & 1 for b in range(doubled))
-                out.append(PatternFactor(i, choices))
-        return tuple(out)
-
-    def __len__(self) -> int:
-        return (self.k + 1) * (1 << (self.n - self.k))
-
-
 def eval_dyadic_aux(
     functions: Sequence[CellFunction], k: int, scale_count: int
 ) -> float:
     """Doubled-variable majorant of the dyadic form.
 
-    For each tuple, the inner Haar-weighted integral over x_0..x_k of the
-    split product (see ProductPattern) is taken in absolute value, then
-    integrated over the doubled outer variables x_j^{(0)}, x_j^{(1)} ranging
-    over I_j for j > k, with weight (2^{-l})^{n-k+1}.  At k = n this
-    collapses to eval_dyadic_sup.
+    Functions F_0..F_k each appear once per choice vector r in {0,1}^{n-k}
+    in the split product: factor (i, r) takes the single variables
+    (x_j)_{j <= k, j != i} followed by the doubled variables
+    (x_j^{r_j})_{j = k+1..n}.  For each tuple, the inner Haar-weighted
+    integral of that product over x_0..x_k is taken in absolute value,
+    then integrated over the doubled outer variables x_j^{(0)}, x_j^{(1)}
+    ranging over I_j for j > k, with weight (2^{-l})^{n-k+1}.  Needs
+    1 <= k <= n; at k = n this collapses to eval_dyadic_sup.
     """
     n, L = _check_functions(functions)
     _check_scale_count(scale_count, L)
-    factors = ProductPattern(n, k).factors()
+    if not (1 <= k <= n):
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     # Scale l holds 2^{(L-l)n} tuples of (2^l)^{2(n-k)} doubled-variable cells.
     check_cells(
         max(1 << ((L - l) * n + 2 * l * (n - k)) for l in range(1, scale_count + 1)),
         f"aux majorant n={n} k={k} L={L} m={scale_count}",
     )
-    inner_letters = _AXIS_LETTERS[: k + 1]
-    pair_letters = [
-        (_AXIS_LETTERS[k + 1 + 2 * j], _AXIS_LETTERS[k + 2 + 2 * j])
-        for j in range(n - k)
-    ]
-    out_spec = "".join(a + b for a, b in pair_letters)
-
-    def factor_subscript(factor: PatternFactor) -> str:
-        sub = "".join(inner_letters[j] for j in range(k + 1) if j != factor.function_index)
-        sub += "".join(
-            pair_letters[j][factor.pair_choices[j]] for j in range(n - k)
-        )
-        return sub
-
-    subs = ["t" + factor_subscript(f) for f in factors] + list(inner_letters)
-    spec = ",".join(subs) + "->t" + out_spec
+    # einsum axes: 0 is the tuple, 1 + j the single variable x_j, and
+    # k + 2 + 2j + r the doubled variable x_{k+1+j}^{(r)}.  Factors run over
+    # i, then over the code of r, both ascending: the operand order fixes
+    # einsum's contraction path, and with it every value.
+    doubled = n - k
+    factors = []
+    for i in range(k + 1):
+        single = [1 + j for j in range(k + 1) if j != i]
+        for code in range(1 << doubled):
+            pairs = [k + 2 + 2 * j + ((code >> j) & 1) for j in range(doubled)]
+            factors.append((i, [0] + single + pairs))
+    out_axes = [0] + list(range(k + 2, k + 2 + 2 * doubled))
 
     total = 0.0
     for scale in range(1, scale_count + 1):
         plan = _scale_plan(n, L, scale)
         blocks = _gather_blocks(functions[: k + 1], plan)
-        operands = [blocks[f.function_index] for f in factors]
-        inner = np.einsum(spec, *operands, *[plan.signs] * (k + 1), optimize=True)
+        operands = [x for i, axes in factors for x in (blocks[i], axes)]
+        operands += [x for j in range(k + 1) for x in (plan.signs, [1 + j])]
+        inner = np.einsum(*operands, out_axes, optimize=True)
         per_tuple = np.abs(inner, out=inner).reshape(len(plan.idx), -1).sum(axis=1)
         total += float(np.sum(plan.weight ** (n - k + 1) * per_tuple))
     return total

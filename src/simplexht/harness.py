@@ -20,17 +20,13 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .continuous import (
-    QuadratureSpec,
-    eval_simplex_truncated,
-    truncated_form_gradient,
-)
+from .continuous import truncated_form_gradient
 from .core import (
     MAX_CONTINUOUS_SWEEP_DEGREE,
     CellFunction,
@@ -41,12 +37,24 @@ from .core import (
     lp_norm,
     normalize_tuple,
 )
-from .dyadic import eval_dyadic_sup, sup_gradient
+from .dyadic import sup_gradient
 
 MODELS = ("dyadic", "continuous")
 _RESEED_ATTEMPTS = 5
+_BUMPS_PER_SLOT = 3
 
-CSV_COLUMNS = ("model", "n", "abscissa", "S", "iters", "seed", "digest")
+# The saved columns of a record, in file order, each with the parser that
+# reads it back from text.  The timestamp rides along in JSON files only.
+_COLUMNS = {
+    "model": str,
+    "n": int,
+    "abscissa": float,
+    "S": float,
+    "iters": int,
+    "seed": int,
+    "digest": str,
+}
+CSV_COLUMNS = tuple(_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -120,10 +128,8 @@ def settings_digest(settings: Mapping[str, object]) -> str:
 class DyadicSupForm:
     """Evaluator handle for the coefficient-optimal dyadic objective.
 
-    value() is the sum over scales 1..scale_count of the absolute Haar
-    pairings; kernel() freezes the optimal signs, making the objective
-    linear in one slot so the maximizer can solve the slot subproblem
-    exactly.
+    kernel() freezes the optimal signs, making the objective linear in one
+    slot so the maximizer can solve the slot subproblem exactly.
     """
 
     model = "dyadic"
@@ -152,9 +158,6 @@ class DyadicSupForm:
             CellFunction(self.n, self.side_exponent, rng.standard_normal(shape))
             for _ in range(self.slot_count)
         ]
-
-    def value(self, functions: Sequence[CellFunction]) -> float:
-        return eval_dyadic_sup(functions, self.scale_count)
 
     def kernel(self, functions: Sequence[CellFunction], slot: int) -> np.ndarray:
         return sup_gradient(functions, self.scale_count, slot)
@@ -188,8 +191,6 @@ class ContinuousTruncatedForm:
         trunc: TruncationRange,
         half_extent: float = 4.0,
         spacing: float = 0.25,
-        quad: QuadratureSpec = QuadratureSpec(),
-        bumps_per_slot: int = 3,
     ) -> None:
         if not (1 <= n <= MAX_CONTINUOUS_SWEEP_DEGREE):
             raise ValueError(
@@ -197,14 +198,10 @@ class ContinuousTruncatedForm:
             )
         if trunc.r == trunc.R:
             raise ValueError("degenerate truncation range: the form is identically 0")
-        if bumps_per_slot < 1:
-            raise ValueError("bumps_per_slot must be >= 1")
         self.n = n
         self.trunc = trunc
         self.half_extent = float(half_extent)
         self.spacing = float(spacing)
-        self.quad = quad
-        self.bumps_per_slot = bumps_per_slot
         probe = np.zeros((round(2.0 * self.half_extent / self.spacing),) * n)
         self._template = GridSampledFunction(
             n, self.half_extent, self.spacing, probe, tail_threshold=None
@@ -220,7 +217,7 @@ class ContinuousTruncatedForm:
         out = []
         for _ in range(self.slot_count):
             field = np.zeros(self._template.samples.shape)
-            for _ in range(self.bumps_per_slot):
+            for _ in range(_BUMPS_PER_SLOT):
                 center = rng.uniform(-self.half_extent / 2, self.half_extent / 2, self.n)
                 width = rng.uniform(0.6, 1.4, self.n)
                 amp = rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])
@@ -231,13 +228,10 @@ class ContinuousTruncatedForm:
             out.append(self._template.with_samples(field))
         return out
 
-    def value(self, functions: Sequence[GridSampledFunction]) -> float:
-        return abs(eval_simplex_truncated(functions, self.trunc, self.quad))
-
     def kernel(
         self, functions: Sequence[GridSampledFunction], slot: int
     ) -> np.ndarray:
-        grad = truncated_form_gradient(functions, self.trunc, slot, self.quad)
+        grad = truncated_form_gradient(functions, self.trunc, slot)
         # The form is linear in the slot, so sum(grad * F_slot) is its value.
         signed = float(np.sum(grad * functions[slot].samples))
         return grad if signed >= 0.0 else -grad
@@ -475,64 +469,30 @@ def fit_exponent(records: Sequence[ExperimentRecord]) -> GrowthFit:
     )
 
 
-def _format_float(value: float) -> str:
-    """Shortest decimal that round-trips to the exact double."""
-    return repr(float(value))
-
-
 def save_records(records: Sequence[ExperimentRecord], path) -> None:
     """Write records as .csv (no timestamp column) or .json (with it)."""
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".json":
-        payload = [
-            {
-                "model": r.model,
-                "n": r.n,
-                "abscissa": r.abscissa,
-                "S": r.S,
-                "iters": r.iters,
-                "seed": r.seed,
-                "digest": r.digest,
-                "timestamp": r.timestamp,
-            }
-            for r in records
-        ]
+        payload = [asdict(r) for r in records]
         path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     elif suffix == ".csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
             for r in records:
+                # repr of a float is the shortest decimal that round-trips.
                 writer.writerow(
-                    [
-                        r.model,
-                        r.n,
-                        _format_float(r.abscissa),
-                        _format_float(r.S),
-                        r.iters,
-                        r.seed,
-                        r.digest,
-                    ]
+                    repr(float(getattr(r, name))) if parse is float else getattr(r, name)
+                    for name, parse in _COLUMNS.items()
                 )
     else:
         raise ValueError(f"unsupported records format {suffix!r} (use .csv or .json)")
 
 
-_CSV_PARSERS = {
-    "model": str,
-    "n": int,
-    "abscissa": float,
-    "S": float,
-    "iters": int,
-    "seed": int,
-    "digest": str,
-}
-
-
 def _record_from_fields(fields: Mapping[str, object], where: str) -> ExperimentRecord:
     kwargs = {}
-    for name, parse in _CSV_PARSERS.items():
+    for name, parse in _COLUMNS.items():
         if name not in fields:
             raise ValueError(f"{where}: missing field {name!r}")
         raw = fields[name]

@@ -468,6 +468,15 @@ def _random_separable(rng, n: int) -> SeparableGaussian:
     return SeparableGaussian(factors)
 
 
+def _report(check: str, samples: int, worst: float, tol: float) -> dict:
+    return {
+        "check": check,
+        "samples": samples,
+        "max_discrepancy": float(worst),
+        "pass": bool(worst <= tol),
+    }
+
+
 def run_analytic_suite(seed: int = 0) -> list[dict]:
     """Run every analytic check on its reference grid; one report per check.
 
@@ -479,37 +488,16 @@ def run_analytic_suite(seed: int = 0) -> list[dict]:
 
     xis = np.linspace(-3.0, 3.0, 25)
     fourier_err = max(max(check_fourier_pair(float(x))) for x in xis)
-    report.append(
-        {
-            "check": "fourier_pair",
-            "samples": len(xis),
-            "max_discrepancy": float(fourier_err),
-            "pass": bool(fourier_err <= 1e-6),
-        }
-    )
+    report.append(_report("fourier_pair", len(xis), fourier_err, 1e-6))
 
     conv_xs = np.linspace(-10.0, 10.0, 21)
     conv_err = float(np.max(check_convolution(conv_xs)))
-    report.append(
-        {
-            "check": "convolution",
-            "samples": len(conv_xs),
-            "max_discrepancy": conv_err,
-            "pass": bool(conv_err <= 1e-8),
-        }
-    )
+    report.append(_report("convolution", len(conv_xs), conv_err, 1e-8))
 
     dom_xs = [float(x) for x in np.arange(-10.0, 10.0 + 1e-9, 0.1)]
     ratios = [check_domination(x) for x in dom_xs]
     dom_excess = max(0.0, max(ratios) - DOMINATION_RATIO_BOUND)
-    report.append(
-        {
-            "check": "domination",
-            "samples": len(dom_xs),
-            "max_discrepancy": float(dom_excess),
-            "pass": bool(dom_excess <= 1e-6),
-        }
-    )
+    report.append(_report("domination", len(dom_xs), dom_excess, 1e-6))
 
     poly_worst = 0.0
     poly_samples = 2000
@@ -522,14 +510,7 @@ def run_analytic_suite(seed: int = 0) -> list[dict]:
         poly_worst = max(
             poly_worst, relative_discrepancy(*poly_identity_terms(point, params))
         )
-    report.append(
-        {
-            "check": "poly_identity",
-            "samples": poly_samples,
-            "max_discrepancy": float(poly_worst),
-            "pass": bool(poly_worst <= 1e-12),
-        }
-    )
+    report.append(_report("poly_identity", poly_samples, poly_worst, 1e-12))
 
     trunc = TruncationRange(0.5, 8.0)
     ftc_cases = []
@@ -539,14 +520,7 @@ def run_analytic_suite(seed: int = 0) -> list[dict]:
         params = _random_params(rng, count, _SQRT_HALF, 4.0)
         ftc_cases.append((point, params))
     ftc_worst = max(check_ftc(point, params, trunc) for point, params in ftc_cases)
-    report.append(
-        {
-            "check": "ftc",
-            "samples": len(ftc_cases),
-            "max_discrepancy": float(ftc_worst),
-            "pass": bool(ftc_worst <= 1e-8),
-        }
-    )
+    report.append(_report("ftc", len(ftc_cases), ftc_worst, 1e-8))
 
     scale_excess = 0.0
     scale_samples = 0
@@ -564,12 +538,5 @@ def run_analytic_suite(seed: int = 0) -> list[dict]:
                 )
                 scale_samples += 1
     scale_excess = max(0.0, scale_excess)
-    report.append(
-        {
-            "check": "single_scale",
-            "samples": scale_samples,
-            "max_discrepancy": float(scale_excess),
-            "pass": bool(scale_excess <= 1e-6),
-        }
-    )
+    report.append(_report("single_scale", scale_samples, scale_excess, 1e-6))
     return report

@@ -559,6 +559,13 @@ class TestInterpolationPlan:
         info = continuous._truncated_plan.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
+    def test_largest_grid_node_fits_one_chunk(self):
+        # The grid caps keep one node's interpolation grid within one chunk,
+        # so _node_chunks never needs to split a node.
+        assert core.MAX_CELLS_PER_AXIS**core.MAX_CONTINUOUS_DEGREE <= (
+            continuous._CHUNK_BUDGET
+        )
+
     def test_cache_holds_one_plan(self):
         rng = np.random.default_rng(9)
         fs = random_bump_tuple(rng, 1, spacing=0.25)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -19,7 +20,6 @@ from simplexht.core import (
 )
 from simplexht.dyadic import (
     CoefficientMap,
-    ProductPattern,
     enumerate_tuples,
     eval_dyadic_aux,
     eval_dyadic_form,
@@ -148,6 +148,11 @@ class TestCoefficientMap:
     def test_magnitude_bound_enforced(self):
         with pytest.raises(ValueError):
             CoefficientMap({(1, (0, 0)): 1.5})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_refused(self, bad):
+        with pytest.raises(ValueError, match="exceeds magnitude 1"):
+            CoefficientMap({(1, (0, 0)): bad})
 
     def test_interval_tuple_keys(self):
         tup = IntervalTuple((DyadicInterval(1, 1), DyadicInterval(1, 1)))
@@ -315,7 +320,7 @@ class TestEvalDyadicAux:
     def test_split_level_validation(self):
         fs = [CellFunction(1, 2, np.ones(4)) for _ in range(2)]
         for bad in (0, 2):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="1 <= k <= n"):
                 eval_dyadic_aux(fs, bad, 1)
 
     def test_cell_budget_refused_before_any_contraction(self, monkeypatch):
@@ -336,25 +341,6 @@ class TestEvalDyadicAux:
         expected = eval_dyadic_aux(fs, 1, 3)
         monkeypatch.setattr(core, "MAX_CELLS", 2**12)
         assert eval_dyadic_aux(fs, 1, 3) == expected
-
-
-class TestProductPattern:
-    def test_factor_count(self):
-        for n in (1, 2, 3):
-            for k in range(1, n + 1):
-                pattern = ProductPattern(n, k)
-                assert len(pattern.factors()) == (k + 1) * 2 ** (n - k)
-                assert len(pattern) == len(pattern.factors())
-
-    def test_each_factor_picks_one_branch_per_doubled_variable(self):
-        pattern = ProductPattern(3, 1)
-        for factor in pattern.factors():
-            assert len(factor.pair_choices) == 2
-            assert all(r in (0, 1) for r in factor.pair_choices)
-
-    def test_invalid_split_rejected(self):
-        with pytest.raises(ValueError):
-            ProductPattern(2, 3)
 
 
 class TestSupGradient:
