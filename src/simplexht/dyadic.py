@@ -36,7 +36,7 @@ deterministic.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -190,7 +190,9 @@ class _ScalePlan:
     _SlotSteps, and steps[s] is slot s's contraction.  outer, shape
     (2^l,)*n, is the product of n variables' Haar signs: every slot's
     kernel carries the signs of all variables but its own, so outer signs
-    each of them.  signs is one variable's Haar sign vector.
+    each of them.  signs is one variable's Haar sign vector.  aux_paths
+    keeps eval_dyadic_aux's einsum contraction path for each k, found on
+    the first aux call at that k.
     """
 
     idx: np.ndarray
@@ -200,6 +202,7 @@ class _ScalePlan:
     outer: np.ndarray
     signs: np.ndarray
     weight: float
+    aux_paths: dict = field(default_factory=dict)
 
 
 def _index_cells(degree: int, side_exponent: int) -> int:
@@ -511,7 +514,8 @@ def eval_dyadic_aux(
     # einsum axes: 0 is the tuple, 1 + j the single variable x_j, and
     # k + 2 + 2j + r the doubled variable x_{k+1+j}^{(r)}.  Factors run over
     # i, then over the code of r, both ascending: the operand order fixes
-    # einsum's contraction path, and with it every value.
+    # einsum's contraction path, and with it every value.  The path depends
+    # on (n, k, L, scale) only, so the scale plan keeps it.
     doubled = n - k
     factors = []
     for i in range(k + 1):
@@ -527,7 +531,9 @@ def eval_dyadic_aux(
         blocks = _gather_blocks(functions[: k + 1], plan)
         operands = [x for i, axes in factors for x in (blocks[i], axes)]
         operands += [x for j in range(k + 1) for x in (plan.signs, [1 + j])]
-        inner = np.einsum(*operands, out_axes, optimize=True)
+        if k not in plan.aux_paths:
+            plan.aux_paths[k] = np.einsum_path(*operands, out_axes, optimize=True)[0]
+        inner = np.einsum(*operands, out_axes, optimize=plan.aux_paths[k])
         per_tuple = np.abs(inner, out=inner).reshape(len(plan.idx), -1).sum(axis=1)
         total += float(np.sum(plan.weight ** (n - k + 1) * per_tuple))
     return total

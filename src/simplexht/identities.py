@@ -164,9 +164,10 @@ def check_ftc(
     if trunc.r == trunc.R:
         return abs(rhs)
     lhs = adaptive_simpson(
-        lambda s: _combined_integrand(
-            math.exp(s), point, params.alpha, params.alphas
-        ),
+        lambda s: [
+            _combined_integrand(math.exp(v), point, params.alpha, params.alphas)
+            for v in s.tolist()
+        ],
         math.log(trunc.r),
         math.log(trunc.R),
         tol,
@@ -184,14 +185,16 @@ def check_domination(x: float, tol: float = 1e-10) -> float:
     direct form concentrates near u = 0 and starves the quadrature nodes
     for large |x|).  The ratio stays below DOMINATION_RATIO_BOUND.
     """
+    # float_power calls the C library's pow, as ** on a Python float does;
+    # ** on an array may take a SIMD pow that differs in the last bit.
     ax = abs(x)
     if ax <= 1.0:
         denominator = adaptive_simpson(
-            lambda u: u**3 * float(gaussian(ax * u)), 0.0, 1.0, tol
+            lambda u: np.float_power(u, 3) * gaussian(ax * u), 0.0, 1.0, tol
         )
     else:
         core = adaptive_simpson(
-            lambda v: v**3 * float(gaussian(v)), 0.0, min(ax, 8.0), tol
+            lambda v: np.float_power(v, 3) * gaussian(v), 0.0, min(ax, 8.0), tol
         )
         denominator = core / ax**4
     return abs(float(gaussian_deriv(x))) / denominator

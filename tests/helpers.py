@@ -1,8 +1,8 @@
 """Independent reference implementations used only by tests.
 
 Everything here is deliberately written in plain nested-loop Python over
-unit cells and pointwise haar_eval calls, so it shares no code path with
-the vectorized contraction kernels it checks.
+unit cells and pointwise haar_eval calls, or as a plain recursion over
+scalars, so it shares no code path with the vectorized engines it checks.
 """
 
 from __future__ import annotations
@@ -277,3 +277,41 @@ def interp_eval(f, point):
             continue
         total += weight * float(f.samples[tuple(idx)])
     return total
+
+
+def brute_adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
+    """Adaptive Simpson quadrature as a recursion, one scalar f call at a time.
+
+    Bisects until an interval's two halves' Simpson sums differ from its own
+    by at most 15 eps, eps halving per level, or depth 48, and returns
+    left + right + delta/15 there; the value of an interval is its left
+    half's plus its right half's.
+    """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("adaptive_simpson needs finite endpoints")
+    if not tol > 0.0:
+        raise ValueError("tolerance must be positive")
+    if a == b:
+        return 0.0
+
+    def simpson(lo, mid, hi, flo, fmid, fhi):
+        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+
+    def recurse(lo, mid, hi, flo, fmid, fhi, whole, eps, depth):
+        lm = 0.5 * (lo + mid)
+        rm = 0.5 * (mid + hi)
+        flm = f(lm)
+        frm = f(rm)
+        left = simpson(lo, lm, mid, flo, flm, fmid)
+        right = simpson(mid, rm, hi, fmid, frm, fhi)
+        delta = left + right - whole
+        if depth <= 0 or abs(delta) <= 15.0 * eps:
+            return left + right + delta / 15.0
+        return recurse(
+            lo, lm, mid, flo, flm, fmid, left, eps / 2.0, depth - 1
+        ) + recurse(mid, rm, hi, fmid, frm, fhi, right, eps / 2.0, depth - 1)
+
+    mid = 0.5 * (a + b)
+    fa, fm, fb = f(a), f(mid), f(b)
+    whole = simpson(a, mid, b, fa, fm, fb)
+    return float(recurse(a, mid, b, fa, fm, fb, whole, tol, 48))

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.special import exp1
 
 from simplexht import continuous, core
@@ -31,7 +33,12 @@ from simplexht.core import (
     normalize_tuple,
 )
 
-from helpers import brute_truncated_form, brute_truncated_gradient, mc_truncated_form
+from helpers import (
+    brute_adaptive_simpson,
+    brute_truncated_form,
+    brute_truncated_gradient,
+    mc_truncated_form,
+)
 
 # L^1 norm of the residual kernel for (r, R) = (1, 4), frozen from an
 # independent high-resolution quadrature of the defining integral.
@@ -159,7 +166,7 @@ class TestAdaptiveSimpson:
         assert math.isclose(value, math.pi, abs_tol=1e-10)
 
     def test_gaussian_mass(self):
-        value = adaptive_simpson(lambda x: float(gaussian(x)), -6.0, 6.0, tol=1e-12)
+        value = adaptive_simpson(gaussian, -6.0, 6.0, tol=1e-12)
         assert math.isclose(value, 1.0, abs_tol=1e-10)
 
     def test_reversed_orientation_flips_sign(self):
@@ -176,6 +183,57 @@ class TestAdaptiveSimpson:
     def test_rejects_infinite_endpoint(self):
         with pytest.raises(ValueError):
             adaptive_simpson(math.sin, 0.0, math.inf)
+
+    @pytest.mark.parametrize(
+        "f, a, b, tol",
+        [
+            (lambda x: x**2, 0.0, 1.0, 1e-10),
+            (lambda x: 4.0 / (1.0 + x * x), 0.0, 1.0, 1e-12),
+            (gaussian, -6.0, 6.0, 1e-12),
+            (lambda x: x**2, 1.0, 0.0, 1e-10),
+        ],
+    )
+    def test_matches_scalar_recursion(self, f, a, b, tol):
+        assert adaptive_simpson(f, a, b, tol).hex() == brute_adaptive_simpson(
+            f, a, b, tol
+        ).hex()
+
+    def test_one_array_call_per_level_at_the_recursions_points(self):
+        arrays, scalars = [], []
+
+        def vector(x):
+            arrays.append(x.copy())
+            return gaussian(x)
+
+        def scalar(x):
+            scalars.append(x)
+            return gaussian(x)
+
+        adaptive_simpson(vector, -6.0, 6.0, tol=1e-12)
+        brute_adaptive_simpson(scalar, -6.0, 6.0, tol=1e-12)
+        assert all(isinstance(x, np.ndarray) for x in arrays)
+        assert len(arrays) <= 20 < len(scalars)
+        assert np.array_equal(np.sort(np.concatenate(arrays)), np.sort(scalars))
+
+    def test_cell_budget_refuses_a_level_before_building_it(self, monkeypatch):
+        # NaN never passes the stopping test, so every level doubles until
+        # the budget refuses one; the levels admitted fit the budget's bytes.
+        monkeypatch.setattr(core, "MAX_CELLS", 2**20)
+        widest = []
+
+        def never_settles(x):
+            widest.append(len(x))
+            return np.full(len(x), np.nan)
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="adaptive Simpson level 16 needs"):
+                adaptive_simpson(never_settles, 0.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(widest) == 2**16
+        assert peak <= 8 * core.MAX_CELLS
 
 
 class TestPhiL1:
@@ -213,6 +271,45 @@ class TestPhiL1:
 
     def test_equal_radii(self):
         assert phi_l1(TruncationRange(3.0, 3.0)) == 0.0
+
+    @pytest.mark.parametrize("ratio", [1.1, 4.0, 105.0, 455.0, 1e4])
+    def test_matches_scipy_quad(self, ratio):
+        # QUADPACK on the residual kernel itself, with breakpoints at r, R
+        # and four per decade between them (with r and R alone it misses
+        # 0.3% of the 1/x layer at R/r = 1e4 and reports a tiny error).
+        trunc = TruncationRange(0.7, 0.7 * ratio)
+        between = np.geomspace(trunc.r, trunc.R, 2 + int(4 * math.log10(ratio)))
+        reference, _ = quad(
+            lambda x: abs(residual_kernel_phi(x, trunc)),
+            0.0,
+            8.0 * trunc.R,
+            points=between,
+            limit=1000,
+            epsabs=0.0,
+            epsrel=1e-13,
+        )
+        assert math.isclose(phi_l1(trunc), 2.0 * reference, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("ratio", [1.1, 4.0, 105.0, 455.0, 1e4])
+    def test_no_piece_reaches_the_depth_cap(self, ratio, monkeypatch):
+        # Each piece reads its own side of the cutoff jumps at its ends, so
+        # bisection stops at the kernel's smoothness scale.
+        calls = []
+        quadrature = continuous.adaptive_simpson
+
+        def counted(f, a, b, tol):
+            calls.append(0)
+
+            def g(x):
+                calls[-1] += 1
+                return f(x)
+
+            return quadrature(g, a, b, tol)
+
+        monkeypatch.setattr(continuous, "adaptive_simpson", counted)
+        phi_l1(TruncationRange(0.7, 0.7 * ratio))
+        assert len(calls) == 3
+        assert max(calls) <= 20
 
 
 class TestQuadratureSpec:

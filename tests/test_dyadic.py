@@ -342,6 +342,35 @@ class TestEvalDyadicAux:
         monkeypatch.setattr(core, "MAX_CELLS", 2**12)
         assert eval_dyadic_aux(fs, 1, 3) == expected
 
+    @pytest.mark.parametrize(
+        "n, k, L",
+        [
+            (1, 1, 6), (1, 1, 8), (2, 1, 4), (2, 2, 4),
+            (2, 1, 5), (3, 1, 3), (3, 2, 3), (3, 3, 3),
+        ],
+    )
+    def test_kept_einsum_path_keeps_every_bit(self, n, k, L, monkeypatch):
+        # The plan keeps the path einsum's own search picks: a call with a
+        # fresh plan, one with the kept path and one that searches the path
+        # itself agree bit for bit.  Non-integer values, so that a different
+        # contraction order would show in the last bits.
+        rng = np.random.default_rng(100 * n + 10 * k + L)
+        side = 1 << L
+        fs = [
+            CellFunction(n, L, rng.uniform(-1.0, 1.0, (side,) * n))
+            for _ in range(n + 1)
+        ]
+        dyadic._plans.clear()
+        fresh = eval_dyadic_aux(fs, k, L)
+        assert all(k in dyadic._scale_plan(n, L, l).aux_paths for l in range(1, L + 1))
+        kept = eval_dyadic_aux(fs, k, L)
+        einsum = np.einsum
+        monkeypatch.setattr(
+            np, "einsum", lambda *args, optimize: einsum(*args, optimize=True)
+        )
+        searched = eval_dyadic_aux(fs, k, L)
+        assert fresh.hex() == kept.hex() == searched.hex()
+
 
 class TestSupGradient:
     @pytest.mark.parametrize("n,L", [(1, 3), (2, 3)])

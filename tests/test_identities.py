@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simplexht.continuous import DilationParams, TruncationRange
+from simplexht.continuous import (
+    DilationParams,
+    TruncationRange,
+    gaussian,
+    gaussian_deriv,
+)
 from simplexht.identities import (
     DOMINATION_RATIO_BOUND,
     FrequencyPoint,
@@ -24,7 +29,10 @@ from simplexht.identities import (
     poly_identity_terms,
     relative_discrepancy,
     run_analytic_suite,
+    _combined_integrand,
 )
+
+from helpers import brute_adaptive_simpson
 
 
 def random_point_and_params(rng, span=10.0, lo=0.5, hi=10.0, with_t=True):
@@ -166,6 +174,23 @@ class TestPolyIdentity:
 
 
 class TestFtc:
+    def test_matches_scalar_recursion(self):
+        rng = np.random.default_rng(5)
+        point, params = random_point_and_params(rng, span=2.0, with_t=False)
+        trunc = TruncationRange(0.5, 8.0)
+        lhs = brute_adaptive_simpson(
+            lambda s: _combined_integrand(
+                math.exp(s), point, params.alpha, params.alphas
+            ),
+            math.log(trunc.r),
+            math.log(trunc.R),
+        )
+        g_product = GtProduct()
+        rhs = math.pi * (
+            g_product(trunc.r, point, params) - g_product(trunc.R, point, params)
+        )
+        assert check_ftc(point, params, trunc).hex() == abs(lhs - rhs).hex()
+
     def test_small_discrepancy_on_random_samples(self):
         rng = np.random.default_rng(3)
         trunc = TruncationRange(0.5, 8.0)
@@ -205,6 +230,21 @@ class TestFtc:
 
 
 class TestDomination:
+    @pytest.mark.parametrize("x", [0.3, 1.0, 2.5, 9.9])
+    def test_matches_scalar_recursion(self, x):
+        # The integrands of the docstring, one scalar at a time.
+        ax = abs(x)
+        if ax <= 1.0:
+            denominator = brute_adaptive_simpson(
+                lambda u: u**3 * float(gaussian(ax * u)), 0.0, 1.0
+            )
+        else:
+            denominator = brute_adaptive_simpson(
+                lambda v: v**3 * float(gaussian(v)), 0.0, min(ax, 8.0)
+            ) / ax**4
+        expected = abs(float(gaussian_deriv(x))) / denominator
+        assert check_domination(x).hex() == expected.hex()
+
     def test_regression_baseline(self):
         xs = np.arange(-2.0, 2.0 + 1e-9, 0.01)
         worst = max(check_domination(float(x)) for x in xs)
