@@ -26,7 +26,7 @@ import numpy as np
 from . import core
 from .continuous import eval_simplex_truncated
 from .core import HoelderExponents, TruncationRange, lp_norm, normalize_tuple
-from .core import MAX_VERIFY_DEGREE, MAX_VERIFY_SIDE
+from .core import MAX_VERIFY_DEGREE
 from .dyadic import eval_dyadic_sup, run_parity_trials
 from .dyadic import run_telescoping_suite, telescoping_cells
 from .harness import (
@@ -246,14 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _verify_sides(n: int) -> range:
-    """Side exponents `verify` admits at degree n: the side cap, then the budget.
+    """Side exponents `verify` admits at degree n: L from 2 while the grid fits the budget.
 
     A telescoping grid is largest at k = 1, l = 2, so that case decides
     for every (k, l) of the same (n, L).
     """
-    top = MAX_VERIFY_SIDE
-    while top >= 2 and telescoping_cells(n, 1, 2, top) > core.MAX_CELLS:
-        top -= 1
+    top = 1
+    while telescoping_cells(n, 1, 2, top + 1) <= core.MAX_CELLS:
+        top += 1
     return range(2, top + 1)
 
 
@@ -265,14 +265,17 @@ def _verify_side_table() -> str:
 
 
 def _check_verify_sizes(ns: Sequence[int], sides: Sequence[int]) -> None:
-    """Refuse, before any check runs, an (n, L) whose grid is over the budget."""
+    """Refuse, before any check runs, an L below 2 or an (n, L) over the budget."""
     refused = [(n, L) for n in ns for L in sides if L not in _verify_sides(n)]
     if refused:
         n, L = refused[0]
-        raise CliError(
+        reason = (
             f"telescoping n={n} k=1 l=2 L={L} needs {telescoping_cells(n, 1, 2, L)} "
-            f"cells, over the limit of {core.MAX_CELLS}; verify admits {_verify_side_table()}"
+            f"cells, over the limit of {core.MAX_CELLS}"
+            if L >= 2
+            else f"--L {L} is below 2"
         )
+        raise CliError(f"{reason}; verify admits {_verify_side_table()}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -281,10 +284,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite in ("dyadic", "all"):
         if args.n is not None and not (1 <= args.n <= MAX_VERIFY_DEGREE):
             raise CliError(f"--n must lie in 1..{MAX_VERIFY_DEGREE}")
-        if args.L is not None and not (2 <= args.L <= MAX_VERIFY_SIDE):
-            raise CliError(
-                f"--L must lie in 2..{MAX_VERIFY_SIDE}; verify admits {_verify_side_table()}"
-            )
         if args.trials < 1:
             raise CliError("--trials must be >= 1")
         ns = (args.n,) if args.n is not None else (1, 2, 3)
@@ -330,7 +329,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if args.L is None or args.m is None:
             raise CliError("dyadic eval needs --L and --m")
         form = DyadicSupForm(args.n, args.L, args.m)
-        functions = normalize_tuple(form.initial(rng), exps)
+        functions = normalize_tuple(form.functions(form.initial(rng)), exps)
         value = eval_dyadic_sup(list(functions), args.m)
         bound = float(args.m)
         settings = {"L": args.L, "m": args.m, "seed": args.seed}
@@ -341,7 +340,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         form = ContinuousTruncatedForm(
             args.n, trunc, args.half_extent, args.spacing
         )
-        functions = normalize_tuple(form.initial(rng), exps)
+        functions = normalize_tuple(form.functions(form.initial(rng)), exps)
         value = eval_simplex_truncated(list(functions), trunc)
         bound = 2.0 * trunc.log_ratio
         settings = {

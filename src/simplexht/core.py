@@ -33,9 +33,6 @@ MAX_CONTINUOUS_SWEEP_DEGREE = 2
 # Highest degree `verify --suite dyadic --n` accepts: beyond it the budget
 # admits n=6 at L=3, whose largest case alone holds 2**26 int64 cells.
 MAX_VERIFY_DEGREE = 3
-# Largest side exponent `verify --suite dyadic --L` accepts; it binds only
-# at n=1, where the budget admits L=9 (0.27 s, 290 MB peak on 2 vCPUs).
-MAX_VERIFY_SIDE = 6
 
 
 def check_cells(cells: int, what: str) -> None:
@@ -392,6 +389,19 @@ class HoelderExponents:
 AnyFunction = Union[CellFunction, GridSampledFunction]
 
 
+def array_lp_norm(values: np.ndarray, p: float, measure: float = 1.0) -> float:
+    """L^p norm of an array of cell values, each cell of the given measure.
+
+    p = inf returns the exact max of |values|.
+    """
+    p = float(p)
+    if not p >= 1.0:
+        raise ValueError(f"lp_norm requires p >= 1 or p = inf, got {p!r}")
+    if math.isinf(p):
+        return float(np.max(np.abs(values)))
+    return float((np.sum(np.abs(values) ** p) * measure) ** (1.0 / p))
+
+
 def lp_norm(f: AnyFunction, p: float) -> float:
     """L^p norm with the function's own cell measure.
 
@@ -399,17 +409,10 @@ def lp_norm(f: AnyFunction, p: float) -> float:
     measure spacing^dimension.  p = inf returns the exact max of |values|.
     """
     if isinstance(f, CellFunction):
-        arr, measure = f.values, 1.0
-    elif isinstance(f, GridSampledFunction):
-        arr, measure = f.samples, f.cell_volume
-    else:
-        raise TypeError(f"lp_norm expects a CellFunction or GridSampledFunction, got {type(f).__name__}")
-    p = float(p)
-    if math.isinf(p):
-        return float(np.max(np.abs(arr)))
-    if p < 1.0:
-        raise ValueError(f"lp_norm requires p >= 1 or p = inf, got {p!r}")
-    return float((np.sum(np.abs(arr) ** p) * measure) ** (1.0 / p))
+        return array_lp_norm(f.values, p)
+    if isinstance(f, GridSampledFunction):
+        return array_lp_norm(f.samples, p, f.cell_volume)
+    raise TypeError(f"lp_norm expects a CellFunction or GridSampledFunction, got {type(f).__name__}")
 
 
 def normalize_tuple(

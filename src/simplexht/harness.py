@@ -9,6 +9,12 @@ full cycle.  Trace values are read off the slot-0 kernel as
 sum(kernel * F_0), and that kernel also opens the next cycle, so a cycle
 costs n+1 kernel passes and no separate evaluation.
 
+The loop holds one plain array per slot.  A form (DyadicSupForm or
+ContinuousTruncatedForm) hands out arrays through five members --
+slot_count, cell_measure, initial, kernel and functions -- and wraps them
+into validated CellFunction or GridSampledFunction tuples only for its
+engine call and for the final result.
+
 Every sweep row carries its seed and a digest of the remaining settings,
 so any record can be reproduced bit-for-bit; timestamps are left unset by
 the sweep itself to keep outputs byte-identical across runs.
@@ -33,9 +39,8 @@ from .core import (
     GridSampledFunction,
     HoelderExponents,
     TruncationRange,
+    array_lp_norm,
     check_cells,
-    lp_norm,
-    normalize_tuple,
 )
 from .dyadic import sup_gradient
 
@@ -133,6 +138,7 @@ class DyadicSupForm:
     """
 
     model = "dyadic"
+    cell_measure = 1.0
 
     def __init__(self, n: int, side_exponent: int, scale_count: int) -> None:
         if n < 1:
@@ -154,23 +160,13 @@ class DyadicSupForm:
 
     def initial(self, rng: np.random.Generator) -> list:
         shape = (2**self.side_exponent,) * self.n
-        return [
-            CellFunction(self.n, self.side_exponent, rng.standard_normal(shape))
-            for _ in range(self.slot_count)
-        ]
+        return [rng.standard_normal(shape) for _ in range(self.slot_count)]
 
-    def kernel(self, functions: Sequence[CellFunction], slot: int) -> np.ndarray:
-        return sup_gradient(functions, self.scale_count, slot)
+    def functions(self, values: Sequence[np.ndarray]) -> list:
+        return [CellFunction(self.n, self.side_exponent, v) for v in values]
 
-    def values_of(self, f: CellFunction) -> np.ndarray:
-        return f.values
-
-    def with_slot(
-        self, functions: Sequence[CellFunction], slot: int, values: np.ndarray
-    ) -> list:
-        out = list(functions)
-        out[slot] = out[slot].with_values(values)
-        return out
+    def kernel(self, values: Sequence[np.ndarray], slot: int) -> np.ndarray:
+        return sup_gradient(self.functions(values), self.scale_count, slot)
 
 
 class ContinuousTruncatedForm:
@@ -206,6 +202,7 @@ class ContinuousTruncatedForm:
         self._template = GridSampledFunction(
             n, self.half_extent, self.spacing, probe, tail_threshold=None
         )
+        self.cell_measure = self._template.cell_volume
 
     @property
     def slot_count(self) -> int:
@@ -225,26 +222,17 @@ class ContinuousTruncatedForm:
                 for axis, m in enumerate(mesh):
                     bump = bump * np.exp(-(((m - center[axis]) / width[axis]) ** 2))
                 field = field + bump
-            out.append(self._template.with_samples(field))
+            out.append(field)
         return out
 
-    def kernel(
-        self, functions: Sequence[GridSampledFunction], slot: int
-    ) -> np.ndarray:
-        grad = truncated_form_gradient(functions, self.trunc, slot)
+    def functions(self, values: Sequence[np.ndarray]) -> list:
+        return [self._template.with_samples(v) for v in values]
+
+    def kernel(self, values: Sequence[np.ndarray], slot: int) -> np.ndarray:
+        grad = truncated_form_gradient(self.functions(values), self.trunc, slot)
         # The form is linear in the slot, so sum(grad * F_slot) is its value.
-        signed = float(np.sum(grad * functions[slot].samples))
+        signed = float(np.sum(grad * values[slot]))
         return grad if signed >= 0.0 else -grad
-
-    def values_of(self, f: GridSampledFunction) -> np.ndarray:
-        return f.samples
-
-    def with_slot(
-        self, functions: Sequence[GridSampledFunction], slot: int, values: np.ndarray
-    ) -> list:
-        out = list(functions)
-        out[slot] = out[slot].with_samples(values, tail_threshold=None)
-        return out
 
 
 def _holder_update(kernel: np.ndarray, p: float) -> np.ndarray:
@@ -267,13 +255,20 @@ def alternating_maximize(
 ) -> MaximizeResult:
     """Maximize a multilinear objective by exact slot-wise updates.
 
-    Starting from seeded random functions normalized to unit L^{p_i} norm,
-    each cycle replaces every slot in turn by the Hoelder-extremal function
-    of its frozen-sign kernel.  The per-cycle value trace (including the
-    initial value) is nondecreasing after the first full cycle; each value
-    is sum(kernel_0 * F_0), the objective's slot-0 linear form.  Slots
-    whose kernel vanishes identically are kept and the result is flagged
-    stagnated; an all-zero initial slot triggers a reseed.
+    The loop holds one plain array per slot.  Starting from seeded random
+    arrays scaled to unit L^{p_i} norm, each cycle replaces every slot in
+    turn by the Hoelder-extremal array of its frozen-sign kernel.  The
+    per-cycle value trace (including the initial value) is nondecreasing
+    after the first full cycle; each value is sum(kernel_0 * F_0), the
+    objective's slot-0 linear form.  Slots whose kernel vanishes
+    identically are kept and the result is flagged stagnated; an all-zero
+    initial slot triggers a reseed.  The typed functions are built once,
+    from the final arrays.
+
+    form supplies slot_count, cell_measure (the measure of one array cell
+    in the L^p norms), initial(rng) -> arrays, kernel(arrays, slot) ->
+    array, and functions(arrays) -> the typed tuple; kernel() validates
+    the arrays it hands to its engine, so a non-finite iterate is refused.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -285,48 +280,47 @@ def alternating_maximize(
             f"{len(exponents)} exponents"
         )
     rng = np.random.default_rng(seed)
-    functions = None
+    values = None
     for _ in range(_RESEED_ATTEMPTS):
         candidate = form.initial(rng)
-        if all(np.any(form.values_of(f)) for f in candidate):
-            functions = candidate
+        if all(np.any(v) for v in candidate):
+            values = candidate
             break
-    if functions is None:
+    if values is None:
         raise ValueError(
             f"seeding produced a zero slot {_RESEED_ATTEMPTS} times in a row"
         )
-    functions = list(normalize_tuple(functions, exponents))
+    values = [
+        v / array_lp_norm(v, p, form.cell_measure) for v, p in zip(values, exponents)
+    ]
 
     # The objective is linear in slot 0 with kernel kern, so its value is
     # sum(kern * F_0), and a cycle's closing kernel opens the next cycle.
-    kern = form.kernel(functions, 0)
-    trace = [float(np.sum(kern * form.values_of(functions[0])))]
+    kern = form.kernel(values, 0)
+    trace = [float(np.sum(kern * values[0]))]
     stagnated = False
     cycles = 0
     for _ in range(max_iter):
         updated_any = False
         for slot in range(form.slot_count):
             if slot:
-                kern = form.kernel(functions, slot)
+                kern = form.kernel(values, slot)
             if not np.any(kern):
                 stagnated = True
                 continue
             candidate = _holder_update(kern, exponents[slot])
-            functions = form.with_slot(functions, slot, candidate)
-            norm = lp_norm(functions[slot], exponents[slot])
-            functions = form.with_slot(
-                functions, slot, form.values_of(functions[slot]) / norm
-            )
+            norm = array_lp_norm(candidate, exponents[slot], form.cell_measure)
+            values[slot] = candidate / norm
             updated_any = True
         cycles += 1
-        kern = form.kernel(functions, 0)
-        trace.append(float(np.sum(kern * form.values_of(functions[0]))))
+        kern = form.kernel(values, 0)
+        trace.append(float(np.sum(kern * values[0])))
         if not updated_any:
             break
         if abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
             break
     return MaximizeResult(
-        functions=tuple(functions),
+        functions=tuple(form.functions(values)),
         trace=tuple(trace),
         iterations=cycles,
         stagnated=stagnated,

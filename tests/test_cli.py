@@ -96,12 +96,24 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--suite", "all", "--L", side)
         assert code == 2
         assert out == ""
-        assert "n=1: --L 2..6, n=2: --L 2..6, n=3: --L 2..4" in err
+        assert "n=1: --L 2..9, n=2: --L 2..6, n=3: --L 2..4" in err
+
+    def test_side_below_two_names_the_floor(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--suite", "dyadic", "--n", "1", "--L", "1")
+        assert code == 2
+        assert "--L 1 is below 2" in err and "cells" not in err
+
+    def test_budget_alone_admits_degree_one_past_six(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "dyadic", "--n", "1", "--L", "7", "--trials", "2"
+        )
+        assert code == 0
+        assert "telescoping n=1 k=1 l=2 L=7 discrepancy=0" in out
 
     def test_help_lists_admissible_sides(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--help")
         assert code == 0
-        assert "n=1: --L 2..6, n=2: --L 2..6, n=3: --L 2..4" in " ".join(out.split())
+        assert "n=1: --L 2..9, n=2: --L 2..6, n=3: --L 2..4" in " ".join(out.split())
 
     def test_output_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--suite", "analytic", "--seed", "3")

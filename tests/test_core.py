@@ -269,6 +269,14 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(CellFunction(1, 1, np.ones(2)), 0.5)
 
+    @pytest.mark.parametrize("p", [float("nan"), float("-inf")])
+    def test_nan_and_negative_infinite_p_rejected(self, p):
+        cell = CellFunction(1, 1, np.ones(2))
+        grid = GridSampledFunction(1, 1.0, 0.5, np.ones(4), tail_threshold=None)
+        for f in (cell, grid):
+            with pytest.raises(ValueError, match="p >= 1"):
+                lp_norm(f, p)
+
     @given(st.floats(-100.0, 100.0), st.sampled_from([1.0, 2.0, 4.0, float("inf")]))
     def test_absolute_homogeneity(self, c, p):
         base = np.array([1.0, -2.0, 0.5, 3.0])

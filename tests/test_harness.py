@@ -104,17 +104,25 @@ class TestSettingsDigest:
 class TestDyadicSupForm:
     def test_initial_shapes(self):
         form = DyadicSupForm(2, 3, 2)
-        functions = form.initial(np.random.default_rng(0))
-        assert len(functions) == 3
-        assert all(f.values.shape == (8, 8) for f in functions)
+        values = form.initial(np.random.default_rng(0))
+        assert len(values) == 3
+        assert all(v.shape == (8, 8) for v in values)
 
-    def test_with_slot_replaces_only_that_slot(self):
+    def test_functions_wrap_each_array(self):
         form = DyadicSupForm(1, 2, 1)
-        functions = form.initial(np.random.default_rng(1))
-        new_values = np.ones((4,))
-        replaced = form.with_slot(functions, 1, new_values)
-        assert np.array_equal(replaced[1].values, new_values)
-        assert replaced[0] is functions[0]
+        values = form.initial(np.random.default_rng(1))
+        functions = form.functions(values)
+        assert all(isinstance(f, CellFunction) for f in functions)
+        assert all(np.array_equal(f.values, v) for f, v in zip(functions, values))
+        assert (functions[0].dimension, functions[0].side_exponent) == (1, 2)
+        assert form.cell_measure == 1.0
+
+    def test_kernel_refuses_a_non_finite_iterate(self):
+        form = DyadicSupForm(1, 2, 1)
+        values = form.initial(np.random.default_rng(1))
+        values[1][0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            form.kernel(values, 0)
 
     def test_rejects_scale_count_beyond_side_exponent(self):
         with pytest.raises(ValueError, match="scale_count"):
@@ -151,27 +159,28 @@ class TestContinuousTruncatedForm:
 
     def test_initial_functions_are_nonzero_and_tail_free(self):
         form = ContinuousTruncatedForm(1, TruncationRange(0.5, 4.0))
-        functions = form.initial(np.random.default_rng(0))
-        assert len(functions) == 2
-        for f in functions:
+        values = form.initial(np.random.default_rng(0))
+        assert len(values) == 2
+        for f in form.functions(values):
             assert np.any(f.samples)
             assert f.tail_threshold is None
+        assert form.cell_measure == 0.25
 
     def test_kernel_contraction_reproduces_value(self):
         form = ContinuousTruncatedForm(1, TruncationRange(0.5, 4.0))
-        functions = form.initial(np.random.default_rng(3))
-        value = abs(eval_simplex_truncated(functions, form.trunc))
+        values = form.initial(np.random.default_rng(3))
+        value = abs(eval_simplex_truncated(form.functions(values), form.trunc))
         for slot in range(form.slot_count):
-            kern = form.kernel(functions, slot)
-            dot = float(np.sum(kern * functions[slot].samples))
+            kern = form.kernel(values, slot)
+            dot = float(np.sum(kern * values[slot]))
             assert dot == pytest.approx(value, rel=1e-12)
 
 
 class StagnantForm(DyadicSupForm):
     """Dyadic form whose kernels vanish identically."""
 
-    def kernel(self, functions, slot):
-        return np.zeros(functions[slot].values.shape)
+    def kernel(self, values, slot):
+        return np.zeros(values[slot].shape)
 
 
 class ZeroSeedingForm(DyadicSupForm):
@@ -186,10 +195,7 @@ class ZeroSeedingForm(DyadicSupForm):
         self.draws += 1
         if self.draws <= self.zero_draws:
             shape = (2**self.side_exponent,) * self.n
-            return [
-                CellFunction(self.n, self.side_exponent, np.zeros(shape))
-                for _ in range(self.slot_count)
-            ]
+            return [np.zeros(shape) for _ in range(self.slot_count)]
         return super().initial(rng)
 
 
@@ -201,7 +207,7 @@ class WarmStartForm(DyadicSupForm):
         self.start = start
 
     def initial(self, rng):
-        return list(self.start)
+        return [f.values for f in self.start]
 
 
 class CallCounter:
@@ -211,9 +217,9 @@ class CallCounter:
         super().__init__(*args, **kwargs)
         self.kernel_calls = 0
 
-    def kernel(self, functions, slot):
+    def kernel(self, values, slot):
         self.kernel_calls += 1
-        return super().kernel(functions, slot)
+        return super().kernel(values, slot)
 
 
 class CountingDyadicForm(CallCounter, DyadicSupForm):
@@ -352,6 +358,72 @@ class TestAlternatingMaximize:
         assert diffs.size == 0 or diffs.min() >= -1e-12
         for f, p in zip(res.functions, exps):
             assert abs(lp_norm(f, p) - 1.0) <= 1e-10
+
+
+class BilinearForm:
+    """Array-only form v0 . (M @ v1) for a seeded 5x7 matrix M."""
+
+    slot_count = 2
+    cell_measure = 1.0
+
+    def __init__(self):
+        self.matrix = np.random.default_rng(0).standard_normal((5, 7))
+
+    def initial(self, rng):
+        return [rng.standard_normal(5), rng.standard_normal(7)]
+
+    def kernel(self, values, slot):
+        if slot == 0:
+            return self.matrix @ values[1]
+        return self.matrix.T @ values[0]
+
+    def functions(self, values):
+        return list(values)
+
+
+class TestMaximizerAlone:
+    def test_bilinear_form_converges_to_top_singular_value(self):
+        # With p = (2, 2) each slot update is one power-iteration half step,
+        # so the value climbs to the largest singular value of M.
+        form = BilinearForm()
+        res = alternating_maximize(
+            form, HoelderExponents((2.0, 2.0)), max_iter=200, tol=1e-12, seed=0
+        )
+        assert res.iterations < 200
+        top = np.linalg.svd(form.matrix)[1][0]
+        assert abs(res.trace[-1] - top) <= 1e-9
+        for v in res.functions:
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+    def test_golden_traces(self):
+        # Bits of the traces before the loop held plain arrays.
+        dyadic = alternating_maximize(
+            DyadicSupForm(2, 3, 3), HoelderExponents.geometric(2), max_iter=8, seed=0
+        )
+        assert [float.hex(v) for v in dyadic.trace] == [
+            "0x1.9aff121056d30p-3",
+            "0x1.11766f3ebe1e0p+0",
+            "0x1.4ae0542c3044cp+0",
+            "0x1.78144b00687d0p+0",
+            "0x1.9b4f7a1618d54p+0",
+            "0x1.bab41388c179dp+0",
+            "0x1.c2951dab0bccbp+0",
+            "0x1.c4d43a8cec0dap+0",
+            "0x1.c5bf31a860014p+0",
+        ]
+        continuous = alternating_maximize(
+            ContinuousTruncatedForm(1, TruncationRange(0.5, 4.0)),
+            HoelderExponents.geometric(1),
+            max_iter=4,
+            seed=0,
+        )
+        assert [float.hex(v) for v in continuous.trace] == [
+            "0x1.62feb285e1c31p+0",
+            "0x1.2b34567c03052p+1",
+            "0x1.36d73f205efaep+1",
+            "0x1.3819633288430p+1",
+            "0x1.384001f3d5c5fp+1",
+        ]
 
 
 class TestGrowthSweep:
