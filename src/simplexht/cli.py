@@ -27,7 +27,7 @@ from . import core
 from .continuous import eval_simplex_truncated
 from .core import HoelderExponents, TruncationRange, lp_norm, normalize_tuple
 from .core import MAX_VERIFY_DEGREE
-from .dyadic import eval_dyadic_sup, run_parity_trials
+from .dyadic import eval_dyadic_sup, parity_cells, run_parity_trials
 from .dyadic import run_telescoping_suite, telescoping_cells
 from .harness import (
     ContinuousTruncatedForm,
@@ -45,33 +45,39 @@ class CliError(Exception):
     """Usage or input problem; reported on stderr with exit code 2."""
 
 
-def parse_range(text: str, integer: bool) -> list:
-    """Parse `1..4` (inclusive, step 1), `1,2,4`, or a single number."""
+def parse_range(text: str, integer: bool, bounds: Union[tuple, None] = None) -> list:
+    """Parse `1..4` (inclusive, step 1), `1,2,4`, or a single number.
+
+    A non-finite value, or one outside the inclusive `bounds` when given,
+    is refused before a range is expanded.
+    """
     text = text.strip()
     if not text:
         raise CliError("empty range")
+    cast = int if integer else float
     try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            if integer:
-                lo, hi = int(lo_text), int(hi_text)
-                if hi < lo:
-                    raise CliError(f"descending range {text!r}")
-                return list(range(lo, hi + 1))
-            lo, hi = float(lo_text), float(hi_text)
-            if hi < lo:
-                raise CliError(f"descending range {text!r}")
-            out = []
-            value = lo
-            while value <= hi + 1e-9:
-                out.append(value)
-                value += 1.0
-            return out
-        cast = int if integer else float
-        return [cast(part) for part in text.split(",")]
+        parts = text.split("..", 1) if ".." in text else text.split(",")
+        values = [cast(part) for part in parts]
     except ValueError:
         kind = "integers" if integer else "numbers"
         raise CliError(f"could not parse {text!r} as a range of {kind}") from None
+    if not all(map(math.isfinite, values)):
+        raise CliError(f"range {text!r} has a non-finite value")
+    if bounds is not None and not all(bounds[0] <= v <= bounds[1] for v in values):
+        raise CliError(f"range {text!r} reaches outside {bounds[0]}..{bounds[1]}")
+    if ".." not in text:
+        return values
+    lo, hi = values
+    if hi < lo:
+        raise CliError(f"descending range {text!r}")
+    if integer:
+        return list(range(lo, hi + 1))
+    out = []
+    value = lo
+    while value <= hi + 1e-9:
+        out.append(value)
+        value += 1.0
+    return out
 
 
 def parse_exponents(text: str) -> HoelderExponents:
@@ -161,7 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"restrict to one side exponent; admitted per degree: {_verify_side_table()}",
     )
     verify.add_argument(
-        "--trials", type=int, default=200, help="parity trials per degree"
+        "--trials",
+        type=int,
+        default=200,
+        help="parity trials per degree; the cell budget admits up to "
+        f"{core.MAX_CELLS // parity_cells(1, MAX_VERIFY_DEGREE)} at n={MAX_VERIFY_DEGREE}",
     )
     verify.add_argument("--seed", type=int, default=0)
     _add_config_flag(verify)
@@ -264,8 +274,8 @@ def _verify_side_table() -> str:
     )
 
 
-def _check_verify_sizes(ns: Sequence[int], sides: Sequence[int]) -> None:
-    """Refuse, before any check runs, an L below 2 or an (n, L) over the budget."""
+def _check_verify_sizes(ns: Sequence[int], sides: Sequence[int], trials: int) -> None:
+    """Refuse, before any check runs, an L below 2 or a size over the budget."""
     refused = [(n, L) for n in ns for L in sides if L not in _verify_sides(n)]
     if refused:
         n, L = refused[0]
@@ -276,6 +286,13 @@ def _check_verify_sizes(ns: Sequence[int], sides: Sequence[int]) -> None:
             else f"--L {L} is below 2"
         )
         raise CliError(f"{reason}; verify admits {_verify_side_table()}")
+    n = max(ns)
+    if parity_cells(trials, n) > core.MAX_CELLS:
+        raise CliError(
+            f"parity trials={trials} n={n} needs {parity_cells(trials, n)} cells, "
+            f"over the limit of {core.MAX_CELLS}; --trials admits at most "
+            f"{core.MAX_CELLS // parity_cells(1, n)} at n={n}"
+        )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -288,7 +305,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise CliError("--trials must be >= 1")
         ns = (args.n,) if args.n is not None else (1, 2, 3)
         sides = (args.L,) if args.L is not None else (2, 3, 4)
-        _check_verify_sizes(ns, sides)
+        _check_verify_sizes(ns, sides, args.trials)
         for row in run_telescoping_suite(ns=ns, side_exponents=sides):
             checks += 1
             if row["discrepancy"] != 0:
@@ -372,7 +389,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise CliError("dyadic sweeps need --m")
         if args.L is None:
             raise CliError("dyadic sweeps need --L")
-        abscissae = parse_range(args.m, integer=True)
+        # Scale counts run 1..L.
+        abscissae = parse_range(args.m, integer=True, bounds=(1, args.L))
     else:
         if args.octaves is None:
             raise CliError("continuous sweeps need --octaves")

@@ -1,23 +1,18 @@
 """Shared value types for the dyadic and continuous evaluation models.
 
-The dyadic side works with carry-free (XOR) arithmetic on dyadic interval
-indices, L^inf-normalized Haar steps, and piecewise-constant cell functions
-on [0, 2^L)^n at unit-cell resolution.  The continuous side works with
-uniformly sampled rapidly decaying functions on [-A, A]^n.  Everything here
-is immutable after construction.
+The dyadic side works with piecewise-constant cell functions on [0, 2^L)^n
+at unit-cell resolution.  The continuous side works with uniformly sampled
+rapidly decaying functions on [-A, A]^n.  Everything here is immutable
+after construction.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-
-# XOR arithmetic stays exact on machine integers below this bound.
-MAX_INDEX = 2**63
 
 # Elements in the largest array one evaluation may ask for (2**26 doubles
 # are 512 MiB).  Engines check a size against it before allocating.
@@ -39,121 +34,6 @@ def check_cells(cells: int, what: str) -> None:
     """Refuse, with a ValueError naming the size, more than MAX_CELLS cells."""
     if cells > MAX_CELLS:
         raise ValueError(f"{what} needs {cells} cells, over the limit of {MAX_CELLS}")
-
-
-def walsh_add(a: int, b: int) -> int:
-    """Carry-free binary addition of nonnegative integers (bitwise XOR).
-
-    This is the group operation on binary expansions: each bit adds mod 2
-    with no carry.  It is associative, commutative, has identity 0, and
-    every element is its own inverse.
-    """
-    for v in (a, b):
-        if not isinstance(v, (int, np.integer)):
-            raise TypeError(f"walsh_add expects integers, got {type(v).__name__}")
-        if v < 0 or v >= MAX_INDEX:
-            raise ValueError(f"walsh_add operand {v} outside [0, 2^63)")
-    return int(a) ^ int(b)
-
-
-@dataclass(frozen=True)
-class DyadicInterval:
-    """Half-open dyadic interval [2^scale * index, 2^scale * (index + 1))."""
-
-    scale: int
-    index: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.scale, (int, np.integer)) or self.scale < 0:
-            raise ValueError(f"scale must be a nonnegative integer, got {self.scale!r}")
-        if not isinstance(self.index, (int, np.integer)) or self.index < 0:
-            raise ValueError(f"index must be a nonnegative integer, got {self.index!r}")
-        if self.index >= MAX_INDEX >> self.scale:
-            raise ValueError("interval endpoint exceeds the exact integer range")
-        object.__setattr__(self, "scale", int(self.scale))
-        object.__setattr__(self, "index", int(self.index))
-
-    @property
-    def length(self) -> int:
-        return 1 << self.scale
-
-    @property
-    def left(self) -> int:
-        return self.index << self.scale
-
-    @property
-    def right(self) -> int:
-        return (self.index + 1) << self.scale
-
-    def contains(self, x: float) -> bool:
-        return self.left <= x < self.right
-
-
-def interval_oplus(first: DyadicInterval, second: DyadicInterval) -> DyadicInterval:
-    """XOR-shifted interval: same scale, index = XOR of the indices.
-
-    The left endpoints are dyadic rationals; their carry-free sum is the
-    left endpoint of the result, so this realizes the interval sum under
-    walsh_add.  Mixing scales is undefined and raises.
-    """
-    if first.scale != second.scale:
-        raise ValueError(
-            f"interval_oplus requires equal scales, got {first.scale} and {second.scale}"
-        )
-    return DyadicInterval(first.scale, walsh_add(first.index, second.index))
-
-
-def haar_eval(interval: DyadicInterval, x: float) -> int:
-    """L^inf-normalized Haar step: +1 on the left half, -1 on the right, 0 outside."""
-    if not interval.contains(x):
-        return 0
-    mid = interval.left + (interval.length >> 1) if interval.scale > 0 else None
-    if interval.scale == 0:
-        # Below unit-cell resolution the halves are half-cells; evaluate pointwise.
-        midpoint = interval.left + 0.5
-        return 1 if x < midpoint else -1
-    return 1 if x < mid else -1
-
-
-@dataclass(frozen=True)
-class IntervalTuple:
-    """Same-scale dyadic intervals (I_0, ..., I_n) whose indices XOR to zero.
-
-    These index the summands of the dyadic forms: the XOR-zero constraint is
-    exactly the statement that 0 lies in the carry-free sum of the intervals.
-    Closed under permuting the entries.
-    """
-
-    intervals: tuple[DyadicInterval, ...]
-
-    def __post_init__(self) -> None:
-        iv = tuple(self.intervals)
-        object.__setattr__(self, "intervals", iv)
-        if len(iv) < 2:
-            raise ValueError("IntervalTuple needs at least two intervals")
-        scale = iv[0].scale
-        if any(i.scale != scale for i in iv):
-            raise ValueError("all intervals in a tuple must share one scale")
-        acc = 0
-        for i in iv:
-            acc = walsh_add(acc, i.index)
-        if acc != 0:
-            raise ValueError("interval indices must XOR to zero")
-
-    @property
-    def scale(self) -> int:
-        return self.intervals[0].scale
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i.index for i in self.intervals)
-
-    @property
-    def degree(self) -> int:
-        return len(self.intervals) - 1
-
-    def __len__(self) -> int:
-        return len(self.intervals)
 
 
 def _readonly(values: np.ndarray) -> np.ndarray:
@@ -197,28 +77,6 @@ class CellFunction:
 
     def with_values(self, values: np.ndarray) -> "CellFunction":
         return CellFunction(self.dimension, self.side_exponent, values)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dimension": self.dimension,
-                "side_exponent": self.side_exponent,
-                "values": self.values.ravel(order="C").tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CellFunction":
-        obj = json.loads(text)
-        n = int(obj["dimension"])
-        L = int(obj["side_exponent"])
-        side = 1 << L
-        flat = np.asarray(obj["values"], dtype=np.float64)
-        if flat.size != side**n:
-            raise ValueError(
-                f"serialized values length {flat.size} does not match side {side} dim {n}"
-            )
-        return cls(n, L, flat.reshape((side,) * n, order="C"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,28 +146,6 @@ class GridSampledFunction:
         return GridSampledFunction(
             self.dimension, self.half_extent, self.spacing, samples, thr
         )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dimension": self.dimension,
-                "extent": self.half_extent,
-                "spacing": self.spacing,
-                "values": self.samples.ravel(order="C").tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GridSampledFunction":
-        obj = json.loads(text)
-        n = int(obj["dimension"])
-        extent = float(obj["extent"])
-        spacing = float(obj["spacing"])
-        flat = np.asarray(obj["values"], dtype=np.float64)
-        per_axis = round(2.0 * extent / spacing)
-        if flat.size != per_axis**n:
-            raise ValueError("serialized values length does not match grid shape")
-        return cls(n, extent, spacing, flat.reshape((per_axis,) * n, order="C"))
 
 
 def _boundary_max(arr: np.ndarray) -> float:

@@ -27,10 +27,14 @@ those blocks, and the sum is one batched matmul (at n >= 3, one per x_last
 slice, so no intermediate outgrows one grid); no step calls np.einsum.
 The kernel's inner product with the slot's own block is the tuple's
 pairing, so pairings and slot gradients come from the same pass.  The sup,
-the form, the gradient, the single-tuple pairing and the aux majorant all
-read the per-scale plan, with no loop over tuples.  Per-scale results are
-reduced in a fixed order, scales in increasing order, so evaluations are
-deterministic.
+the form, the gradient and the aux majorant all read the per-scale plan,
+with no loop over tuples.  Per-scale results are reduced in a fixed order,
+scales in increasing order, so evaluations are deterministic.
+
+Tuples exist here only as rows of integer indices, never as objects: the
+plans, the coefficient keys, the telescoping check and the parity rule all
+take index rows, and the parity rule checks a whole array of rows against
+every selector code in one call.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import core
-from .core import CellFunction, DyadicInterval, IntervalTuple, check_cells, walsh_add
+from .core import CellFunction, check_cells
 
 
 def _check_functions(functions: Sequence[CellFunction]) -> tuple[int, int]:
@@ -81,23 +85,6 @@ def _tuple_index_array(scale: int, side_exponent: int, degree: int) -> np.ndarra
     free = np.indices((nb,) * n).reshape(n, -1).T.astype(np.int64)
     first = np.bitwise_xor.reduce(free, axis=1) if n > 0 else np.zeros(1, np.int64)
     return np.column_stack([first, free])
-
-
-def enumerate_tuples(scale: int, side_exponent: int, degree: int):
-    """Yield every XOR-zero tuple of scale-`scale` intervals in [0, 2^L).
-
-    There are 2^{(L - scale) * degree} of them: the last `degree` indices
-    are free and the first is their XOR.  A scale above the side exponent
-    yields nothing.
-    """
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    if scale > side_exponent:
-        return
-    for row in _tuple_index_array(scale, side_exponent, degree):
-        yield IntervalTuple(tuple(DyadicInterval(scale, int(i)) for i in row))
 
 
 def _gather_index(
@@ -254,10 +241,10 @@ def _build_scale_plan(degree: int, side_exponent: int, scale: int) -> _ScalePlan
 
 
 def _gather_blocks(
-    functions: Sequence[CellFunction], plan: _ScalePlan, rows=slice(None)
+    functions: Sequence[CellFunction], plan: _ScalePlan
 ) -> list[np.ndarray]:
-    """Each function's block for the selected tuples, shape (T, 2^l, ..., 2^l)."""
-    return [f.values.reshape(-1)[g[rows]] for f, g in zip(functions, plan.gather)]
+    """Each function's block for every tuple, shape (T, 2^l, ..., 2^l)."""
+    return [f.values.reshape(-1)[g] for f, g in zip(functions, plan.gather)]
 
 
 def _slot_kernel(
@@ -311,77 +298,28 @@ def _scale_pairings(
     return plan.idx, vals
 
 
-def haar_pairing(
-    functions: Sequence[CellFunction], interval_tuple: IntervalTuple
-) -> float:
-    """Integral of the function product against one tuple's weighted Haar product.
-
-    Exact finite sum over the tuple's box of unit cells, weighted 2^{-l}.
-    """
-    n, L = _check_functions(functions)
-    if interval_tuple.degree != n:
-        raise ValueError(
-            f"tuple has {interval_tuple.degree + 1} intervals, expected {n + 1}"
-        )
-    scale = interval_tuple.scale
-    if not (1 <= scale <= L):
-        raise ValueError(f"tuple scale {scale} outside [1, {L}]")
-    nb = 1 << (L - scale)
-    if any(i >= nb for i in interval_tuple.indices):
-        raise ValueError("tuple extends beyond [0, 2^L)")
-    plan = _scale_plan(n, L, scale)
-    # Rows run lexicographically over the free indices m_1..m_n.
-    row = int(np.ravel_multi_index(interval_tuple.indices[1:], (nb,) * n))
-    _, vals = _slot_kernel(plan, _gather_blocks(functions, plan, [row]), 0)
-    return float(vals[0])
-
-
-def _coefficient_key(indices: "IntervalTuple | Sequence[int]") -> tuple[int, ...]:
-    if isinstance(indices, IntervalTuple):
-        return indices.indices
-    return tuple(int(i) for i in indices)
-
-
 class CoefficientMap:
-    """Bounded coefficients keyed by (scale, interval tuple); missing entries are 0.
-
-    Tuples may be given as IntervalTuple values or as bare index tuples.
-    """
+    """Bounded coefficients keyed by (scale, index tuple); missing entries are 0."""
 
     def __init__(
-        self,
-        entries: Mapping[tuple[int, "IntervalTuple | tuple[int, ...]"], float] | None = None,
+        self, entries: Mapping[tuple[int, Sequence[int]], float] | None = None
     ) -> None:
         self._entries: dict[tuple[int, tuple[int, ...]], float] = {}
         for (scale, indices), eps in (entries or {}).items():
-            key = (int(scale), _coefficient_key(indices))
+            key = (int(scale), tuple(map(int, indices)))
             val = float(eps)
             if not abs(val) <= 1.0:
                 raise ValueError(f"coefficient {val!r} at {key} exceeds magnitude 1")
             self._entries[key] = val
 
-    def value(self, scale: int, indices: "IntervalTuple | Sequence[int]") -> float:
-        return self._entries.get((int(scale), _coefficient_key(indices)), 0.0)
+    def value(self, scale: int, indices: Sequence[int]) -> float:
+        return self._entries.get((int(scale), tuple(map(int, indices))), 0.0)
 
     def items(self):
         return self._entries.items()
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @classmethod
-    def constant_per_scale(
-        cls,
-        degree: int,
-        side_exponent: int,
-        per_scale: Mapping[int, float],
-    ) -> "CoefficientMap":
-        """One coefficient shared by every tuple of each listed scale."""
-        entries: dict[tuple[int, tuple[int, ...]], float] = {}
-        for scale, eps in per_scale.items():
-            for row in _tuple_index_array(scale, side_exponent, degree):
-                entries[(scale, tuple(int(i) for i in row))] = float(eps)
-        return cls(entries)
 
 
 def sign_optimal_coefficients(
@@ -539,29 +477,35 @@ def eval_dyadic_aux(
     return total
 
 
-def verify_parity_rule(
-    child_selectors: Sequence[int], interval_tuple: IntervalTuple
-) -> bool:
-    """Whether the selected children of an XOR-zero tuple again XOR to zero.
+def verify_parity_rule(indices: np.ndarray, selectors: np.ndarray) -> np.ndarray:
+    """Whether selected children of XOR-zero tuples again XOR to zero, shape (T, C).
 
-    Selector s_i picks the left (0) or right (1) child of I_i one scale
-    down.  Membership holds exactly when the count of right children is
-    even, since halving doubles every index and the selectors land in the
-    fresh low bit.
+    indices holds T tuples (I_0..I_n) as rows of shape (T, n+1), each
+    XOR-ing to zero.  Selector row c, shape (C, n+1), picks the left (0) or
+    right (1) child of each I_i one scale down, whose index is 2 I_i + s_i.
+    Entry [t, c] is whether tuple t's children under selector row c XOR to
+    zero: exactly when the count of right children is even, since halving
+    doubles every index and the selectors land in the fresh low bit.  The
+    XOR runs one column at a time, so no array outgrows T * C cells.
     """
-    if interval_tuple.scale < 1:
-        raise ValueError("tuple scale must be >= 1 so children exist")
-    s = tuple(int(v) for v in child_selectors)
-    if len(s) != len(interval_tuple):
+    indices, selectors = np.asarray(indices), np.asarray(selectors)
+    if indices.ndim != 2 or selectors.ndim != 2 or indices.shape[1] != selectors.shape[1]:
         raise ValueError(
-            f"got {len(s)} selectors for {len(interval_tuple)} intervals"
+            f"index rows {indices.shape} and selector rows {selectors.shape} "
+            "need one common width"
         )
-    if any(v not in (0, 1) for v in s):
+    if indices.shape[1] < 2:
+        raise ValueError("a tuple needs at least two intervals")
+    if not np.isin(selectors, (0, 1)).all():
         raise ValueError("selectors must be 0 or 1")
-    acc = 0
-    for interval, sel in zip(interval_tuple.intervals, s):
-        acc = walsh_add(acc, 2 * interval.index + sel)
-    return acc == 0
+    if np.any((indices < 0) | (indices >= 1 << 62)):
+        raise ValueError("indices must lie in [0, 2^62) so their children stay exact")
+    if np.bitwise_xor.reduce(indices, axis=1).any():
+        raise ValueError("interval indices must XOR to zero")
+    children = np.zeros((len(indices), len(selectors)), dtype=np.int64)
+    for column, selector in zip(indices.T, selectors.T):
+        children ^= 2 * column[:, None] + selector[None, :]
+    return children == 0
 
 
 def telescoping_cells(n: int, k: int, l: int, L: int) -> int:
@@ -660,31 +604,36 @@ def run_telescoping_suite(
     ]
 
 
+def parity_cells(trials: int, n: int) -> int:
+    """Cells of run_parity_trials' membership array at degree n.
+
+    Every trial is checked under each of the 2^{n+1} selector codes.
+    """
+    return trials << (n + 1)
+
+
 def run_parity_trials(
     trials: int = 200, ns: Sequence[int] = (1, 2, 3), seed: int = 0
 ) -> dict:
-    """Random child-selector sweeps of the parity rule; returns failure count."""
+    """Random child-selector sweeps of the parity rule; returns failure count.
+
+    Each trial draws an XOR-zero index row on a grid of 1, 2 or 4 blocks
+    per axis; one verify_parity_rule call checks every row of a degree
+    under every selector code against the even count of right children.
+    """
+    for n in ns:
+        check_cells(parity_cells(trials, n), f"parity trials={trials} n={n}")
     rng = np.random.default_rng(seed)
     failures = 0
     checked = 0
     for n in ns:
-        for _ in range(trials):
-            scale = int(rng.integers(1, 5))
-            L = scale + int(rng.integers(0, 3))
-            nb = 1 << (L - scale)
-            free = rng.integers(0, nb, size=n)
-            first = 0
-            for v in free:
-                first ^= int(v)
-            intervals = tuple(
-                DyadicInterval(scale, int(i)) for i in (first, *free)
-            )
-            tup = IntervalTuple(intervals)
-            for code in range(1 << (n + 1)):
-                s = tuple((code >> b) & 1 for b in range(n + 1))
-                member = verify_parity_rule(s, tup)
-                expected = sum(s) % 2 == 0
-                checked += 1
-                if member != expected:
-                    failures += 1
+        blocks = 1 << rng.integers(0, 3, size=(trials, 1))
+        free = rng.integers(0, blocks, size=(trials, n))
+        rows = np.column_stack([np.bitwise_xor.reduce(free, axis=1), free])
+        codes = np.arange(1 << (n + 1))[:, None]
+        selectors = (codes >> np.arange(n + 1)) & 1
+        member = verify_parity_rule(rows, selectors)
+        expected = selectors.sum(axis=1) % 2 == 0
+        checked += member.size
+        failures += int(np.count_nonzero(member != expected))
     return {"check": "parity", "trials": checked, "failures": failures}

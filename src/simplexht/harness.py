@@ -407,22 +407,21 @@ def growth_sweep(
         _sweep_form(model, n, a, side_exponent, base_radius, half_extent, spacing)
         for a in abscissae
     ]
-    results = [
-        alternating_maximize(form, exponents, max_iter, tol, seed)
-        for form in forms
-        for seed in seeds
-    ]
     records = []
-    for i, a in enumerate(abscissae):
-        per_seed = results[i * len(seeds) : (i + 1) * len(seeds)]
-        best = max(range(len(seeds)), key=lambda j: per_seed[j].trace[-1])
+    for a, form in zip(abscissae, forms):
+        # Keep each run's final value and cycle count, not its slot arrays.
+        finals = []
+        for seed in seeds:
+            result = alternating_maximize(form, exponents, max_iter, tol, seed)
+            finals.append((result.trace[-1], result.iterations))
+        best = max(range(len(seeds)), key=lambda j: finals[j][0])
         records.append(
             ExperimentRecord(
                 model=model,
                 n=n,
                 abscissa=float(a),
-                S=float(per_seed[best].trace[-1]),
-                iters=per_seed[best].iterations,
+                S=float(finals[best][0]),
+                iters=finals[best][1],
                 seed=seeds[best],
                 digest=digest,
             )

@@ -3,6 +3,9 @@
 Everything here is deliberately written in plain nested-loop Python over
 unit cells and pointwise haar_eval calls, or as a plain recursion over
 scalars, so it shares no code path with the vectorized engines it checks.
+The engines hold each XOR-zero tuple as a row of integer indices; the
+oracles hold it as an IntervalTuple of DyadicInterval objects, a model of
+its own that imports nothing from simplexht but the CellFunction value type.
 """
 
 from __future__ import annotations
@@ -11,11 +14,171 @@ import functools
 import itertools
 import math
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 
-from simplexht.core import CellFunction, DyadicInterval, haar_eval
-from simplexht.dyadic import enumerate_tuples
+from simplexht.core import CellFunction
+
+# XOR arithmetic stays exact on machine integers below this bound.
+MAX_INDEX = 2**63
+
+
+def walsh_add(a: int, b: int) -> int:
+    """Carry-free binary addition of nonnegative integers (bitwise XOR).
+
+    This is the group operation on binary expansions: each bit adds mod 2
+    with no carry.  It is associative, commutative, has identity 0, and
+    every element is its own inverse.
+    """
+    for v in (a, b):
+        if not isinstance(v, (int, np.integer)):
+            raise TypeError(f"walsh_add expects integers, got {type(v).__name__}")
+        if v < 0 or v >= MAX_INDEX:
+            raise ValueError(f"walsh_add operand {v} outside [0, 2^63)")
+    return int(a) ^ int(b)
+
+
+@dataclass(frozen=True)
+class DyadicInterval:
+    """Half-open dyadic interval [2^scale * index, 2^scale * (index + 1))."""
+
+    scale: int
+    index: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.scale, (int, np.integer)) or self.scale < 0:
+            raise ValueError(f"scale must be a nonnegative integer, got {self.scale!r}")
+        if not isinstance(self.index, (int, np.integer)) or self.index < 0:
+            raise ValueError(f"index must be a nonnegative integer, got {self.index!r}")
+        if self.index >= MAX_INDEX >> self.scale:
+            raise ValueError("interval endpoint exceeds the exact integer range")
+        object.__setattr__(self, "scale", int(self.scale))
+        object.__setattr__(self, "index", int(self.index))
+
+    @property
+    def length(self) -> int:
+        return 1 << self.scale
+
+    @property
+    def left(self) -> int:
+        return self.index << self.scale
+
+    @property
+    def right(self) -> int:
+        return (self.index + 1) << self.scale
+
+    def contains(self, x: float) -> bool:
+        return self.left <= x < self.right
+
+
+def interval_oplus(first: DyadicInterval, second: DyadicInterval) -> DyadicInterval:
+    """XOR-shifted interval: same scale, index = XOR of the indices.
+
+    The left endpoints are dyadic rationals; their carry-free sum is the
+    left endpoint of the result, so this realizes the interval sum under
+    walsh_add.  Mixing scales is undefined and raises.
+    """
+    if first.scale != second.scale:
+        raise ValueError(
+            f"interval_oplus requires equal scales, got {first.scale} and {second.scale}"
+        )
+    return DyadicInterval(first.scale, walsh_add(first.index, second.index))
+
+
+def haar_eval(interval: DyadicInterval, x: float) -> int:
+    """L^inf-normalized Haar step: +1 on the left half, -1 on the right, 0 outside."""
+    if not interval.contains(x):
+        return 0
+    mid = interval.left + (interval.length >> 1) if interval.scale > 0 else None
+    if interval.scale == 0:
+        # Below unit-cell resolution the halves are half-cells; evaluate pointwise.
+        midpoint = interval.left + 0.5
+        return 1 if x < midpoint else -1
+    return 1 if x < mid else -1
+
+
+@dataclass(frozen=True)
+class IntervalTuple:
+    """Same-scale dyadic intervals (I_0, ..., I_n) whose indices XOR to zero.
+
+    These index the summands of the dyadic forms: the XOR-zero constraint is
+    exactly the statement that 0 lies in the carry-free sum of the intervals.
+    Closed under permuting the entries.
+    """
+
+    intervals: tuple[DyadicInterval, ...]
+
+    def __post_init__(self) -> None:
+        iv = tuple(self.intervals)
+        object.__setattr__(self, "intervals", iv)
+        if len(iv) < 2:
+            raise ValueError("IntervalTuple needs at least two intervals")
+        scale = iv[0].scale
+        if any(i.scale != scale for i in iv):
+            raise ValueError("all intervals in a tuple must share one scale")
+        acc = 0
+        for i in iv:
+            acc = walsh_add(acc, i.index)
+        if acc != 0:
+            raise ValueError("interval indices must XOR to zero")
+
+    @property
+    def scale(self) -> int:
+        return self.intervals[0].scale
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(i.index for i in self.intervals)
+
+    @property
+    def degree(self) -> int:
+        return len(self.intervals) - 1
+
+    def __len__(self) -> int:
+        return len(self.intervals)
+
+
+def enumerate_tuples(scale: int, side_exponent: int, degree: int):
+    """Yield every XOR-zero tuple of scale-`scale` intervals in [0, 2^L).
+
+    There are 2^{(L - scale) * degree} of them: the last `degree` indices
+    are free and run lexicographically, and the first is their XOR.  A
+    scale above the side exponent yields nothing.
+    """
+    if scale < 1:
+        raise ValueError("scale must be >= 1")
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    if scale > side_exponent:
+        return
+    blocks = range(1 << (side_exponent - scale))
+    for free in itertools.product(blocks, repeat=degree):
+        first = functools.reduce(operator.xor, free)
+        yield IntervalTuple(tuple(DyadicInterval(scale, i) for i in (first, *free)))
+
+
+def brute_parity_member(child_selectors, interval_tuple: IntervalTuple) -> bool:
+    """Whether the selected children of an XOR-zero tuple again XOR to zero.
+
+    Selector s_i picks the left (0) or right (1) child of I_i one scale
+    down.  Membership holds exactly when the count of right children is
+    even, since halving doubles every index and the selectors land in the
+    fresh low bit.
+    """
+    if interval_tuple.scale < 1:
+        raise ValueError("tuple scale must be >= 1 so children exist")
+    s = tuple(int(v) for v in child_selectors)
+    if len(s) != len(interval_tuple):
+        raise ValueError(
+            f"got {len(s)} selectors for {len(interval_tuple)} intervals"
+        )
+    if any(v not in (0, 1) for v in s):
+        raise ValueError("selectors must be 0 or 1")
+    acc = 0
+    for interval, sel in zip(interval_tuple.intervals, s):
+        acc = walsh_add(acc, 2 * interval.index + sel)
+    return acc == 0
 
 
 def cell_ranges(interval_tuple):
@@ -81,7 +244,7 @@ def brute_form(functions, coefficients, scale_count: int) -> float:
     total = 0.0
     for scale in range(1, scale_count + 1):
         for tup in enumerate_tuples(scale, L, n):
-            eps = coefficients.value(scale, tup)
+            eps = coefficients.value(scale, tup.indices)
             total += eps * brute_pairing(functions, tup)
     return total
 

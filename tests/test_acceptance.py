@@ -30,7 +30,6 @@ from simplexht.core import (
 )
 from simplexht.dyadic import (
     CoefficientMap,
-    enumerate_tuples,
     eval_dyadic_aux,
     eval_dyadic_form,
     eval_dyadic_sup,
@@ -58,7 +57,7 @@ from simplexht.identities import (
     relative_discrepancy,
 )
 
-from helpers import brute_form, random_cell_functions
+from helpers import brute_form, enumerate_tuples, random_cell_functions
 
 
 def report(criterion: int, label: str, ok: bool, detail: str = "") -> None:

@@ -52,6 +52,20 @@ class TestParseRange:
         with pytest.raises(CliError, match="could not parse"):
             parse_range("1.5,2", integer=True)
 
+    @pytest.mark.parametrize("text", ["1..inf", "-inf..2", "nan..2", "1,inf"])
+    def test_rejects_non_finite_values(self, text):
+        with pytest.raises(CliError, match="non-finite"):
+            parse_range(text, integer=False)
+
+    @pytest.mark.parametrize("text", ["1..1000000000000", "0..3", "1,2,5", "-1000000000000..2"])
+    def test_bounds_refused_before_expansion(self, text):
+        # Expanding any of the ranges would not fit in memory.
+        with pytest.raises(CliError, match=r"reaches outside 1\.\.3"):
+            parse_range(text, integer=True, bounds=(1, 3))
+
+    def test_bounds_admit_their_ends(self):
+        assert parse_range("1..3", integer=True, bounds=(1, 3)) == [1, 2, 3]
+
 
 class TestParseExponents:
     def test_plain_floats(self):
@@ -319,6 +333,36 @@ class TestCellBudget:
         assert code == 2
         assert "dyadic slots at n=3, L=12 needs 274877906944 cells" in err
         assert out == ""
+
+    def test_verify_parity_trials(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--trials", "100000000")
+        assert code == 2
+        assert "parity trials=100000000 n=3 needs 1600000000 cells" in err
+        assert "--trials admits at most 4194304 at n=3" in err
+        assert out == ""
+
+    def test_parity_trials_admitted_up_to_the_budget(self):
+        cli._check_verify_sizes((1, 2, 3), (2, 3, 4), 4194304)
+        with pytest.raises(CliError, match="parity trials=4194305 n=3"):
+            cli._check_verify_sizes((1, 2, 3), (2, 3, 4), 4194305)
+        cli._check_verify_sizes((1,), (2,), 4 * 4194304)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--model", "continuous", "--octaves", "1..inf"], "non-finite"),
+            (["--model", "dyadic", "--L", "3", "--m", "1..100000000"], "reaches outside 1..3"),
+            (["--model", "dyadic", "--L", "3", "--m", "1..5"], "reaches outside 1..3"),
+        ],
+    )
+    def test_sweep_range_refused_before_expansion(self, tmp_path, capsys, flags, message):
+        out_csv = tmp_path / "never.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "1", *flags, "--out", str(out_csv)
+        )
+        assert code == 2
+        assert message in err
+        assert out == "" and not out_csv.exists()
 
     def test_dyadic_sweep(self, tmp_path, capsys):
         out_csv = tmp_path / "never.csv"

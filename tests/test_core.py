@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,17 +13,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from simplexht.core import (
-    MAX_INDEX,
     CellFunction,
-    DyadicInterval,
     GridSampledFunction,
     HoelderExponents,
-    IntervalTuple,
     TruncationRange,
-    haar_eval,
-    interval_oplus,
     lp_norm,
     normalize_tuple,
+)
+
+from helpers import (
+    MAX_INDEX,
+    DyadicInterval,
+    IntervalTuple,
+    haar_eval,
+    interval_oplus,
     walsh_add,
 )
 
@@ -161,19 +166,6 @@ class TestCellFunction:
         with pytest.raises(ValueError):
             f.values[0] = 5.0
 
-    def test_json_round_trip_exact(self):
-        rng = np.random.default_rng(7)
-        f = CellFunction(2, 2, rng.standard_normal((4, 4)))
-        g = CellFunction.from_json(f.to_json())
-        assert g.dimension == 2 and g.side_exponent == 2
-        assert np.array_equal(g.values, f.values)
-
-    def test_from_json_length_mismatch(self):
-        with pytest.raises(ValueError):
-            CellFunction.from_json(
-                '{"dimension": 1, "side_exponent": 1, "values": [1.0]}'
-            )
-
 
 class TestGridSampledFunction:
     @staticmethod
@@ -201,12 +193,6 @@ class TestGridSampledFunction:
         # None disables the check for optimizer-internal iterates.
         f = GridSampledFunction(1, 1.0, 0.5, np.ones(4), tail_threshold=None)
         assert f.cells_per_axis == 4
-
-    def test_json_round_trip(self):
-        f = self.bump(n=2, A=4.0, spacing=0.5)
-        g = GridSampledFunction.from_json(f.to_json())
-        assert np.array_equal(g.samples, f.samples)
-        assert g.half_extent == f.half_extent and g.spacing == f.spacing
 
 
 class TestTruncationRange:
@@ -320,3 +306,19 @@ class TestNormalizeTuple:
         out = normalize_tuple(self.functions, self.exps)
         for f, g in zip(self.functions, out):
             assert np.array_equal(np.sign(f.values), np.sign(g.values))
+
+
+class TestOracleIndependence:
+    # The oracles in tests/helpers.py check the engines, so they may share
+    # only the value types with them, never an engine's code path.
+    VALUE_TYPES = {"CellFunction", "GridSampledFunction", "HoelderExponents", "TruncationRange"}
+
+    def test_helpers_import_only_value_types(self):
+        path = Path(__file__).with_name("helpers.py")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[0] == "simplexht" for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("simplexht"):
+                assert node.module == "simplexht.core", node.module
+                assert {a.name for a in node.names} <= self.VALUE_TYPES

@@ -11,20 +11,12 @@ import numpy as np
 import pytest
 
 from simplexht import core, dyadic
-from simplexht.core import (
-    CellFunction,
-    DyadicInterval,
-    HoelderExponents,
-    IntervalTuple,
-    normalize_tuple,
-)
+from simplexht.core import CellFunction, HoelderExponents, normalize_tuple
 from simplexht.dyadic import (
     CoefficientMap,
-    enumerate_tuples,
     eval_dyadic_aux,
     eval_dyadic_form,
     eval_dyadic_sup,
-    haar_pairing,
     run_parity_trials,
     run_telescoping_suite,
     scale_contributions,
@@ -35,14 +27,24 @@ from simplexht.dyadic import (
 )
 
 from helpers import (
+    DyadicInterval,
+    IntervalTuple,
     brute_aux,
     brute_form,
     brute_pairing,
+    brute_parity_member,
     brute_sup,
     brute_sup_gradient,
     brute_telescoping_discrepancy,
+    enumerate_tuples,
     random_cell_functions,
 )
+
+
+def one_hot_pairing(functions, interval_tuple) -> float:
+    """One tuple's pairing through the form: coefficient 1 there, 0 elsewhere."""
+    key = (interval_tuple.scale, interval_tuple.indices)
+    return eval_dyadic_form(functions, CoefficientMap({key: 1.0}), interval_tuple.scale)
 
 
 class TestEnumerateTuples:
@@ -83,19 +85,28 @@ class TestEnumerateTuples:
             for perm in itertools.permutations(indices):
                 assert perm in members
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_match_the_engine_tuples(self, n):
+        # The engines' plans and checks read dyadic._tuple_index_array.
+        for L in range(1, 5):
+            for scale in range(1, L + 1):
+                rows = [t.indices for t in enumerate_tuples(scale, L, n)]
+                engine = dyadic._tuple_index_array(scale, L, n)
+                assert rows == [tuple(row) for row in engine.tolist()]
+
 
 class TestHaarPairing:
     def test_constant_functions_give_zero(self):
         fs = [CellFunction(1, 2, np.ones(4)) for _ in range(2)]
         tup = IntervalTuple((DyadicInterval(1, 1), DyadicInterval(1, 1)))
-        assert haar_pairing(fs, tup) == 0.0
+        assert one_hot_pairing(fs, tup) == 0.0
 
     def test_zero_function_gives_zero(self):
         rng = np.random.default_rng(0)
         fs = random_cell_functions(rng, 2, 2)
         fs[1] = fs[1].with_values(np.zeros((4, 4)))
         tup = next(iter(enumerate_tuples(1, 2, 2)))
-        assert haar_pairing(fs, tup) == 0.0
+        assert one_hot_pairing(fs, tup) == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force(self, seed):
@@ -104,7 +115,7 @@ class TestHaarPairing:
             fs = random_cell_functions(rng, n, 2)
             for scale in (1, 2):
                 for tup in enumerate_tuples(scale, 2, n):
-                    assert haar_pairing(fs, tup) == pytest.approx(
+                    assert one_hot_pairing(fs, tup) == pytest.approx(
                         brute_pairing(fs, tup), abs=1e-12
                     )
 
@@ -112,7 +123,7 @@ class TestHaarPairing:
         rng = np.random.default_rng(42)
         fs = random_cell_functions(rng, 2, 2)
         for tup in enumerate_tuples(1, 2, 2):
-            assert haar_pairing(fs, tup) == pytest.approx(
+            assert one_hot_pairing(fs, tup) == pytest.approx(
                 brute_pairing(fs, tup), abs=1e-12
             )
 
@@ -123,19 +134,19 @@ class TestHaarPairing:
         ]
         tup = IntervalTuple((DyadicInterval(1, 0), DyadicInterval(1, 0)))
         with pytest.raises(ValueError):
-            haar_pairing(fs, tup)
+            one_hot_pairing(fs, tup)
 
     def test_degree_mismatch_rejected(self):
         fs = [CellFunction(1, 2, np.ones(4)) for _ in range(2)]
         tup = IntervalTuple(tuple(DyadicInterval(1, 0) for _ in range(3)))
         with pytest.raises(ValueError):
-            haar_pairing(fs, tup)
+            one_hot_pairing(fs, tup)
 
     def test_tuple_outside_grid_rejected(self):
         fs = [CellFunction(1, 1, np.ones(2)) for _ in range(2)]
         tup = IntervalTuple((DyadicInterval(1, 2), DyadicInterval(1, 2)))
         with pytest.raises(ValueError):
-            haar_pairing(fs, tup)
+            one_hot_pairing(fs, tup)
 
 
 class TestCoefficientMap:
@@ -153,19 +164,6 @@ class TestCoefficientMap:
     def test_non_finite_coefficients_refused(self, bad):
         with pytest.raises(ValueError, match="exceeds magnitude 1"):
             CoefficientMap({(1, (0, 0)): bad})
-
-    def test_interval_tuple_keys(self):
-        tup = IntervalTuple((DyadicInterval(1, 1), DyadicInterval(1, 1)))
-        cm = CoefficientMap({(1, tup): -1.0})
-        assert cm.value(1, tup) == -1.0
-        assert cm.value(1, (1, 1)) == -1.0
-
-    def test_constant_per_scale(self):
-        cm = CoefficientMap.constant_per_scale(1, 2, {1: 0.5, 2: -1.0})
-        assert cm.value(1, (0, 0)) == 0.5
-        assert cm.value(1, (1, 1)) == 0.5
-        assert cm.value(2, (0, 0)) == -1.0
-        assert len(cm) == 3
 
 
 class TestEvalDyadicForm:
@@ -434,7 +432,7 @@ class TestScalePlan:
         monkeypatch.setattr(np, "einsum", refuse)
         monkeypatch.setattr(np, "einsum_path", refuse)
         assert eval_dyadic_sup(fs, 3) == pytest.approx(sup, rel=1e-12)
-        assert haar_pairing(fs, tup) == pytest.approx(pairing, abs=1e-12)
+        assert one_hot_pairing(fs, tup) == pytest.approx(pairing, abs=1e-12)
         for slot, expected in enumerate(grads):
             np.testing.assert_allclose(
                 sup_gradient(fs, 3, slot), expected, rtol=1e-12, atol=1e-12 * sup
@@ -583,31 +581,53 @@ class TestTelescoping:
 
 
 class TestParityRule:
-    @staticmethod
-    def sample_tuple():
-        return IntervalTuple(
-            (DyadicInterval(2, 5), DyadicInterval(2, 3), DyadicInterval(2, 6))
-        )
+    # One tuple (5, 3, 6) of scale-2 intervals, as an index row.
+    sample_rows = np.array([[5, 3, 6]])
 
     def test_all_left_children_stay_members(self):
-        assert verify_parity_rule((0, 0, 0), self.sample_tuple())
+        assert verify_parity_rule(self.sample_rows, [[0, 0, 0]]).tolist() == [[True]]
 
     def test_single_right_child_leaves(self):
-        assert not verify_parity_rule((1, 0, 0), self.sample_tuple())
+        assert verify_parity_rule(self.sample_rows, [[1, 0, 0]]).tolist() == [[False]]
 
     def test_two_right_children_stay(self):
-        assert verify_parity_rule((1, 1, 0), self.sample_tuple())
+        assert verify_parity_rule(self.sample_rows, [[1, 1, 0]]).tolist() == [[True]]
 
     def test_exhaustive_patterns_match_parity(self):
-        tup = self.sample_tuple()
-        for s in itertools.product((0, 1), repeat=3):
-            assert verify_parity_rule(s, tup) == (sum(s) % 2 == 0)
+        selectors = list(itertools.product((0, 1), repeat=3))
+        member = verify_parity_rule(self.sample_rows, selectors)
+        assert member.tolist() == [[sum(s) % 2 == 0 for s in selectors]]
 
     def test_selector_validation(self):
         with pytest.raises(ValueError):
-            verify_parity_rule((0, 0), self.sample_tuple())
+            verify_parity_rule(self.sample_rows, [[0, 0]])
         with pytest.raises(ValueError):
-            verify_parity_rule((0, 2, 0), self.sample_tuple())
+            verify_parity_rule(self.sample_rows, [[0, 2, 0]])
+
+    def test_rows_must_xor_to_zero(self):
+        with pytest.raises(ValueError, match="XOR to zero"):
+            verify_parity_rule([[5, 3, 6], [1, 2, 0]], [[0, 0, 0]])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_scalar_oracle(self, n):
+        selectors = list(itertools.product((0, 1), repeat=n + 1))
+        for L in range(1, 5):
+            for scale in range(1, L + 1):
+                tuples = list(enumerate_tuples(scale, L, n))
+                rows = np.array([t.indices for t in tuples])
+                expected = [[brute_parity_member(s, t) for s in selectors] for t in tuples]
+                assert verify_parity_rule(rows, selectors).tolist() == expected
+
+    def test_cell_budget_refused_before_any_draw(self, monkeypatch):
+        # 50 trials at n=3 check 50 * 2^4 = 800 selector patterns.
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew trials before the budget check")
+
+        monkeypatch.setattr(core, "MAX_CELLS", 799)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        with pytest.raises(ValueError, match="parity trials=50 n=3 needs 800 cells"):
+            run_parity_trials(trials=50, ns=(1, 3))
+        assert dyadic.parity_cells(50, 3) == 800
 
     def test_random_trials_all_pass(self):
         report = run_parity_trials(trials=50, ns=(1, 2, 3), seed=1)

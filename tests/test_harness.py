@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from simplexht import core
+from simplexht import core, dyadic
 from simplexht.continuous import eval_simplex_truncated
 from simplexht.core import (
     CellFunction,
@@ -464,6 +465,37 @@ class TestGrowthSweep:
         )
         estimates = [r.S for r in records]
         assert all(b >= a - 1e-9 for a, b in zip(estimates, estimates[1:]))
+
+    def test_degree_one_reaches_the_exact_maximum(self):
+        # At n=1 the XOR-zero tuples are (I, I), so a pairing is
+        # <F_0, h_I><F_1, h_I> with h_I the L^2-normalized Haar function;
+        # Cauchy-Schwarz and Bessel bound the sum of their absolute values
+        # by ||F_0||_2 ||F_1||_2 = 1, and one Haar function attains it.
+        records = growth_sweep(
+            "dyadic", 1, range(1, 7), HoelderExponents((2.0, 2.0)),
+            seeds=(0, 1, 2), side_exponent=6,
+        )
+        assert [r.abscissa for r in records] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        for r in records:
+            assert abs(r.S - 1.0) <= 1e-12
+
+    def test_holds_one_run_at_a_time(self, monkeypatch):
+        # 10 abscissae x 5 seeds x 2 slots of 2^12 doubles: 100 slot arrays
+        # of 32 KiB.  Keeping every run until the records are built peaks
+        # above their total; keeping each run's final value only does not.
+        n, L, seeds, top = 1, 12, range(5), 10
+        slot_bytes = 8 << L
+        monkeypatch.setattr(dyadic, "_plans", {})
+        tracemalloc.start()
+        try:
+            growth_sweep(
+                "dyadic", n, range(1, top + 1), HoelderExponents.geometric(n),
+                seeds=seeds, side_exponent=L, max_iter=2,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < top * len(seeds) * (n + 1) * slot_bytes
 
     def test_continuous_sweep_produces_positive_estimates(self):
         exps = HoelderExponents.geometric(1)
