@@ -212,7 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--n", type=int, required=True)
     sweep.add_argument("--m", default=None, help="dyadic scale counts, e.g. 1..4")
     sweep.add_argument(
-        "--octaves", default=None, help="continuous log2(R/r) values, e.g. 1..3"
+        "--octaves",
+        default=None,
+        help="continuous log2(R/r) values, e.g. 1..3; 0 up to the last whole "
+        "octave at which R is a finite double",
     )
     sweep.add_argument("--L", type=int, default=None, help="dyadic side exponent")
     sweep.add_argument("--seeds", type=int, default=5, help="seed count, 0..k-1")
@@ -379,6 +382,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _octave_bounds(base_radius: float) -> tuple:
+    """Octaves a continuous sweep admits: 0 up to the last whole octave
+    at which R = base_radius * 2**octave is a finite double."""
+    if not 0.0 < base_radius < math.inf:
+        raise CliError(f"--base-radius must be positive and finite, got {base_radius!r}")
+    top = min(1023, math.floor(math.log2(sys.float_info.max) - math.log2(base_radius)))
+    while math.isinf(base_radius * 2.0**top):
+        top -= 1
+    return (0, top)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     exps = _exponents_for(args, args.n)
     if args.seeds < 1:
@@ -394,7 +408,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         if args.octaves is None:
             raise CliError("continuous sweeps need --octaves")
-        abscissae = parse_range(args.octaves, integer=False)
+        bounds = _octave_bounds(args.base_radius)
+        abscissae = parse_range(args.octaves, integer=False, bounds=bounds)
     records = growth_sweep(
         args.model,
         args.n,

@@ -27,7 +27,9 @@ their gap is bounded by the L^1 norm of phi times the norm product.  phi
 jumps by 1/rho at |x| = rho for rho in {r, R}, so phi_l1 integrates each
 of (0, r), (r, R) and (R, 8R) with the closed form of its own side of the
 jumps, endpoints included, by adaptive_simpson, which evaluates every
-interval of one bisection level in one array call.
+interval of one bisection level in one array call.  adaptive_simpson is
+the one-integral call of adaptive_simpson_many, whose single bisection
+loop carries many integrals level by level, each on its own tree.
 """
 
 from __future__ import annotations
@@ -96,56 +98,76 @@ def residual_kernel_phi(x, trunc: TruncationRange):
     return out
 
 
-def adaptive_simpson(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float = 1e-10
-) -> float:
-    """Adaptive Simpson quadrature: interval bisection with Richardson stopping.
+def adaptive_simpson_many(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: Sequence[float],
+    b: Sequence[float],
+    tol: float = 1e-10,
+) -> np.ndarray:
+    """Adaptive Simpson quadrature of many integrals in one bisection loop.
 
-    f maps an array of abscissae to the array of integrand values.  The
-    bisection runs level by level: every interval still open at a depth
-    gets its two quarter points from one call of f.  An interval is
-    accepted when its two halves' Simpson sums differ from its own by at
-    most 15 eps, eps halving per level from tol, or at depth 48; it is
-    then worth left + right + delta/15.  The accepted values are summed
-    back up the tree, each interval as its left half plus its right half,
-    which is the recursion's own summation order, so for the same
-    integrand values the result is bit for bit the recursive one.  Each
-    level's doubles are charged to core.check_cells before its arrays are
-    built, so an integrand that never settles is refused with a
-    ValueError instead of filling memory.
+    Integral i runs from a[i] to b[i].  f(x, which) takes abscissae of
+    shape (rows, count) and the integral of each column, an integer array
+    of shape (count,), and returns the integrand values in the shape of x.
+    The bisection runs level by level over every integral at once: each
+    interval still open at a depth gets its two quarter points from one
+    call of f.  An interval is accepted when its two halves' Simpson sums
+    differ from its own by at most 15 eps, eps halving per level from tol,
+    or at depth 48; it is then worth left + right + delta/15.  Every
+    integral's root sits at level 0, so eps and the depth cap are the same
+    for all intervals of a level, and each integral keeps the tree it would
+    have alone.  The accepted values are summed back up each tree, every
+    interval as its left half plus its right half, which is the recursion's
+    own summation order, so for the same integrand values each integral is
+    bit for bit the recursive one.  A zero-length integral is 0.0 and f
+    never sees it.  Each level's doubles, counted over the intervals of all
+    integrals, are charged to core.check_cells before its arrays are built,
+    so an integrand that never settles is refused with a ValueError instead
+    of filling memory.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if a.shape != b.shape:
+        raise ValueError(f"{a.size} lower and {b.size} upper endpoints")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("adaptive_simpson needs finite endpoints")
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    if a == b:
-        return 0.0
+    result = np.zeros(a.size)
+    roots = np.flatnonzero(a != b)
+    if roots.size == 0:
+        return result
+    check_cells(_SIMPSON_DOUBLES * roots.size, "adaptive Simpson level 0")
 
-    def values(x: np.ndarray) -> np.ndarray:
-        return np.asarray(f(x), dtype=np.float64)
+    def values(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        out = f(x, owner.astype(np.intp))
+        return np.asarray(out, dtype=np.float64).reshape(x.shape)
 
-    mid = 0.5 * (a + b)
-    fa, fm, fb = values(np.array([a, mid, b]))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    # One column per open interval; rows lo, mid, hi, f(lo), f(mid), f(hi)
-    # and the interval's Simpson sum.
-    state = np.array([[a], [mid], [b], [fa], [fm], [fb], [whole]])
+    lo, hi = a[roots], b[roots]
+    ends = np.array([lo, 0.5 * (lo + hi), hi])
+    owner = roots.astype(np.float64)
+    fa, fm, fb = values(ends, owner)
+    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
+    # One column per open interval; rows lo, mid, hi, f(lo), f(mid), f(hi),
+    # the interval's Simpson sum and its integral's index (exact as a float).
+    state = np.concatenate([ends, [fa, fm, fb, whole, owner]])
     eps, depth = tol, 48
     levels = []  # (each interval's accepted value, which intervals split)
     while True:
-        lo, mid, hi, flo, fmid, fhi, whole = state
+        lo, mid, hi, flo, fmid, fhi, whole, owner = state
         quarter = 0.5 * (state[0:2] + state[1:3])
-        fquarter = values(quarter.ravel()).reshape(quarter.shape)
+        fquarter = values(quarter, owner)
         # The left and right halves' Simpson sums.
         halves = (state[1:3] - state[0:2]) / 6.0 * (
             state[3:5] + 4.0 * fquarter + state[4:6]
         )
         left, right = halves
-        delta = left + right - whole
+        both = left + right
+        delta = both - whole
         split = ~(np.abs(delta) <= 15.0 * eps)
         if depth <= 0:
             split[:] = False
-        levels.append((left + right + delta / 15.0, split))
+        levels.append((both + delta / 15.0, split))
         count = 2 * np.count_nonzero(split)
         if count == 0:
             break
@@ -154,18 +176,33 @@ def adaptive_simpson(
         flm, frm = fquarter
         children = np.array(
             [
-                [lo, lm, mid, flo, flm, fmid, left],
-                [mid, rm, hi, fmid, frm, fhi, right],
+                [lo, lm, mid, flo, flm, fmid, left, owner],
+                [mid, rm, hi, fmid, frm, fhi, right, owner],
             ]
         )
         # Each split interval's left then right half, in interval order.
-        state = children[:, :, split].transpose(1, 2, 0).reshape(7, count)
+        state = children[:, :, split].transpose(1, 2, 0).reshape(8, count)
         eps, depth = eps / 2.0, depth - 1
     total = levels[-1][0]
     for value, split in reversed(levels[:-1]):
         value[split] = total[0::2] + total[1::2]
         total = value
-    return float(total[0])
+    result[roots] = total
+    return result
+
+
+def adaptive_simpson(
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float = 1e-10
+) -> float:
+    """Adaptive Simpson quadrature of f over [a, b]: adaptive_simpson_many on one integral.
+
+    f maps a 1-d array of abscissae to the array of integrand values; every
+    interval open at a bisection level gets its quarter points from one call
+    of f, and the result is bit for bit the recursive quadrature's.
+    """
+    return float(
+        adaptive_simpson_many(lambda x, which: f(x.ravel()), [a], [b], tol)[0]
+    )
 
 
 def phi_l1(trunc: TruncationRange, tol: float = 1e-10) -> float:

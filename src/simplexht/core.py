@@ -26,7 +26,7 @@ MAX_CELLS_PER_AXIS = 128
 # degree-3 cycle on the default 32**3 grid, 4 octaves, took 3.4 s on 2 vCPUs.
 MAX_CONTINUOUS_SWEEP_DEGREE = 2
 # Highest degree `verify --suite dyadic --n` accepts: beyond it the budget
-# admits n=6 at L=3, whose largest case alone holds 2**26 int64 cells.
+# admits n=6 at L=3, whose largest case alone holds 2**26 cells.
 MAX_VERIFY_DEGREE = 3
 
 

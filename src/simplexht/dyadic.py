@@ -517,6 +517,21 @@ def telescoping_cells(n: int, k: int, l: int, L: int) -> int:
     return (1 << (L - l + 1)) ** (2 * n - k + 2)
 
 
+def _telescoping_dtype(n: int, k: int) -> np.dtype:
+    """Narrowest signed integer type that holds 2^{n-k+3}.
+
+    One tuple owns each block, so |lhs| and |rhs| are at most 2^{n-k+2}
+    on every cell of verify_dyadic_telescoping, and their difference at
+    most 2^{n-k+3}.  That is int8 for every size `verify` admits.
+    """
+    bound = 1 << (n - k + 3)
+    return next(
+        np.dtype(t)
+        for t in (np.int8, np.int16, np.int32, np.int64)
+        if np.iinfo(t).max >= bound
+    )
+
+
 def verify_dyadic_telescoping(n: int, k: int, l: int, L: int) -> int:
     """Exact discrepancy of the two-scale Haar/indicator splitting identity.
 
@@ -535,9 +550,17 @@ def verify_dyadic_telescoping(n: int, k: int, l: int, L: int) -> int:
     A scale-l interval covers two scale-(l-1) blocks, so each tuple's left
     terms live on its own block of 2^{2n-k+2} cells and form the same small
     tensor for every tuple; it is added on every tuple's block at once.  The
-    right side is built over the whole grid, and the sides are compared on
-    every cell.  Returns the maximum absolute difference, computed in integer
-    arithmetic; the identity holds exactly, so anything but 0 is a failure.
+    right side is nonzero only on the cells of scale-(l-1) tuples, where
+    both copies of a doubled variable share a block; those tuples are read
+    off an XOR mask over one axis per variable, and the right side is
+    subtracted there.  The sides are then compared on every cell.  One
+    tuple owns each block, so both sides are at most 2^{n-k+2} in
+    magnitude and their difference at most 2^{n-k+3}: the grid is held in
+    the narrowest signed integer type that holds that bound (int8 for every
+    size `verify` admits, one byte a cell), and the block indices in the
+    narrowest type that holds them.  Returns the maximum absolute
+    difference as a Python int; the identity holds exactly, so anything but
+    0 is a failure.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -552,13 +575,14 @@ def verify_dyadic_telescoping(n: int, k: int, l: int, L: int) -> int:
     B = 1 << (L - l + 1)       # scale-(l-1) blocks per axis
     n_axes = 2 * n - k + 2
     check_cells(telescoping_cells(n, k, l, L), f"telescoping n={n} k={k} l={l} L={L}")
+    dtype = _telescoping_dtype(n, k)
     # The variable of each axis: x_i for i < k, x_i^{(0)} and x_i^{(1)} after.
     owner = [i for i in range(n + 1) for _ in range(1 if i < k else 2)]
 
     # One tuple's terms on its block: Haar [1, -1] and indicator [1, 1] on
     # the halves of a single axis, their pair factors on doubled axes.
-    haar = np.array([1, -1], dtype=np.int64)
-    ind = np.array([1, 1], dtype=np.int64)
+    haar = np.array([1, -1], dtype=dtype)
+    ind = np.array([1, 1], dtype=dtype)
     mixed = np.multiply.outer(ind, haar) + np.multiply.outer(haar, ind)
     matched = np.multiply.outer(ind, ind) + np.multiply.outer(haar, haar)
     doubled = n - k + 1
@@ -567,23 +591,20 @@ def verify_dyadic_telescoping(n: int, k: int, l: int, L: int) -> int:
 
     # lhs viewed as (block per axis.., half per axis..).  Distinct tuples
     # own distinct blocks, so the fancy index repeats no cell.
-    lhs = np.zeros((B,) * n_axes, dtype=np.int64)
+    lhs = np.zeros((B,) * n_axes, dtype=dtype)
     blocks = lhs.reshape((nb, 2) * n_axes).transpose(
         tuple(range(0, 2 * n_axes, 2)) + tuple(range(1, 2 * n_axes, 2))
     )
     blocks[tuple(_tuple_index_array(l, L, n)[:, owner].T)] += local
 
-    # rhs is subtracted in place, so about two arrays of the checked size
-    # are alive at once.
-    coarse = np.ix_(*[np.arange(B, dtype=np.int64)] * n_axes)
-    xor_total, rhs = 0, 1 << (n - k + 2)
-    for i in range(n + 1):
-        axis = owner.index(i)
-        xor_total = xor_total ^ coarse[axis]
-        if i >= k:
-            rhs = rhs * (coarse[axis] == coarse[axis + 1])
-    lhs -= rhs * (xor_total == 0)
-    return int(max(lhs.max(), -lhs.min()))
+    # The right side is 2^{n-k+2} on the cell of every scale-(l-1) tuple,
+    # with both copies of a doubled variable on its block, and 0 elsewhere.
+    # The tuples are the zeros of the XOR mask over one axis per variable.
+    index = np.arange(B, dtype=np.min_scalar_type(B - 1))
+    xor_total = functools.reduce(np.bitwise_xor, np.ix_(*[index] * (n + 1)))
+    coarse = np.nonzero(xor_total == 0)
+    lhs[tuple(coarse[i] for i in owner)] -= dtype.type(1 << (n - k + 2))
+    return max(int(lhs.max()), -int(lhs.min()))
 
 
 def run_telescoping_suite(

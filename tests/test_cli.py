@@ -353,6 +353,16 @@ class TestCellBudget:
             (["--model", "continuous", "--octaves", "1..inf"], "non-finite"),
             (["--model", "dyadic", "--L", "3", "--m", "1..100000000"], "reaches outside 1..3"),
             (["--model", "dyadic", "--L", "3", "--m", "1..5"], "reaches outside 1..3"),
+            (["--model", "continuous", "--octaves", "1..2000"], "reaches outside 0..1023"),
+            (["--model", "continuous", "--octaves", "1..1e17"], "reaches outside 0..1023"),
+            (
+                ["--model", "continuous", "--octaves", "1..30", "--base-radius", "1e300"],
+                "reaches outside 0..27",
+            ),
+            (
+                ["--model", "continuous", "--octaves", "1..2", "--base-radius", "0"],
+                "--base-radius must be positive and finite",
+            ),
         ],
     )
     def test_sweep_range_refused_before_expansion(self, tmp_path, capsys, flags, message):
@@ -363,6 +373,18 @@ class TestCellBudget:
         assert code == 2
         assert message in err
         assert out == "" and not out_csv.exists()
+
+    @pytest.mark.parametrize("base_radius", [1.0, 2.0, 0.5, 1e-300, 5e-324, 1e300, 1.7e308])
+    def test_octave_bounds_end_at_the_last_finite_radius(self, base_radius):
+        low, top = cli._octave_bounds(base_radius)
+        assert low == 0
+        assert math.isfinite(base_radius * 2.0**top)
+        assert top == 1023 or math.isinf(base_radius * 2.0 ** (top + 1))
+
+    def test_growth_workload_octaves_stay_admitted(self):
+        assert cli.parse_range("1..4", integer=False, bounds=cli._octave_bounds(1.0)) == [
+            1.0, 2.0, 3.0, 4.0
+        ]
 
     def test_dyadic_sweep(self, tmp_path, capsys):
         out_csv = tmp_path / "never.csv"

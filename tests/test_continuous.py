@@ -16,6 +16,7 @@ from simplexht.continuous import (
     DilationParams,
     QuadratureSpec,
     adaptive_simpson,
+    adaptive_simpson_many,
     dilate,
     eval_simplex_truncated,
     eval_smooth_form,
@@ -234,6 +235,94 @@ class TestAdaptiveSimpson:
             tracemalloc.stop()
         assert max(widest) == 2**16
         assert peak <= 8 * core.MAX_CELLS
+
+
+def jump_at_a_third(x):
+    # The interval holding the jump never settles: its delta shrinks with
+    # its width, as fast as eps does, so it splits down to the depth cap.
+    return np.where(np.asarray(x) > 1.0 / 3.0, 1.0, 0.0)
+
+
+class TestAdaptiveSimpsonMany:
+    # (integrand, a, b): settles at once, a few levels down, deep, reversed,
+    # and at the depth cap.
+    integrals = [
+        (lambda x: x**2, 0.0, 1.0),
+        (lambda x: 4.0 / (1.0 + x * x), 0.0, 1.0),
+        (gaussian, -6.0, 6.0),
+        (lambda x: x**2, 1.0, 0.0),
+        (jump_at_a_third, 0.0, 1.0),
+    ]
+
+    @staticmethod
+    def batched(funcs, calls=None):
+        def f(x, which):
+            if calls is not None:
+                calls.append(which.copy())
+            out = np.empty_like(x)
+            for i, g in enumerate(funcs):
+                cols = which == i
+                out[:, cols] = g(x[:, cols])
+            return out
+
+        return f
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_each_integral_matches_its_own_recursion(self, tol):
+        funcs, a, b = zip(*self.integrals)
+        calls = []
+        values = adaptive_simpson_many(self.batched(funcs, calls), a, b, tol)
+        expected = [brute_adaptive_simpson(*case, tol) for case in self.integrals]
+        assert [v.hex() for v in values.tolist()] == [v.hex() for v in expected]
+        # The root call, then one call per level down to depth 48, which
+        # only the jump reaches.
+        assert len(calls) == 50
+        assert set(calls[-1].tolist()) == {4}
+
+    def test_zero_length_integral_is_zero_without_calling_f(self):
+        calls = []
+        funcs = [gaussian, np.sin, gaussian]
+        values = adaptive_simpson_many(
+            self.batched(funcs, calls), [0.0, 2.0, -1.0], [1.0, 2.0, 1.0]
+        )
+        assert values[1] == 0.0
+        assert all(1 not in which for which in calls)
+        assert values[0].hex() == brute_adaptive_simpson(gaussian, 0.0, 1.0).hex()
+
+        def never(x, which):
+            raise AssertionError("f called for zero-length integrals")
+
+        assert adaptive_simpson_many(never, [2.0, 3.0], [2.0, 3.0]).tolist() == [0.0, 0.0]
+
+    def test_rejects_mismatched_or_infinite_endpoints(self):
+        with pytest.raises(ValueError, match="2 lower and 1 upper"):
+            adaptive_simpson_many(lambda x, w: x, [0.0, 1.0], [1.0])
+        with pytest.raises(ValueError, match="finite endpoints"):
+            adaptive_simpson_many(lambda x, w: x, [0.0, 1.0], [1.0, math.inf])
+
+    def test_cell_budget_counts_the_intervals_of_all_integrals(self, monkeypatch):
+        # Alone, a never-settling integral is refused at level 16 under this
+        # budget (see TestAdaptiveSimpson); four at once hold four times as
+        # many intervals per level and are refused two levels sooner.
+        monkeypatch.setattr(core, "MAX_CELLS", 2**20)
+        widest = []
+
+        def never_settles(x, which):
+            widest.append(x.shape[1])
+            return np.full(x.shape, np.nan)
+
+        with pytest.raises(ValueError, match="adaptive Simpson level 14 needs"):
+            adaptive_simpson_many(never_settles, [0.0] * 4, [1.0] * 4)
+        assert max(widest) == 4 * 2**13
+
+    def test_cell_budget_refuses_the_roots_before_calling_f(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_CELLS", 3 * continuous._SIMPSON_DOUBLES - 1)
+
+        def never(x, which):
+            raise AssertionError("f called before the budget check")
+
+        with pytest.raises(ValueError, match="adaptive Simpson level 0 needs 96 cells"):
+            adaptive_simpson_many(never, [0.0] * 3, [1.0] * 3)
 
 
 class TestPhiL1:

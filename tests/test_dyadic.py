@@ -508,7 +508,9 @@ class TestScalePlan:
 
 class TestTelescoping:
     @pytest.mark.parametrize(
-        "n,k,l,L", [(1, 1, 2, 2), (2, 1, 2, 3), (2, 2, 2, 2), (3, 2, 2, 3)]
+        "n,k,l,L",
+        # (5, 1) and (6, 1) hold their grid in int16.
+        [(1, 1, 2, 2), (2, 1, 2, 3), (2, 2, 2, 2), (3, 2, 2, 3), (5, 1, 2, 2), (6, 1, 2, 2)],
     )
     def test_identity_exact(self, n, k, l, L):
         assert verify_dyadic_telescoping(n, k, l, L) == 0
@@ -556,9 +558,8 @@ class TestTelescoping:
         )
         assert verify_dyadic_telescoping(2, 1, 2, 3) > 0
 
-    @pytest.mark.parametrize("n,k,l,L", [(1, 1, 2, 3), (2, 1, 2, 3), (2, 2, 2, 3)])
-    @pytest.mark.parametrize("rows", ["full", "dropped", "not-xor-zero"])
-    def test_matches_pointwise_oracle(self, monkeypatch, n, k, l, L, rows):
+    @staticmethod
+    def check_against_oracle(monkeypatch, n, k, l, L, rows):
         # Every size has two scale-l blocks per axis, so flipping the low
         # bit of a row's m_0 keeps it on the grid.
         idx = dyadic._tuple_index_array(l, L, n).copy()
@@ -570,6 +571,62 @@ class TestTelescoping:
         expected = brute_telescoping_discrepancy(n, k, l, L, idx)
         assert verify_dyadic_telescoping(n, k, l, L) == expected
         assert (expected == 0) == (rows == "full")
+
+    @pytest.mark.parametrize("n,k,l,L", [(1, 1, 2, 3), (2, 1, 2, 3), (2, 2, 2, 3)])
+    @pytest.mark.parametrize("rows", ["full", "dropped", "not-xor-zero"])
+    def test_matches_pointwise_oracle(self, monkeypatch, n, k, l, L, rows):
+        self.check_against_oracle(monkeypatch, n, k, l, L, rows)
+
+    @pytest.mark.parametrize("rows", ["dropped", "not-xor-zero"])
+    def test_matches_pointwise_oracle_at_degree_three(self, monkeypatch, rows):
+        # At n=3 the int8 grid holds the largest sides `verify` checks:
+        # |lhs|, |rhs| <= 2^{n-k+2} = 8 here.
+        self.check_against_oracle(monkeypatch, 3, 2, 2, 3, rows)
+
+    def test_narrow_type_holds_the_difference_bound(self):
+        # Every (n, k) whose smallest case, l = L = 2, fits the cell budget.
+        admitted = [
+            (n, k)
+            for n in range(1, 40)
+            for k in range(1, n + 1)
+            if dyadic.telescoping_cells(n, k, 2, 2) <= core.MAX_CELLS
+        ]
+        widths = set()
+        for n, k in admitted:
+            dtype = dyadic._telescoping_dtype(n, k)
+            widths.add(dtype.itemsize)
+            bound = 1 << (n - k + 3)
+            assert np.iinfo(dtype).max >= bound
+            narrower = {1: None, 2: np.int8, 4: np.int16, 8: np.int32}[dtype.itemsize]
+            assert narrower is None or np.iinfo(narrower).max < bound
+            if n <= core.MAX_VERIFY_DEGREE:
+                assert dtype == np.int8
+        # n - k + 3 reaches 14 at n = 12, k = 1, the largest degree admitted.
+        assert widths == {1, 2}
+
+    def test_grid_is_held_in_the_narrow_type(self, monkeypatch):
+        made = []
+        zeros = np.zeros
+
+        def recording(shape, dtype=float, **kwargs):
+            made.append((shape, np.dtype(dtype)))
+            return zeros(shape, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", recording)
+        assert verify_dyadic_telescoping(3, 1, 2, 4) == 0
+        assert made == [((8,) * 7, np.dtype(np.int8))]
+
+    def test_suite_rows_match_golden_values(self):
+        # The default suite's rows, captured before the grid narrowed.
+        expected = [
+            dict(n=n, k=k, l=l, L=L, discrepancy=0)
+            for n in (1, 2, 3)
+            for L in (2, 3, 4)
+            for k in range(1, n + 1)
+            for l in range(2, L + 1)
+        ]
+        assert len(expected) == 36
+        assert run_telescoping_suite() == expected
 
     def test_suite_reports_all_cases(self):
         report = run_telescoping_suite(ns=(1, 2), side_exponents=(2, 3))

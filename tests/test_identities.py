@@ -32,6 +32,8 @@ from simplexht.identities import (
     _combined_integrand,
 )
 
+from simplexht import identities
+
 from helpers import brute_adaptive_simpson
 
 
@@ -229,21 +231,48 @@ class TestFtc:
             check_ftc(point, params, TruncationRange(0.5, 8.0))
 
 
+def scalar_domination(x: float) -> float:
+    # The integrands of check_domination's docstring, one scalar at a time.
+    ax = abs(x)
+    if ax <= 1.0:
+        denominator = brute_adaptive_simpson(
+            lambda u: u**3 * float(gaussian(ax * u)), 0.0, 1.0
+        )
+    else:
+        denominator = brute_adaptive_simpson(
+            lambda v: v**3 * float(gaussian(v)), 0.0, min(ax, 8.0)
+        ) / ax**4
+    return abs(float(gaussian_deriv(x))) / denominator
+
+
 class TestDomination:
     @pytest.mark.parametrize("x", [0.3, 1.0, 2.5, 9.9])
     def test_matches_scalar_recursion(self, x):
-        # The integrands of the docstring, one scalar at a time.
-        ax = abs(x)
-        if ax <= 1.0:
-            denominator = brute_adaptive_simpson(
-                lambda u: u**3 * float(gaussian(ax * u)), 0.0, 1.0
-            )
-        else:
-            denominator = brute_adaptive_simpson(
-                lambda v: v**3 * float(gaussian(v)), 0.0, min(ax, 8.0)
-            ) / ax**4
-        expected = abs(float(gaussian_deriv(x))) / denominator
-        assert check_domination(x).hex() == expected.hex()
+        assert check_domination(x).hex() == scalar_domination(x).hex()
+
+    def test_suite_grid_matches_scalar_recursion(self):
+        # All 201 points of run_analytic_suite in one call; with an array
+        # |x|**4 eight of them would differ in the last bit.
+        xs = np.arange(-10.0, 10.0 + 1e-9, 0.1)
+        assert [r.hex() for r in check_domination(xs).tolist()] == [
+            scalar_domination(x).hex() for x in xs.tolist()
+        ]
+
+    def test_array_equals_the_scalar_calls(self):
+        xs = np.arange(-10.0, 10.0 + 1e-9, 0.1)
+        ratios = check_domination(xs)
+        assert ratios.shape == xs.shape
+        assert [r.hex() for r in ratios.tolist()] == [
+            check_domination(float(x)).hex() for x in xs
+        ]
+
+    def test_scalar_gives_a_float(self):
+        assert type(check_domination(0.5)) is float
+        assert type(check_domination(np.float64(0.5))) is float
+
+    def test_rejects_a_two_dimensional_array(self):
+        with pytest.raises(ValueError, match="1-d array"):
+            check_domination(np.zeros((2, 2)))
 
     def test_regression_baseline(self):
         xs = np.arange(-2.0, 2.0 + 1e-9, 0.01)
@@ -514,3 +543,50 @@ class TestAnalyticSuite:
 
     def test_deterministic(self):
         assert run_analytic_suite(seed=5) == run_analytic_suite(seed=5)
+
+    # (check, samples, max_discrepancy as float.hex) per seed, captured
+    # before the domination integrals were batched into one quadrature.
+    GOLDEN = {
+        0: [
+            ("fourier_pair", 25, "0x1.801554bda99c6p-48"),
+            ("convolution", 21, "0x1.7590000000000p-42"),
+            ("domination", 201, "0x0.0p+0"),
+            ("poly_identity", 2000, "0x1.71d91f240de18p-43"),
+            ("ftc", 20, "0x1.03c8c9ac80000p-35"),
+            ("single_scale", 18, "0x0.0p+0"),
+        ],
+        1: [
+            ("fourier_pair", 25, "0x1.801554bda99c6p-48"),
+            ("convolution", 21, "0x1.7590000000000p-42"),
+            ("domination", 201, "0x0.0p+0"),
+            ("poly_identity", 2000, "0x1.a7b33505ac7d8p-43"),
+            ("ftc", 20, "0x1.15f6db4dfb732p-32"),
+            ("single_scale", 18, "0x0.0p+0"),
+        ],
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_reports_match_golden_values(self, seed):
+        report = run_analytic_suite(seed)
+        assert [
+            (e["check"], e["samples"], e["max_discrepancy"].hex()) for e in report
+        ] == self.GOLDEN[seed]
+        assert all(e["pass"] is True for e in report)
+
+    def test_largest_domination_ratio_matches_golden_value(self):
+        # The suite reports the ratio's excess over the bound, which is 0;
+        # the largest of its 201 ratios, captured with the report above.
+        xs = np.arange(-10.0, 10.0 + 1e-9, 0.1)
+        assert float(np.max(check_domination(xs))).hex() == "0x1.3eea7496dc218p+3"
+
+    def test_domination_is_one_call_per_pass(self, monkeypatch):
+        calls = []
+        original = identities.check_domination
+
+        def counted(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(identities, "check_domination", counted)
+        run_analytic_suite(0)
+        assert calls == [(201,)]
