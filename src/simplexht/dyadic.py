@@ -13,23 +13,31 @@ unit cells; scales run l = 1..m so Haar halves align with unit cells.
 Batched contractions: at scale l each grid splits into blocks of side 2^l,
 and a tuple selects one block per function; the tuples biject onto the
 blocks of each function.  Plans are built once per (n, L, scale): the
-XOR-zero tuples, one flat gather index per function, the Haar sign
-tensors and each slot's contraction steps.  One fancy index on the raveled
-values gathers a function's block for every tuple, and the same index
-scatters a slot gradient back.  The plan cache keeps no more index cells
-than core.MAX_CELLS, so a large grid rebuilds its plans instead of
-keeping one index per function and scale.
+XOR-zero tuples and one flat gather index per function.  One fancy index
+on the raveled values gathers a function's block for every tuple, and the
+same index scatters a slot gradient back.  Each slot's steps, built on the
+slot's first call, hold its signed gather indices.  The cache keeps no
+more index cells than core.MAX_CELLS, so a large grid rebuilds its plans
+instead of keeping one index per function and scale.
 
-The Haar signs factor out of every integrand.  Slot s's per-tuple kernel
-is the outer sign tensor of the other n variables times the sign-free sum
-over x_s of h(x_s) times the other n blocks; h(x_s) is folded into one of
-those blocks, and the sum is one batched matmul (at n >= 3, one per x_last
-slice, so no intermediate outgrows one grid); no step calls np.einsum.
-The kernel's inner product with the slot's own block is the tuple's
-pairing, so pairings and slot gradients come from the same pass.  The sup,
-the form, the gradient and the aux majorant all read the per-scale plan,
-with no loop over tuples.  Per-scale results are reduced in a fixed order,
-scales in increasing order, so evaluations are deterministic.
+Sign-doubled gathers: slot s's per-tuple kernel sums over x_s the product
+of the other n blocks and the Haar signs of all n+1 variables.  Every sign
+is a +-1 factor on a variable some operand block holds, and multiplying
+by +-1 commutes with rounding, so each sign is folded into one operand's
+gather: a call doubles each function's values once into [F, -F], and a
+signed index reads the negated half wherever the signs its operand
+carries multiply to -1.  The kernel is then gather, gather and one batched
+matmul (at n >= 3, one per x_last slice, so no intermediate outgrows one
+grid); only at n = 1, where no operand holds the kernel's own variable,
+does a sign vector multiply the kernel.  Its bits are those of a kernel
+that multiplies the signs in, but for the sign of a zero, which the
+gradient's zero-initialised sum erases and the pairing sign test ignores.
+No step calls np.einsum.  The kernel's inner product with the
+slot's own block is the tuple's pairing, so pairings and slot gradients
+come from the same pass.  The sup, the form, the gradient and the aux
+majorant all read the per-scale plan, with no loop over tuples.  Per-scale
+results are reduced in a fixed order, scales in increasing order, so
+evaluations are deterministic.
 
 Tuples exist here only as rows of integer indices, never as objects: the
 plans, the coefficient keys, the telescoping check and the parity rule all
@@ -107,30 +115,46 @@ def _gather_index(
 
 @dataclass(frozen=True, eq=False)
 class _SlotSteps:
-    """One slot's sign-free kernel: a product of blocks, then one matmul.
+    """One slot's kernel: gather, gather, one matmul.
 
-    The kernel of slot s sums over x_s the product of h(x_s) and the other
-    n blocks.  Operands are viewed in the full layout (tuple, x_0, .., x_n,
+    The kernel of slot s sums over x_s the product of the other n blocks
+    and the Haar signs of all n+1 variables.  Each sign is a +-1 factor on
+    a variable that some operand block holds, and multiplying by +-1
+    commutes with rounding, so it rides on that operand's gather: every
+    operand reads the sign-doubled values [F, -F] of its function, and an
+    index at or above the grid size reads -F.  owners[v] is the operand
+    block whose gather carries x_v's sign, the lowest one that holds x_v.
+    At n = 1 no operand holds the kernel's own variable, so its owner is
+    None and its sign vector multiplies the kernel.
+
+    Indices are laid out from the full layout (tuple, x_0, .., x_n,
     spare), where block i has a unit axis at x_i and the spare unit axis
-    stands in for a matmul dimension an operand lacks.  `signs` (h(x_s)
-    in the left operand's layout) times the `folded` blocks, transposed by
-    `left_axes`, is the left operand; block `last`, transposed by
-    `right_axes`, is the right one; their batched matmul sums over x_s.
-    At n >= 3 the product would hold every variable, so it is built and
-    contracted one x_last slice at a time (`chunked`) and no intermediate
-    outgrows one grid.  `shape` is the kernel's shape when not chunked.
+    stands in for a matmul dimension an operand lacks.  left[k] gathers
+    block folded[k] transposed by `left_axes` to (tuple, .., row, x_s),
+    C-contiguous, and the product of those blocks is the left operand (a
+    row of ones at n = 1, where none is folded).  `right` gathers block
+    `last` transposed by `right_axes` to (tuple, .., x_s, col).  Their
+    batched matmul sums over x_s.  At n >= 3 the product would hold every
+    variable, so it is built and contracted one x_last slice at a time
+    (`chunked`) and no intermediate outgrows one grid.  `shape` is the
+    kernel's shape when not chunked; the kernel's axes are the own
+    block's.
     """
 
-    signs: np.ndarray
     folded: tuple
+    left: tuple
     last: int
+    right: np.ndarray
+    owners: tuple
     left_axes: tuple
     right_axes: tuple
     chunked: bool
     shape: tuple
 
 
-def _slot_steps(n: int, slot: int, signs: np.ndarray) -> _SlotSteps:
+def _build_slot_steps(plan: _ScalePlan, slot: int) -> _SlotSteps:
+    n = len(plan.gather) - 1
+    cell, grid = len(plan.signs), plan.gather[0].size
     variables = set(range(n + 1))
     others = sorted(variables - {slot})
     last, folded = others[0], tuple(others[1:])
@@ -149,18 +173,44 @@ def _slot_steps(n: int, slot: int, signs: np.ndarray) -> _SlotSteps:
     units = set(range(1, n + 3)) - set(batch) - {1 + slot}
     left_axes = (0, *sorted(units - {row_axis}), *batch, row_axis, 1 + slot)
     right_axes = (0, *sorted(units - {col_axis}), *batch, 1 + slot, col_axis)
-    cell = len(signs)
-    full_signs = signs.reshape(
-        (1,) + tuple(cell if v == slot else 1 for v in range(n + 1)) + (1,)
-    )
+    owners = tuple(min(set(others) - {v}, default=None) for v in range(n + 1))
+    negative = plan.signs < 0.0
+
+    def signed(i: int, axes: tuple) -> np.ndarray:
+        # Block i in the full layout, its index moved into the negated half
+        # wherever the product of the signs it carries is -1, then viewed
+        # in `axes`.  A gather keeps its index's memory order.
+        full = plan.gather[i].reshape(
+            (-1,) + tuple(1 if v == i else cell for v in range(n + 1)) + (1,)
+        )
+        flips = [
+            negative.reshape((1,) * (1 + v) + (cell,) + (1,) * (n + 1 - v))
+            for v in variables
+            if owners[v] == i
+        ]
+        flip = functools.reduce(np.logical_xor, flips, False)
+        return (full + grid * flip).transpose(axes)
+
+    chunked = len(folded) >= 2
+    left = tuple(np.ascontiguousarray(signed(i, left_axes)) for i in folded)
+    # OpenBLAS picks its gemm kernel by the operands' memory order, and its
+    # kernels round differently, so at n <= 2 the right operand keeps block
+    # `last`'s own order; every x_last slice at n >= 3 reads it contiguous.
+    right = signed(last, right_axes)
+    if chunked:
+        right = np.ascontiguousarray(right)
+    for arr in (*left, right):
+        arr.flags.writeable = False
     held = product_vars | last_vars
     return _SlotSteps(
-        signs=full_signs.transpose(left_axes),
         folded=folded,
+        left=left,
         last=last,
+        right=right,
+        owners=owners,
         left_axes=left_axes,
         right_axes=right_axes,
-        chunked=len(folded) >= 2,
+        chunked=chunked,
         shape=(-1,) + tuple(cell if v in held else 1 for v in others),
     )
 
@@ -169,58 +219,69 @@ def _slot_steps(n: int, slot: int, signs: np.ndarray) -> _SlotSteps:
 class _ScalePlan:
     """What one scale's contractions need beyond the function values.
 
-    idx holds the XOR-zero tuples, shape (T, n+1), rows lexicographic over
-    m_1..m_n.  gather[i] is function i's flat cell index for every tuple,
-    shape (T, 2^l, .., 2^l) (see _gather_index): a permutation of the grid
-    that gathers its blocks and scatters a slot gradient back.
-    full_shapes[i] views function i's gathered block in the full layout of
-    _SlotSteps, and steps[s] is slot s's contraction.  outer, shape
-    (2^l,)*n, is the product of n variables' Haar signs: every slot's
-    kernel carries the signs of all variables but its own, so outer signs
-    each of them.  signs is one variable's Haar sign vector.  aux_paths
-    keeps eval_dyadic_aux's einsum contraction path for each k, found on
-    the first aux call at that k.
+    key is (n, L, scale).  idx holds the XOR-zero tuples, shape (T, n+1),
+    rows lexicographic over m_1..m_n.  gather[i] is function i's flat cell
+    index for every tuple, shape (T, 2^l, .., 2^l) (see _gather_index): a
+    permutation of the grid that gathers its blocks unsigned (a slot's own
+    block, the aux majorant's operands) and scatters a slot gradient back.
+    Each slot's signed gathers live apart from the plan, in the _SlotSteps
+    built on the slot's first call, and are cached and charged to the
+    budget as an entry of their own.  signs is one variable's Haar sign
+    vector.  aux_paths keeps eval_dyadic_aux's einsum contraction path for
+    each k, found on the first aux call at that k.
     """
 
+    key: tuple
     idx: np.ndarray
     gather: tuple
-    full_shapes: tuple
-    steps: tuple
-    outer: np.ndarray
     signs: np.ndarray
     weight: float
     aux_paths: dict = field(default_factory=dict)
 
 
-def _index_cells(degree: int, side_exponent: int) -> int:
-    """Cells of one plan's gather indices: one grid per function."""
-    return (degree + 1) << (side_exponent * degree)
+def _index_cells(key: tuple) -> int:
+    """Index cells of one cached entry, one grid per gather index.
+
+    A scale plan, keyed (n, L, scale), holds n+1 unsigned gathers; a
+    slot's steps, keyed (n, L, scale, slot), hold n signed ones.
+    """
+    n, L = key[:2]
+    return (n + 1 if len(key) == 3 else n) << (L * n)
 
 
-# Plans by (n, L, scale), least recently used first.
-_plans: dict[tuple[int, int, int], _ScalePlan] = {}
+# Scale plans by (n, L, scale) and slot steps by (n, L, scale, slot), least
+# recently used first.
+_plans: dict[tuple, object] = {}
+
+
+def _cached(key: tuple, what: str, build):
+    """The entry under key, built once and kept while the budget allows.
+
+    An entry's index cells are charged to core.check_cells before it is
+    built.  The cache drops its least recently used entries until the
+    indices of every entry it keeps fit core.MAX_CELLS together, the most
+    one entry may hold, so a sweep over many scales of a large grid
+    rebuilds entries instead of keeping one grid per function and scale.
+    """
+    entry = _plans.pop(key, None)
+    if entry is None:
+        cells = _index_cells(key)
+        check_cells(cells, what)
+        room = core.MAX_CELLS - cells
+        while _plans and sum(_index_cells(k) for k in _plans) > room:
+            del _plans[next(iter(_plans))]
+        entry = build()
+    _plans[key] = entry
+    return entry
 
 
 def _scale_plan(degree: int, side_exponent: int, scale: int) -> _ScalePlan:
-    """The plan of one scale, built once and kept while the budget allows.
-
-    A plan's gather indices are charged to core.check_cells before it is
-    built.  The cache drops its least recently used plans until the
-    indices of every plan it keeps fit core.MAX_CELLS together, the most
-    one plan may hold, so a sweep over many scales of a large grid
-    rebuilds plans instead of keeping one grid per function and scale.
-    """
-    key = (degree, side_exponent, scale)
-    plan = _plans.pop(key, None)
-    if plan is None:
-        cells = _index_cells(degree, side_exponent)
-        check_cells(cells, f"gather index n={degree} L={side_exponent} l={scale}")
-        room = core.MAX_CELLS - cells
-        while _plans and sum(_index_cells(n, L) for n, L, _ in _plans) > room:
-            del _plans[next(iter(_plans))]
-        plan = _build_scale_plan(degree, side_exponent, scale)
-    _plans[key] = plan
-    return plan
+    """The plan of one scale, cached by _cached."""
+    return _cached(
+        (degree, side_exponent, scale),
+        f"gather index n={degree} L={side_exponent} l={scale}",
+        lambda: _build_scale_plan(degree, side_exponent, scale),
+    )
 
 
 def _build_scale_plan(degree: int, side_exponent: int, scale: int) -> _ScalePlan:
@@ -228,16 +289,19 @@ def _build_scale_plan(degree: int, side_exponent: int, scale: int) -> _ScalePlan
     idx = _tuple_index_array(scale, side_exponent, n)
     gather = tuple(_gather_index(idx, i, side_exponent, scale) for i in range(n + 1))
     signs = _haar_signs(scale)
-    outer = functools.reduce(np.multiply.outer, [signs] * n)
-    for arr in (idx, signs, outer, *gather):
+    for arr in (idx, signs, *gather):
         arr.flags.writeable = False
-    cell = len(signs)
-    full_shapes = tuple(
-        (-1,) + tuple(1 if v == i else cell for v in range(n + 1)) + (1,)
-        for i in range(n + 1)
+    return _ScalePlan((n, side_exponent, scale), idx, gather, signs, 2.0**-scale)
+
+
+def _slot_steps(plan: _ScalePlan, slot: int) -> _SlotSteps:
+    """One slot's steps at the plan's scale, built on the slot's first call."""
+    n, L, scale = plan.key
+    return _cached(
+        plan.key + (slot,),
+        f"signed index n={n} L={L} l={scale} slot={slot}",
+        lambda: _build_slot_steps(plan, slot),
     )
-    steps = tuple(_slot_steps(n, slot, signs) for slot in range(n + 1))
-    return _ScalePlan(idx, gather, full_shapes, steps, outer, signs, 2.0**-scale)
 
 
 def _gather_blocks(
@@ -247,42 +311,46 @@ def _gather_blocks(
     return [f.values.reshape(-1)[g] for f, g in zip(functions, plan.gather)]
 
 
+def _sign_doubled(functions: Sequence[CellFunction]) -> list[np.ndarray]:
+    """Each function's flat values followed by their negatives, [F, -F]."""
+    return [np.concatenate((v, -v)) for v in (f.values.reshape(-1) for f in functions)]
+
+
 def _slot_kernel(
-    plan: _ScalePlan, blocks: Sequence[np.ndarray], slot: int
+    plan: _ScalePlan, step: _SlotSteps, doubled: Sequence[np.ndarray], slot: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-tuple kernel H of one slot and the weighted pairings.
 
-    H[t] sums the product of every block but the slot's own against the
-    Haar signs of all variables, so the pairing of tuple t is
+    doubled[i] is function i's sign-doubled values (_sign_doubled).  H[t]
+    sums the product of every block but the slot's own against the Haar
+    signs of all variables, so the pairing of tuple t is
     2^{-l} * <H[t], own block of t>.
     """
-    step = plan.steps[slot]
-    full = [b.reshape(shape) for b, shape in zip(blocks, plan.full_shapes)]
-    factors = [full[i].transpose(step.left_axes) for i in step.folded]
-    right = full[step.last].transpose(step.right_axes)
-    if step.chunked:
-        # Every slice reads all of its operands: lay them out for matmul once.
-        factors = [np.ascontiguousarray(f) for f in factors]
-        right = np.ascontiguousarray(right)
+    cell = len(plan.signs)
+    factors = [doubled[i][g] for i, g in zip(step.folded, step.left)]
+    # At n = 1 no block is folded, and the left operand is a row of ones.
+    factors = factors or [np.ones((1, cell))]
+    right = doubled[step.last][step.right]
 
     def fold(part: slice) -> np.ndarray:
-        # h(x_slot) times the folded blocks at x_last in `part`, laid out
-        # as matmul reads it: x_slot innermost.
-        product = step.signs
-        for f in factors:
+        # The folded blocks at x_last in `part`, laid out as matmul reads
+        # them: x_slot innermost.
+        product = factors[0][..., part, :]
+        for f in factors[1:]:
             product = np.multiply(product, f[..., part, :], order="C")
         return product
 
     if step.chunked:
-        kern = np.empty((len(blocks[0]),) + plan.outer.shape)
-        for j in range(kern.shape[1]):
+        kern = np.empty((len(plan.idx),) + (cell,) * (len(doubled) - 1))
+        for j in range(cell):
             kern[:, j] = np.matmul(fold(slice(j, j + 1)), right).reshape(
                 kern[:, j].shape
             )
     else:
         kern = np.matmul(fold(slice(None)), right).reshape(step.shape)
-    kern = kern * plan.outer
-    own = blocks[slot]
+    if None in step.owners:
+        kern = kern * plan.signs
+    own = doubled[slot][plan.gather[slot]]
     flat = (len(own), -1)
     pairings = np.matmul(kern.reshape(flat)[:, None, :], own.reshape(flat)[:, :, None])
     return kern, pairings.reshape(-1) * plan.weight
@@ -294,7 +362,8 @@ def _scale_pairings(
     """Pairing values for every tuple at one scale: (indices, values)."""
     n = functions[0].dimension
     plan = _scale_plan(n, functions[0].side_exponent, scale)
-    _, vals = _slot_kernel(plan, _gather_blocks(functions, plan), 0)
+    step = _slot_steps(plan, 0)
+    _, vals = _slot_kernel(plan, step, _sign_doubled(functions), 0)
     return plan.idx, vals
 
 
@@ -415,15 +484,16 @@ def sup_gradient(
     _check_scale_count(scale_count, L)
     if not (0 <= slot <= n):
         raise ValueError(f"slot {slot} outside [0, {n}]")
-    grad = np.zeros(functions[0].values.shape, dtype=np.float64)
-    flat = grad.reshape(-1)
+    doubled = _sign_doubled(functions)
+    grad = np.zeros(functions[0].values.size, dtype=np.float64)
     for scale in range(1, scale_count + 1):
         plan = _scale_plan(n, L, scale)
-        kern, vals = _slot_kernel(plan, _gather_blocks(functions, plan), slot)
+        step = _slot_steps(plan, slot)
+        kern, vals = _slot_kernel(plan, step, doubled, slot)
         eps = np.where(vals >= 0.0, plan.weight, -plan.weight)
         # The slot's gather index is a permutation of the grid: no repeats.
-        flat[plan.gather[slot]] += eps.reshape((-1,) + (1,) * n) * kern
-    return grad
+        grad[plan.gather[slot]] += eps.reshape((-1,) + (1,) * n) * kern
+    return grad.reshape(functions[0].values.shape)
 
 
 def eval_dyadic_aux(

@@ -13,7 +13,8 @@ The loop holds one plain array per slot.  A form (DyadicSupForm or
 ContinuousTruncatedForm) hands out arrays through five members --
 slot_count, cell_measure, initial, kernel and functions -- and wraps them
 into validated CellFunction or GridSampledFunction tuples only for its
-engine call and for the final result.
+engine call and for the final result.  The loop marks every array it
+stores read-only, so a form re-wraps only the slot that changed.
 
 Every sweep row carries its seed and a digest of the remaining settings,
 so any record can be reproduced bit-for-bit; timestamps are left unset by
@@ -130,7 +131,28 @@ def settings_digest(settings: Mapping[str, object]) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-class DyadicSupForm:
+class _KeptWraps:
+    """Form mixin: functions() re-wraps only the arrays that changed.
+
+    It keeps the last arrays and their wraps, and reuses a wrap for an
+    array that is the same object, owns its data and is read-only, which
+    alternating_maximize makes every array it stores: such an array
+    cannot have changed since it was wrapped.  Forms define _wrap(array).
+    """
+
+    _kept: tuple = ()
+
+    def functions(self, values: Sequence[np.ndarray]) -> list:
+        kept = self._kept or ((None, None),) * len(values)
+        self._kept = tuple(
+            pair if pair[0] is v and v.flags.owndata and not v.flags.writeable
+            else (v, self._wrap(v))
+            for v, pair in zip(values, kept, strict=True)
+        )
+        return [wrapped for _, wrapped in self._kept]
+
+
+class DyadicSupForm(_KeptWraps):
     """Evaluator handle for the coefficient-optimal dyadic objective.
 
     kernel() freezes the optimal signs, making the objective linear in one
@@ -162,14 +184,14 @@ class DyadicSupForm:
         shape = (2**self.side_exponent,) * self.n
         return [rng.standard_normal(shape) for _ in range(self.slot_count)]
 
-    def functions(self, values: Sequence[np.ndarray]) -> list:
-        return [CellFunction(self.n, self.side_exponent, v) for v in values]
+    def _wrap(self, values: np.ndarray) -> CellFunction:
+        return CellFunction(self.n, self.side_exponent, values)
 
     def kernel(self, values: Sequence[np.ndarray], slot: int) -> np.ndarray:
         return sup_gradient(self.functions(values), self.scale_count, slot)
 
 
-class ContinuousTruncatedForm:
+class ContinuousTruncatedForm(_KeptWraps):
     """Evaluator handle for |truncated form| on a shared sample grid.
 
     kernel() is the exact gradient of the quadrature value times the sign
@@ -225,8 +247,8 @@ class ContinuousTruncatedForm:
             out.append(field)
         return out
 
-    def functions(self, values: Sequence[np.ndarray]) -> list:
-        return [self._template.with_samples(v) for v in values]
+    def _wrap(self, samples: np.ndarray) -> GridSampledFunction:
+        return self._template.with_samples(samples)
 
     def kernel(self, values: Sequence[np.ndarray], slot: int) -> np.ndarray:
         grad = truncated_form_gradient(self.functions(values), self.trunc, slot)
@@ -293,6 +315,8 @@ def alternating_maximize(
     values = [
         v / array_lp_norm(v, p, form.cell_measure) for v, p in zip(values, exponents)
     ]
+    for v in values:
+        v.flags.writeable = False
 
     # The objective is linear in slot 0 with kernel kern, so its value is
     # sum(kern * F_0), and a cycle's closing kernel opens the next cycle.
@@ -311,6 +335,7 @@ def alternating_maximize(
             candidate = _holder_update(kern, exponents[slot])
             norm = array_lp_norm(candidate, exponents[slot], form.cell_measure)
             values[slot] = candidate / norm
+            values[slot].flags.writeable = False
             updated_any = True
         cycles += 1
         kern = form.kernel(values, 0)
@@ -403,12 +428,14 @@ def growth_sweep(
     digest = settings_digest(settings)
 
     # Build every form up front so an invalid abscissa fails before any run.
+    # Each is let go after its runs, with the wraps it keeps.
     forms = [
         _sweep_form(model, n, a, side_exponent, base_radius, half_extent, spacing)
         for a in abscissae
     ]
     records = []
-    for a, form in zip(abscissae, forms):
+    for a in abscissae:
+        form = forms.pop(0)
         # Keep each run's final value and cycle count, not its slot arrays.
         finals = []
         for seed in seeds:

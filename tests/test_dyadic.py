@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import re
@@ -417,6 +418,13 @@ class TestSupGradient:
             sup_gradient(fs, 2, 2)
 
 
+def _indices(entry) -> tuple:
+    """The gather indices one plan-cache entry holds."""
+    if isinstance(entry, dyadic._ScalePlan):
+        return entry.gather
+    return (*entry.left, entry.right)
+
+
 class TestScalePlan:
     def test_kernels_run_without_einsum(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -440,12 +448,39 @@ class TestScalePlan:
 
     @pytest.mark.parametrize("n,L", [(1, 5), (2, 4), (3, 3)])
     def test_gather_indices_permute_the_grid(self, n, L):
+        grid = 2 ** (L * n)
         for scale in range(1, L + 1):
+            cell = 1 << scale
             plan = dyadic._scale_plan(n, L, scale)
             assert len(plan.gather) == n + 1
             for index in plan.gather:
-                assert index.shape == (len(plan.idx),) + (1 << scale,) * n
-                assert np.array_equal(np.sort(index, axis=None), np.arange(2 ** (L * n)))
+                assert index.shape == (len(plan.idx),) + (cell,) * n
+                assert np.array_equal(np.sort(index, axis=None), np.arange(grid))
+            for slot in range(n + 1):
+                step = dyadic._slot_steps(plan, slot)
+                # Every variable's Haar sign has one home: an operand block
+                # that holds it, or, at n = 1 only, the kernel's multiply.
+                operands = set(step.folded) | {step.last}
+                assert len(step.owners) == n + 1
+                for v, owner in enumerate(step.owners):
+                    if owner is None:
+                        assert n == 1 and v != slot
+                    else:
+                        assert owner in operands and owner != v
+                assert (None in step.owners) == (n == 1)
+                signed = [(i, g, step.left_axes) for i, g in zip(step.folded, step.left)]
+                signed.append((step.last, step.right, step.right_axes))
+                for i, index, axes in signed:
+                    full = (-1,) + tuple(1 if v == i else cell for v in range(n + 1)) + (1,)
+                    unsigned = plan.gather[i].reshape(full).transpose(axes)
+                    assert np.array_equal(index % grid, unsigned)
+                    # Function i's axes hold x_v for v != i, ascending.
+                    coords = np.unravel_index(unsigned, (1 << L,) * n)
+                    negative = np.zeros(index.shape, dtype=bool)
+                    for v, owner in enumerate(step.owners):
+                        if owner == i:
+                            negative ^= coords[v - (v > i)] % cell >= cell // 2
+                    assert np.array_equal(index >= grid, negative)
 
     @pytest.mark.parametrize("n,L", [(1, 4), (2, 3), (3, 3)])
     def test_slot_zero_gathers_blocks_in_plain_order(self, n, L):
@@ -474,12 +509,18 @@ class TestScalePlan:
         monkeypatch.setattr(core, "MAX_CELLS", 3 * 2**6)
         plan = dyadic._scale_plan(2, 3, 1)
         assert sum(index.size for index in plan.gather) == 3 * 2**6
+        # A slot's two signed gathers are charged on their own; the plan
+        # makes room for them.
+        step = dyadic._slot_steps(plan, 0)
+        assert sum(index.size for index in _indices(step)) == 2 * 2**6
+        assert list(dyadic._plans) == [(2, 3, 1, 0)]
 
     def test_cached_indices_fit_the_budget_together(self, monkeypatch):
-        # n=1, L=12: each plan holds two 2^12-cell indices, so the budget
-        # keeps two of a sweep's twelve plans; the rest are rebuilt.
+        # n=1, L=12: each plan holds two 2^12-cell indices and each slot's
+        # steps one, so the budget keeps two of a sweep's twelve plans,
+        # with their slot-1 steps; the rest are rebuilt.
         n, L = 1, 12
-        budget = 4 << L
+        budget = 6 << L
         fs = random_cell_functions(np.random.default_rng(37), n, L)
         monkeypatch.setattr(dyadic, "_plans", {})
         monkeypatch.setattr(core, "MAX_CELLS", budget)
@@ -491,19 +532,116 @@ class TestScalePlan:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        held = [index.size for plan in dyadic._plans.values() for index in plan.gather]
+        held = [
+            index.size for entry in dyadic._plans.values() for index in _indices(entry)
+        ]
         assert sum(held) <= budget
-        assert list(dyadic._plans) == [(n, L, L - 1), (n, L, L)]
+        assert list(dyadic._plans) == [
+            (n, L, L - 1), (n, L, L - 1, 1), (n, L, L), (n, L, L, 1)
+        ]
         # Indices, tuples and sign vectors of the two kept plans, not twelve.
         assert kept <= 2 * 8 * budget
 
     def test_plans_are_reused_in_recency_order(self, monkeypatch):
         monkeypatch.setattr(dyadic, "_plans", {})
         first = dyadic._scale_plan(2, 3, 1)
+        step = dyadic._slot_steps(first, 0)
         second = dyadic._scale_plan(2, 3, 2)
         assert dyadic._scale_plan(2, 3, 1) is first
-        assert list(dyadic._plans) == [(2, 3, 2), (2, 3, 1)]
+        assert dyadic._slot_steps(first, 0) is step
+        assert list(dyadic._plans) == [(2, 3, 2), (2, 3, 1), (2, 3, 1, 0)]
         assert dyadic._plans[(2, 3, 2)] is second
+
+    def test_sup_builds_only_slot_zero_steps(self, monkeypatch):
+        monkeypatch.setattr(dyadic, "_plans", {})
+        eval_dyadic_sup(random_cell_functions(np.random.default_rng(41), 2, 3), 3)
+        assert sorted(dyadic._plans) == sorted(
+            [(2, 3, scale) for scale in (1, 2, 3)] + [(2, 3, scale, 0) for scale in (1, 2, 3)]
+        )
+
+
+def _digest(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()[:16]
+
+
+class TestGoldenBits:
+    """Bits of the dyadic engine before the Haar signs moved into the gathers.
+
+    Digests hash the raw bytes, so a -0.0 shows.  The engine's pairings are
+    BLAS dot products, and OpenBLAS's AVX2 and AVX-512 kernels sum them in
+    different orders.  So the functions here hold eighths: non-integer, yet
+    every product and partial sum is exact, and every kernel gives the same
+    bits.  At n=2 the slot kernel is a gemm, which those kernels round alike
+    at L=4, so there normal values also pin the gradients' rounding.
+    """
+
+    GRADIENTS = {
+        (1, 5): [
+            ["fd6ce9b8734110cc", "55bfbd3d6362eb83", "8e26fcce8a2bc449",
+             "7aad535cb8f315a8", "d756e8688d094867"],
+            ["b774d04dce353f2a", "ffdb8c851a691ee6", "e698bf6add77c159",
+             "59422e0764294d35", "68f9e0d6f4dfeea3"],
+        ],
+        (2, 4): [
+            ["61b0e71b31f7ef8e", "4bfdc726ecdcf5d0", "1be545c1a4087fa8", "4fc0c93b68bea0e1"],
+            ["367143a9f5ecc699", "ac67163557127ab9", "e41f388cb7680c21", "23bac4c3ba1f9198"],
+            ["762ce1c290957d4b", "33cb2fa03df42268", "10772b03ccb7ca07", "dc6f1fa337d947ce"],
+        ],
+        (3, 3): [
+            ["688c004ca675415e", "7505e628bae2aba2", "0878727e4e91d907"],
+            ["ba7a9c9136dc8495", "81dcad99a1da4148", "b7dbd1b8796ce8bc"],
+            ["825c9e38448ffcdb", "52a81e04d79d33ec", "52d7f3ea0c5f821c"],
+            ["013f6085363df095", "804a4aec1ae63b03", "863feec5466cc3e0"],
+        ],
+    }
+    CONTRIBUTIONS = {
+        (1, 5): ["0x1.13c0000000000p+3", "0x1.45a0000000000p+3", "0x1.0e60000000000p+2",
+                 "0x1.5100000000000p-1", "0x1.fa00000000000p-1"],
+        (2, 4): ["0x1.e7bf000000000p+6", "0x1.3d52000000000p+5", "0x1.5fad000000000p+4",
+                 "0x1.8de0000000000p-2"],
+        (3, 3): ["0x1.583c200000000p+7", "0x1.f580e00000000p+5", "0x1.2b2cc00000000p+3"],
+    }
+    FORMS = {
+        (1, 5): "0x1.7030000000000p+2",
+        (2, 4): "-0x1.bb25000000000p+0",
+        (3, 3): "-0x1.07d5d40000000p+5",
+    }
+    NORMAL_GRADIENTS = [
+        ["301b1c85f5a98dc2", "208a663dd04bcd8c", "b3e7c0eba706766c", "7ad6a72813403142"],
+        ["d03e111952047c69", "839d6940e1fa1292", "1b0ac36f4f010892", "a3a5ddb5ce31c4a5"],
+        ["e84b46b913b98c00", "14ccfecf8ce47023", "c27b6c3bb246f008", "cc3804d88f37d8fc"],
+    ]
+
+    @pytest.mark.parametrize("n,L", [(1, 5), (2, 4), (3, 3)])
+    def test_golden_engine_bits(self, n, L):
+        rng = np.random.default_rng(100 * n + L)
+        fs = [
+            CellFunction(n, L, rng.integers(-16, 17, size=(1 << L,) * n) / 8.0)
+            for _ in range(n + 1)
+        ]
+        digests = [
+            [_digest(sup_gradient(fs, m, slot)) for m in range(1, L + 1)]
+            for slot in range(n + 1)
+        ]
+        assert digests == self.GRADIENTS[(n, L)]
+        contributions = [float.hex(v) for v in scale_contributions(fs, L)]
+        assert contributions == self.CONTRIBUTIONS[(n, L)]
+        rng = np.random.default_rng(7)
+        entries = {
+            (scale, tuple(row)): float(rng.integers(-8, 9)) / 8.0
+            for scale in range(1, L + 1)
+            for row in dyadic._tuple_index_array(scale, L, n).tolist()
+        }
+        value = eval_dyadic_form(fs, CoefficientMap(entries), L)
+        assert float.hex(value) == self.FORMS[(n, L)]
+
+    def test_golden_gradient_rounding_at_degree_two(self):
+        rng = np.random.default_rng(204)
+        fs = [CellFunction(2, 4, rng.standard_normal((16, 16))) for _ in range(3)]
+        digests = [
+            [_digest(sup_gradient(fs, m, slot)) for m in range(1, 5)] for slot in range(3)
+        ]
+        assert digests == self.NORMAL_GRADIENTS
 
 
 class TestTelescoping:

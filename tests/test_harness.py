@@ -13,6 +13,7 @@ from simplexht import core, dyadic
 from simplexht.continuous import eval_simplex_truncated
 from simplexht.core import (
     CellFunction,
+    GridSampledFunction,
     HoelderExponents,
     TruncationRange,
     lp_norm,
@@ -380,6 +381,55 @@ class BilinearForm:
 
     def functions(self, values):
         return list(values)
+
+
+class TestKeptWraps:
+    @pytest.mark.parametrize(
+        "form, wrapped",
+        [
+            (DyadicSupForm(2, 3, 3), CellFunction),
+            (ContinuousTruncatedForm(1, TruncationRange(0.5, 4.0)), GridSampledFunction),
+        ],
+    )
+    def test_kernel_rewraps_only_the_changed_slot(self, monkeypatch, form, wrapped):
+        built = []
+        post_init = wrapped.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(wrapped, "__post_init__", counting)
+        per_call = []
+        kernel = form.kernel
+
+        def recording(values, slot):
+            before = len(built)
+            out = kernel(values, slot)
+            per_call.append(len(built) - before)
+            return out
+
+        monkeypatch.setattr(form, "kernel", recording)
+        exps = HoelderExponents.geometric(form.slot_count - 1)
+        result = alternating_maximize(form, exps, max_iter=3, seed=0)
+        assert len(per_call) == 1 + 3 * form.slot_count
+        assert per_call == [form.slot_count] + [1] * (len(per_call) - 1)
+        # The result reuses the last kernel call's wraps.
+        assert len(built) == sum(per_call)
+        assert set(map(id, result.functions)) <= set(map(id, built))
+
+    def test_writeable_arrays_are_wrapped_again(self):
+        form = DyadicSupForm(1, 2, 1)
+        values = form.initial(np.random.default_rng(1))
+        first = form.functions(values)
+        values[0][0] = 7.0
+        second = form.functions(values)
+        assert second[0] is not first[0] and second[0].values[0] == 7.0
+        for v in values:
+            v.flags.writeable = False
+        third = form.functions(values)
+        assert form.functions(values) == third
+        assert form.functions([values[0], values[1].copy()])[0] is third[0]
 
 
 class TestMaximizerAlone:
