@@ -22,8 +22,8 @@ MAX_CELLS = 2**26
 # one node's interpolation grid, 128**3 = 2**21 cells, fits one chunk.
 MAX_CONTINUOUS_DEGREE = 3
 MAX_CELLS_PER_AXIS = 128
-# Highest degree of continuous maximization and sweeps, a time limit: a
-# degree-3 cycle on the default 32**3 grid, 4 octaves, took 3.4 s on 2 vCPUs.
+# Highest degree of continuous sweeps, a time limit: a degree-3 cycle on
+# the default 32**3 grid, 4 octaves, took 3.4 s on 2 vCPUs.
 MAX_CONTINUOUS_SWEEP_DEGREE = 2
 # Highest degree `verify --suite dyadic --n` accepts: beyond it the budget
 # admits n=6 at L=3, whose largest case alone holds 2**26 cells.
@@ -70,10 +70,6 @@ class CellFunction:
         if not np.all(np.isfinite(arr)):
             raise ValueError("values must be finite")
         object.__setattr__(self, "values", arr)
-
-    @property
-    def side(self) -> int:
-        return 1 << self.side_exponent
 
     def with_values(self, values: np.ndarray) -> "CellFunction":
         return CellFunction(self.dimension, self.side_exponent, values)

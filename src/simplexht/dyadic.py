@@ -12,13 +12,12 @@ unit cells; scales run l = 1..m so Haar halves align with unit cells.
 
 Batched contractions: at scale l each grid splits into blocks of side 2^l,
 and a tuple selects one block per function; the tuples biject onto the
-blocks of each function.  Plans are built once per (n, L, scale): the
-XOR-zero tuples and one flat gather index per function.  One fancy index
-on the raveled values gathers a function's block for every tuple, and the
-same index scatters a slot gradient back.  Each slot's steps, built on the
-slot's first call, hold its signed gather indices.  The cache keeps no
-more index cells than core.MAX_CELLS, so a large grid rebuilds its plans
-instead of keeping one index per function and scale.
+blocks of each function.  One plan is built per (n, L, scale, slot), on
+the slot's first call at that scale: one flat index that gathers the
+slot's own block for every tuple and scatters its gradient back, and n
+signed gathers for the other blocks, n+1 grids of indices in all.  The
+cache keeps no more index cells than core.MAX_CELLS, so a large grid
+rebuilds its plans instead of keeping one index per function and scale.
 
 Sign-doubled gathers: slot s's per-tuple kernel sums over x_s the product
 of the other n blocks and the Haar signs of all n+1 variables.  Every sign
@@ -32,12 +31,13 @@ grid); only at n = 1, where no operand holds the kernel's own variable,
 does a sign vector multiply the kernel.  Its bits are those of a kernel
 that multiplies the signs in, but for the sign of a zero, which the
 gradient's zero-initialised sum erases and the pairing sign test ignores.
-No step calls np.einsum.  The kernel's inner product with the
-slot's own block is the tuple's pairing, so pairings and slot gradients
-come from the same pass.  The sup, the form, the gradient and the aux
-majorant all read the per-scale plan, with no loop over tuples.  Per-scale
-results are reduced in a fixed order, scales in increasing order, so
-evaluations are deterministic.
+No step calls np.einsum.  The kernel's inner product with the slot's
+own block is the tuple's pairing, so pairings and slot gradients come from
+the same pass.  The sup and the form read slot 0's plans and the gradient
+its own slot's, with no loop over tuples; the aux majorant gathers its
+blocks unsigned on each call and keeps only its einsum contraction paths.
+Per-scale results are reduced in a fixed order, scales in increasing
+order, so evaluations are deterministic.
 
 Tuples exist here only as rows of integer indices, never as objects: the
 plans, the coefficient keys, the telescoping check and the parity rule all
@@ -48,7 +48,7 @@ every selector code in one call.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -113,9 +113,23 @@ def _gather_index(
     return flat.reshape((len(idx),) + (cell,) * n)
 
 
+def slot_cells(n: int, side_exponent: int) -> int:
+    """Cells of n+1 grids of side 2^L in n variables.
+
+    That is a degree-n tuple's slot values, and the index cells of one
+    dyadic plan: the own-block gather and n signed operand gathers.
+    """
+    return (n + 1) << (side_exponent * n)
+
+
 @dataclass(frozen=True, eq=False)
-class _SlotSteps:
-    """One slot's kernel: gather, gather, one matmul.
+class _SlotPlan:
+    """One slot's kernel at one scale: gather, gather, one matmul.
+
+    `own` gathers the slot's own block for every tuple, unsigned, shape
+    (T, 2^l, .., 2^l) (see _gather_index): a permutation of the grid that
+    also scatters the slot's gradient back.  `signs` is one variable's
+    Haar sign vector and `weight` the scale's 2^{-l}.
 
     The kernel of slot s sums over x_s the product of the other n blocks
     and the Haar signs of all n+1 variables.  Each sign is a +-1 factor on
@@ -138,9 +152,10 @@ class _SlotSteps:
     variable, so it is built and contracted one x_last slice at a time
     (`chunked`) and no intermediate outgrows one grid.  `shape` is the
     kernel's shape when not chunked; the kernel's axes are the own
-    block's.
+    block's.  The plan holds slot_cells(n, L) index cells.
     """
 
+    own: np.ndarray
     folded: tuple
     left: tuple
     last: int
@@ -150,11 +165,14 @@ class _SlotSteps:
     right_axes: tuple
     chunked: bool
     shape: tuple
+    signs: np.ndarray
+    weight: float
 
 
-def _build_slot_steps(plan: _ScalePlan, slot: int) -> _SlotSteps:
-    n = len(plan.gather) - 1
-    cell, grid = len(plan.signs), plan.gather[0].size
+def _build_slot_plan(n: int, side_exponent: int, scale: int, slot: int) -> _SlotPlan:
+    idx = _tuple_index_array(scale, side_exponent, n)
+    signs = _haar_signs(scale)
+    cell, grid = len(signs), 1 << (side_exponent * n)
     variables = set(range(n + 1))
     others = sorted(variables - {slot})
     last, folded = others[0], tuple(others[1:])
@@ -174,13 +192,13 @@ def _build_slot_steps(plan: _ScalePlan, slot: int) -> _SlotSteps:
     left_axes = (0, *sorted(units - {row_axis}), *batch, row_axis, 1 + slot)
     right_axes = (0, *sorted(units - {col_axis}), *batch, 1 + slot, col_axis)
     owners = tuple(min(set(others) - {v}, default=None) for v in range(n + 1))
-    negative = plan.signs < 0.0
+    negative = signs < 0.0
 
     def signed(i: int, axes: tuple) -> np.ndarray:
         # Block i in the full layout, its index moved into the negated half
         # wherever the product of the signs it carries is -1, then viewed
         # in `axes`.  A gather keeps its index's memory order.
-        full = plan.gather[i].reshape(
+        full = _gather_index(idx, i, side_exponent, scale).reshape(
             (-1,) + tuple(1 if v == i else cell for v in range(n + 1)) + (1,)
         )
         flips = [
@@ -199,10 +217,12 @@ def _build_slot_steps(plan: _ScalePlan, slot: int) -> _SlotSteps:
     right = signed(last, right_axes)
     if chunked:
         right = np.ascontiguousarray(right)
-    for arr in (*left, right):
+    own = _gather_index(idx, slot, side_exponent, scale)
+    for arr in (own, *left, right, signs):
         arr.flags.writeable = False
     held = product_vars | last_vars
-    return _SlotSteps(
+    return _SlotPlan(
+        own=own,
         folded=folded,
         left=left,
         last=last,
@@ -212,103 +232,35 @@ def _build_slot_steps(plan: _ScalePlan, slot: int) -> _SlotSteps:
         right_axes=right_axes,
         chunked=chunked,
         shape=(-1,) + tuple(cell if v in held else 1 for v in others),
+        signs=signs,
+        weight=2.0**-scale,
     )
 
 
-@dataclass(frozen=True, eq=False)
-class _ScalePlan:
-    """What one scale's contractions need beyond the function values.
+# Slot plans by (n, L, scale, slot), least recently used first.
+_plans: dict[tuple, _SlotPlan] = {}
 
-    key is (n, L, scale).  idx holds the XOR-zero tuples, shape (T, n+1),
-    rows lexicographic over m_1..m_n.  gather[i] is function i's flat cell
-    index for every tuple, shape (T, 2^l, .., 2^l) (see _gather_index): a
-    permutation of the grid that gathers its blocks unsigned (a slot's own
-    block, the aux majorant's operands) and scatters a slot gradient back.
-    Each slot's signed gathers live apart from the plan, in the _SlotSteps
-    built on the slot's first call, and are cached and charged to the
-    budget as an entry of their own.  signs is one variable's Haar sign
-    vector.  aux_paths keeps eval_dyadic_aux's einsum contraction path for
-    each k, found on the first aux call at that k.
+
+def _slot_plan(n: int, side_exponent: int, scale: int, slot: int) -> _SlotPlan:
+    """The plan of one slot at one scale, built once and kept while the budget allows.
+
+    A plan's slot_cells index cells are charged to core.check_cells before
+    it is built.  The cache drops its least recently used plans until the
+    indices of every plan it keeps fit core.MAX_CELLS together, the most
+    one plan may hold, so a sweep over many scales of a large grid
+    rebuilds plans instead of keeping one grid per function and scale.
     """
-
-    key: tuple
-    idx: np.ndarray
-    gather: tuple
-    signs: np.ndarray
-    weight: float
-    aux_paths: dict = field(default_factory=dict)
-
-
-def _index_cells(key: tuple) -> int:
-    """Index cells of one cached entry, one grid per gather index.
-
-    A scale plan, keyed (n, L, scale), holds n+1 unsigned gathers; a
-    slot's steps, keyed (n, L, scale, slot), hold n signed ones.
-    """
-    n, L = key[:2]
-    return (n + 1 if len(key) == 3 else n) << (L * n)
-
-
-# Scale plans by (n, L, scale) and slot steps by (n, L, scale, slot), least
-# recently used first.
-_plans: dict[tuple, object] = {}
-
-
-def _cached(key: tuple, what: str, build):
-    """The entry under key, built once and kept while the budget allows.
-
-    An entry's index cells are charged to core.check_cells before it is
-    built.  The cache drops its least recently used entries until the
-    indices of every entry it keeps fit core.MAX_CELLS together, the most
-    one entry may hold, so a sweep over many scales of a large grid
-    rebuilds entries instead of keeping one grid per function and scale.
-    """
-    entry = _plans.pop(key, None)
-    if entry is None:
-        cells = _index_cells(key)
-        check_cells(cells, what)
+    key = (n, side_exponent, scale, slot)
+    plan = _plans.pop(key, None)
+    if plan is None:
+        cells = slot_cells(n, side_exponent)
+        check_cells(cells, f"dyadic plan n={n} L={side_exponent} l={scale} slot={slot}")
         room = core.MAX_CELLS - cells
-        while _plans and sum(_index_cells(k) for k in _plans) > room:
+        while _plans and sum(slot_cells(*k[:2]) for k in _plans) > room:
             del _plans[next(iter(_plans))]
-        entry = build()
-    _plans[key] = entry
-    return entry
-
-
-def _scale_plan(degree: int, side_exponent: int, scale: int) -> _ScalePlan:
-    """The plan of one scale, cached by _cached."""
-    return _cached(
-        (degree, side_exponent, scale),
-        f"gather index n={degree} L={side_exponent} l={scale}",
-        lambda: _build_scale_plan(degree, side_exponent, scale),
-    )
-
-
-def _build_scale_plan(degree: int, side_exponent: int, scale: int) -> _ScalePlan:
-    n = degree
-    idx = _tuple_index_array(scale, side_exponent, n)
-    gather = tuple(_gather_index(idx, i, side_exponent, scale) for i in range(n + 1))
-    signs = _haar_signs(scale)
-    for arr in (idx, signs, *gather):
-        arr.flags.writeable = False
-    return _ScalePlan((n, side_exponent, scale), idx, gather, signs, 2.0**-scale)
-
-
-def _slot_steps(plan: _ScalePlan, slot: int) -> _SlotSteps:
-    """One slot's steps at the plan's scale, built on the slot's first call."""
-    n, L, scale = plan.key
-    return _cached(
-        plan.key + (slot,),
-        f"signed index n={n} L={L} l={scale} slot={slot}",
-        lambda: _build_slot_steps(plan, slot),
-    )
-
-
-def _gather_blocks(
-    functions: Sequence[CellFunction], plan: _ScalePlan
-) -> list[np.ndarray]:
-    """Each function's block for every tuple, shape (T, 2^l, ..., 2^l)."""
-    return [f.values.reshape(-1)[g] for f, g in zip(functions, plan.gather)]
+        plan = _build_slot_plan(*key)
+    _plans[key] = plan
+    return plan
 
 
 def _sign_doubled(functions: Sequence[CellFunction]) -> list[np.ndarray]:
@@ -317,7 +269,7 @@ def _sign_doubled(functions: Sequence[CellFunction]) -> list[np.ndarray]:
 
 
 def _slot_kernel(
-    plan: _ScalePlan, step: _SlotSteps, doubled: Sequence[np.ndarray], slot: int
+    plan: _SlotPlan, doubled: Sequence[np.ndarray], slot: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-tuple kernel H of one slot and the weighted pairings.
 
@@ -327,10 +279,10 @@ def _slot_kernel(
     2^{-l} * <H[t], own block of t>.
     """
     cell = len(plan.signs)
-    factors = [doubled[i][g] for i, g in zip(step.folded, step.left)]
+    factors = [doubled[i][g] for i, g in zip(plan.folded, plan.left)]
     # At n = 1 no block is folded, and the left operand is a row of ones.
     factors = factors or [np.ones((1, cell))]
-    right = doubled[step.last][step.right]
+    right = doubled[plan.last][plan.right]
 
     def fold(part: slice) -> np.ndarray:
         # The folded blocks at x_last in `part`, laid out as matmul reads
@@ -340,31 +292,27 @@ def _slot_kernel(
             product = np.multiply(product, f[..., part, :], order="C")
         return product
 
-    if step.chunked:
-        kern = np.empty((len(plan.idx),) + (cell,) * (len(doubled) - 1))
+    if plan.chunked:
+        kern = np.empty(plan.own.shape)
         for j in range(cell):
             kern[:, j] = np.matmul(fold(slice(j, j + 1)), right).reshape(
                 kern[:, j].shape
             )
     else:
-        kern = np.matmul(fold(slice(None)), right).reshape(step.shape)
-    if None in step.owners:
+        kern = np.matmul(fold(slice(None)), right).reshape(plan.shape)
+    if None in plan.owners:
         kern = kern * plan.signs
-    own = doubled[slot][plan.gather[slot]]
+    own = doubled[slot][plan.own]
     flat = (len(own), -1)
     pairings = np.matmul(kern.reshape(flat)[:, None, :], own.reshape(flat)[:, :, None])
     return kern, pairings.reshape(-1) * plan.weight
 
 
-def _scale_pairings(
-    functions: Sequence[CellFunction], scale: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pairing values for every tuple at one scale: (indices, values)."""
+def _scale_pairings(functions: Sequence[CellFunction], scale: int) -> np.ndarray:
+    """Pairing values for every tuple at one scale, in _tuple_index_array's row order."""
     n = functions[0].dimension
-    plan = _scale_plan(n, functions[0].side_exponent, scale)
-    step = _slot_steps(plan, 0)
-    _, vals = _slot_kernel(plan, step, _sign_doubled(functions), 0)
-    return plan.idx, vals
+    plan = _slot_plan(n, functions[0].side_exponent, scale, 0)
+    return _slot_kernel(plan, _sign_doubled(functions), 0)[1]
 
 
 class CoefficientMap:
@@ -384,12 +332,6 @@ class CoefficientMap:
     def value(self, scale: int, indices: Sequence[int]) -> float:
         return self._entries.get((int(scale), tuple(map(int, indices))), 0.0)
 
-    def items(self):
-        return self._entries.items()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def sign_optimal_coefficients(
     functions: Sequence[CellFunction], scale_count: int
@@ -399,9 +341,8 @@ def sign_optimal_coefficients(
     _check_scale_count(scale_count, L)
     entries: dict[tuple[int, tuple[int, ...]], float] = {}
     for scale in range(1, scale_count + 1):
-        idx, vals = _scale_pairings(functions, scale)
-        eps = np.where(vals >= 0.0, 1.0, -1.0)
-        for row, e in zip(idx, eps):
+        eps = np.where(_scale_pairings(functions, scale) >= 0.0, 1.0, -1.0)
+        for row, e in zip(_tuple_index_array(scale, L, n), eps):
             entries[(scale, tuple(int(i) for i in row))] = float(e)
     return CoefficientMap(entries)
 
@@ -428,8 +369,11 @@ def eval_dyadic_form(
     entries = coefficients._entries
     sums, matched = [], 0
     for scale in range(1, scale_count + 1):
-        idx, vals = _scale_pairings(functions, scale)
-        found = [entries.get((scale, row)) for row in map(tuple, idx.tolist())]
+        vals = _scale_pairings(functions, scale)
+        found = [
+            entries.get((scale, tuple(row)))
+            for row in _tuple_index_array(scale, L, n).tolist()
+        ]
         matched += len(found) - found.count(None)
         eps = np.array([0.0 if e is None else e for e in found], dtype=np.float64)
         sums.append(float(np.sum(eps * vals)))
@@ -463,8 +407,7 @@ def scale_contributions(
     _check_scale_count(scale_count, L)
     out = []
     for scale in range(1, scale_count + 1):
-        _, vals = _scale_pairings(functions, scale)
-        out.append(float(np.sum(np.abs(vals))))
+        out.append(float(np.sum(np.abs(_scale_pairings(functions, scale)))))
     return out
 
 
@@ -487,13 +430,19 @@ def sup_gradient(
     doubled = _sign_doubled(functions)
     grad = np.zeros(functions[0].values.size, dtype=np.float64)
     for scale in range(1, scale_count + 1):
-        plan = _scale_plan(n, L, scale)
-        step = _slot_steps(plan, slot)
-        kern, vals = _slot_kernel(plan, step, doubled, slot)
+        plan = _slot_plan(n, L, scale, slot)
+        kern, vals = _slot_kernel(plan, doubled, slot)
         eps = np.where(vals >= 0.0, plan.weight, -plan.weight)
-        # The slot's gather index is a permutation of the grid: no repeats.
-        grad[plan.gather[slot]] += eps.reshape((-1,) + (1,) * n) * kern
+        # The slot's own index is a permutation of the grid: no repeats.
+        grad[plan.own] += eps.reshape((-1,) + (1,) * n) * kern
+        # Let this plan go before the next is built, so that the budget
+        # the cache keeps bounds every index alive.
+        del plan
     return grad.reshape(functions[0].values.shape)
+
+
+# eval_dyadic_aux's einsum contraction paths by (n, k, L, scale).
+_aux_paths: dict[tuple, list] = {}
 
 
 def eval_dyadic_aux(
@@ -514,16 +463,21 @@ def eval_dyadic_aux(
     _check_scale_count(scale_count, L)
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    # Scale l holds 2^{(L-l)n} tuples of (2^l)^{2(n-k)} doubled-variable cells.
+    # Scale l holds 2^{(L-l)n} tuples of (2^l)^{2(n-k)} doubled-variable
+    # cells.  Its k+1 gathers are charged as one dyadic plan, so the aux
+    # majorant admits every (n, L) whose plans the sup admits.
     check_cells(
-        max(1 << ((L - l) * n + 2 * l * (n - k)) for l in range(1, scale_count + 1)),
+        max(
+            slot_cells(n, L),
+            *(1 << ((L - l) * n + 2 * l * (n - k)) for l in range(1, scale_count + 1)),
+        ),
         f"aux majorant n={n} k={k} L={L} m={scale_count}",
     )
     # einsum axes: 0 is the tuple, 1 + j the single variable x_j, and
     # k + 2 + 2j + r the doubled variable x_{k+1+j}^{(r)}.  Factors run over
     # i, then over the code of r, both ascending: the operand order fixes
     # einsum's contraction path, and with it every value.  The path depends
-    # on (n, k, L, scale) only, so the scale plan keeps it.
+    # on (n, k, L, scale) only, so _aux_paths keeps it.
     doubled = n - k
     factors = []
     for i in range(k + 1):
@@ -535,15 +489,20 @@ def eval_dyadic_aux(
 
     total = 0.0
     for scale in range(1, scale_count + 1):
-        plan = _scale_plan(n, L, scale)
-        blocks = _gather_blocks(functions[: k + 1], plan)
+        idx = _tuple_index_array(scale, L, n)
+        blocks = [
+            f.values.reshape(-1)[_gather_index(idx, i, L, scale)]
+            for i, f in enumerate(functions[: k + 1])
+        ]
+        signs = _haar_signs(scale)
         operands = [x for i, axes in factors for x in (blocks[i], axes)]
-        operands += [x for j in range(k + 1) for x in (plan.signs, [1 + j])]
-        if k not in plan.aux_paths:
-            plan.aux_paths[k] = np.einsum_path(*operands, out_axes, optimize=True)[0]
-        inner = np.einsum(*operands, out_axes, optimize=plan.aux_paths[k])
-        per_tuple = np.abs(inner, out=inner).reshape(len(plan.idx), -1).sum(axis=1)
-        total += float(np.sum(plan.weight ** (n - k + 1) * per_tuple))
+        operands += [x for j in range(k + 1) for x in (signs, [1 + j])]
+        key = (n, k, L, scale)
+        if key not in _aux_paths:
+            _aux_paths[key] = np.einsum_path(*operands, out_axes, optimize=True)[0]
+        inner = np.einsum(*operands, out_axes, optimize=_aux_paths[key])
+        per_tuple = np.abs(inner, out=inner).reshape(len(idx), -1).sum(axis=1)
+        total += float(np.sum((2.0**-scale) ** (n - k + 1) * per_tuple))
     return total
 
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from .continuous import truncated_form_gradient
 from .core import (
+    MAX_CONTINUOUS_DEGREE,
     MAX_CONTINUOUS_SWEEP_DEGREE,
     CellFunction,
     GridSampledFunction,
@@ -43,7 +44,7 @@ from .core import (
     array_lp_norm,
     check_cells,
 )
-from .dyadic import sup_gradient
+from .dyadic import slot_cells, sup_gradient
 
 MODELS = ("dyadic", "continuous")
 _RESEED_ATTEMPTS = 5
@@ -170,8 +171,9 @@ class DyadicSupForm(_KeptWraps):
                 f"scale_count must lie in 1..side_exponent={side_exponent}, "
                 f"got {scale_count}"
             )
-        cells = (n + 1) << (side_exponent * n)
-        check_cells(cells, f"dyadic slots at n={n}, L={side_exponent}")
+        check_cells(
+            slot_cells(n, side_exponent), f"dyadic slots at n={n}, L={side_exponent}"
+        )
         self.n = n
         self.side_exponent = side_exponent
         self.scale_count = scale_count
@@ -210,9 +212,9 @@ class ContinuousTruncatedForm(_KeptWraps):
         half_extent: float = 4.0,
         spacing: float = 0.25,
     ) -> None:
-        if not (1 <= n <= MAX_CONTINUOUS_SWEEP_DEGREE):
+        if not (1 <= n <= MAX_CONTINUOUS_DEGREE):
             raise ValueError(
-                f"continuous maximization capped at degree {MAX_CONTINUOUS_SWEEP_DEGREE}"
+                f"continuous evaluation capped at degree {MAX_CONTINUOUS_DEGREE}"
             )
         if trunc.r == trunc.R:
             raise ValueError("degenerate truncation range: the form is identically 0")
@@ -412,6 +414,10 @@ def growth_sweep(
         )
     if model == "dyadic" and side_exponent is None:
         raise ValueError("dyadic sweeps require side_exponent")
+    if model == "continuous" and n > MAX_CONTINUOUS_SWEEP_DEGREE:
+        raise ValueError(
+            f"continuous sweeps capped at degree {MAX_CONTINUOUS_SWEEP_DEGREE}"
+        )
 
     settings = {
         "model": model,
@@ -460,15 +466,19 @@ def fit_exponent(records: Sequence[ExperimentRecord]) -> GrowthFit:
     """Least-squares slope of log S against the log abscissa.
 
     Requires >= 2 records with distinct abscissae, all S > 0, from a single
-    model and degree.  The reference exponent 1 - 2**(-n+1) rides along for
+    model, degree and settings digest, that is from one sweep's
+    configuration.  The reference exponent 1 - 2**(-n+1) rides along for
     comparison.
     """
     if len(records) < 2:
         raise ValueError("need at least 2 records to fit a slope")
-    models = {r.model for r in records}
-    degrees = {r.n for r in records}
-    if len(models) > 1 or len(degrees) > 1:
-        raise ValueError(f"records mix models {models} or degrees {degrees}")
+    models = sorted({r.model for r in records})
+    degrees = sorted({r.n for r in records})
+    digests = sorted({r.digest for r in records})
+    if len(models) > 1 or len(degrees) > 1 or len(digests) > 1:
+        raise ValueError(
+            f"records mix models {models}, degrees {degrees} or digests {digests}"
+        )
     if len({r.abscissa for r in records}) < 2:
         raise ValueError("need at least 2 distinct abscissae")
     for r in records:

@@ -158,6 +158,18 @@ class TestEvalCommand:
         assert payload["bound_trivial"] == pytest.approx(2.0 * math.log(8.0))
         assert abs(payload["value"]) <= payload["bound_trivial"]
 
+    def test_continuous_eval_runs_at_degree_three(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "eval", "--model", "continuous", "--n", "3",
+            "--r", "0.5", "--R", "2.0", "--spacing", "0.5",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n"] == 3
+        assert payload["norms"] == pytest.approx([1.0] * 4, abs=1e-12)
+        assert math.isfinite(payload["value"])
+
     def test_dyadic_eval_requires_scale_flags(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--model", "dyadic", "--n", "1")
         assert code == 2
@@ -273,6 +285,32 @@ class TestSweepAndFit:
         assert code == 0
         payload = json.loads(fit_path.read_text())
         assert payload["slope"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_fit_refuses_records_of_different_sweeps(self, tmp_path, capsys):
+        # Two sweeps of different settings carry different digests: fit
+        # refuses them together, and plot draws their markers without a fit.
+        parts = []
+        for L, m, seeds in (("4", "1..2", "1"), ("5", "3..4", "2")):
+            path = tmp_path / f"L{L}.csv"
+            code, _, _ = run_cli(
+                capsys,
+                "sweep", "--model", "dyadic", "--n", "1", "--L", L, "--m", m,
+                "--seeds", seeds, "--max-iter", "4", "--out", str(path),
+            )
+            assert code == 0
+            parts.append(path.read_text().splitlines())
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text("\n".join(parts[0] + parts[1][1:]) + "\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(mixed))
+        assert code == 2
+        assert out == ""
+        assert "digests" in err
+        svg = tmp_path / "mixed.svg"
+        code, _, _ = run_cli(capsys, "plot", "--input", str(mixed), "--out", str(svg))
+        assert code == 0
+        text = svg.read_text()
+        assert text.count("<circle") == 4
+        assert text.count("<polyline") == 0
 
     def test_sweep_needs_matching_range_flag(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -322,3 +322,19 @@ class TestOracleIndependence:
             elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("simplexht"):
                 assert node.module == "simplexht.core", node.module
                 assert {a.name for a in node.names} <= self.VALUE_TYPES
+
+
+class TestNoDeadImports:
+    SRC = Path(__file__).resolve().parents[1] / "src" / "simplexht"
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
+    def test_every_imported_name_is_used(self, name):
+        tree = ast.parse((self.SRC / name).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{name} never uses {sorted(imported - used)}"

@@ -7,6 +7,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -341,6 +342,17 @@ class TestEvalDyadicAux:
         monkeypatch.setattr(core, "MAX_CELLS", 2**12)
         assert eval_dyadic_aux(fs, 1, 3) == expected
 
+    def test_cell_budget_charges_one_plan_of_gathers(self, monkeypatch):
+        # n=2, k=2, L=3: the largest scale holds 16 cells, and the gathers
+        # are charged as one dyadic plan, 3 * 2^6 cells.
+        fs = random_cell_functions(np.random.default_rng(0), 2, 3)
+        expected = eval_dyadic_aux(fs, 2, 3)
+        monkeypatch.setattr(core, "MAX_CELLS", 3 * 2**6 - 1)
+        with pytest.raises(ValueError, match="n=2 k=2 L=3 m=3 needs 192 cells"):
+            eval_dyadic_aux(fs, 2, 3)
+        monkeypatch.setattr(core, "MAX_CELLS", 3 * 2**6)
+        assert eval_dyadic_aux(fs, 2, 3) == expected
+
     @pytest.mark.parametrize(
         "n, k, L",
         [
@@ -349,8 +361,8 @@ class TestEvalDyadicAux:
         ],
     )
     def test_kept_einsum_path_keeps_every_bit(self, n, k, L, monkeypatch):
-        # The plan keeps the path einsum's own search picks: a call with a
-        # fresh plan, one with the kept path and one that searches the path
+        # _aux_paths keeps the path einsum's own search picks: a call with
+        # no kept path, one with the kept path and one that searches the path
         # itself agree bit for bit.  Non-integer values, so that a different
         # contraction order would show in the last bits.
         rng = np.random.default_rng(100 * n + 10 * k + L)
@@ -359,9 +371,9 @@ class TestEvalDyadicAux:
             CellFunction(n, L, rng.uniform(-1.0, 1.0, (side,) * n))
             for _ in range(n + 1)
         ]
-        dyadic._plans.clear()
+        dyadic._aux_paths.clear()
         fresh = eval_dyadic_aux(fs, k, L)
-        assert all(k in dyadic._scale_plan(n, L, l).aux_paths for l in range(1, L + 1))
+        assert all((n, k, L, l) in dyadic._aux_paths for l in range(1, L + 1))
         kept = eval_dyadic_aux(fs, k, L)
         einsum = np.einsum
         monkeypatch.setattr(
@@ -418,11 +430,9 @@ class TestSupGradient:
             sup_gradient(fs, 2, 2)
 
 
-def _indices(entry) -> tuple:
-    """The gather indices one plan-cache entry holds."""
-    if isinstance(entry, dyadic._ScalePlan):
-        return entry.gather
-    return (*entry.left, entry.right)
+def _indices(plan) -> tuple:
+    """The gather indices one slot plan holds."""
+    return (plan.own, *plan.left, plan.right)
 
 
 class TestScalePlan:
@@ -451,33 +461,35 @@ class TestScalePlan:
         grid = 2 ** (L * n)
         for scale in range(1, L + 1):
             cell = 1 << scale
-            plan = dyadic._scale_plan(n, L, scale)
-            assert len(plan.gather) == n + 1
-            for index in plan.gather:
-                assert index.shape == (len(plan.idx),) + (cell,) * n
-                assert np.array_equal(np.sort(index, axis=None), np.arange(grid))
+            idx = dyadic._tuple_index_array(scale, L, n)
             for slot in range(n + 1):
-                step = dyadic._slot_steps(plan, slot)
+                plan = dyadic._slot_plan(n, L, scale, slot)
+                assert plan.own.shape == (len(idx),) + (cell,) * n
+                assert np.array_equal(np.sort(plan.own, axis=None), np.arange(grid))
+                assert np.array_equal(
+                    plan.own, dyadic._gather_index(idx, slot, L, scale)
+                )
                 # Every variable's Haar sign has one home: an operand block
                 # that holds it, or, at n = 1 only, the kernel's multiply.
-                operands = set(step.folded) | {step.last}
-                assert len(step.owners) == n + 1
-                for v, owner in enumerate(step.owners):
+                operands = set(plan.folded) | {plan.last}
+                assert len(plan.owners) == n + 1
+                for v, owner in enumerate(plan.owners):
                     if owner is None:
                         assert n == 1 and v != slot
                     else:
                         assert owner in operands and owner != v
-                assert (None in step.owners) == (n == 1)
-                signed = [(i, g, step.left_axes) for i, g in zip(step.folded, step.left)]
-                signed.append((step.last, step.right, step.right_axes))
+                assert (None in plan.owners) == (n == 1)
+                signed = [(i, g, plan.left_axes) for i, g in zip(plan.folded, plan.left)]
+                signed.append((plan.last, plan.right, plan.right_axes))
                 for i, index, axes in signed:
                     full = (-1,) + tuple(1 if v == i else cell for v in range(n + 1)) + (1,)
-                    unsigned = plan.gather[i].reshape(full).transpose(axes)
+                    gather = dyadic._gather_index(idx, i, L, scale)
+                    unsigned = gather.reshape(full).transpose(axes)
                     assert np.array_equal(index % grid, unsigned)
                     # Function i's axes hold x_v for v != i, ascending.
                     coords = np.unravel_index(unsigned, (1 << L,) * n)
                     negative = np.zeros(index.shape, dtype=bool)
-                    for v, owner in enumerate(step.owners):
+                    for v, owner in enumerate(plan.owners):
                         if owner == i:
                             negative ^= coords[v - (v > i)] % cell >= cell // 2
                     assert np.array_equal(index >= grid, negative)
@@ -490,8 +502,8 @@ class TestScalePlan:
             nb, cell = 1 << (L - scale), 1 << scale
             grid = np.arange(2 ** (L * n)).reshape((nb, cell) * n)
             blocks = grid.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)))
-            plan = dyadic._scale_plan(n, L, scale)
-            assert np.array_equal(plan.gather[0], blocks.reshape((nb**n,) + (cell,) * n))
+            plan = dyadic._slot_plan(n, L, scale, 0)
+            assert np.array_equal(plan.own, blocks.reshape((nb**n,) + (cell,) * n))
 
     def test_index_budget_refused_before_allocation(self, monkeypatch):
         # n=2, L=3: three gather indices of 2^6 cells each.
@@ -501,24 +513,25 @@ class TestScalePlan:
         monkeypatch.setattr(dyadic, "_plans", {})
         monkeypatch.setattr(core, "MAX_CELLS", 3 * 2**6 - 1)
         monkeypatch.setattr(np, "indices", refuse)
-        with pytest.raises(ValueError, match="gather index n=2 L=3 l=1 needs 192 cells"):
-            dyadic._scale_plan(2, 3, 1)
+        with pytest.raises(
+            ValueError, match="dyadic plan n=2 L=3 l=1 slot=0 needs 192 cells"
+        ):
+            dyadic._slot_plan(2, 3, 1, 0)
 
     def test_index_budget_admits_its_own_size(self, monkeypatch):
         monkeypatch.setattr(dyadic, "_plans", {})
         monkeypatch.setattr(core, "MAX_CELLS", 3 * 2**6)
-        plan = dyadic._scale_plan(2, 3, 1)
-        assert sum(index.size for index in plan.gather) == 3 * 2**6
-        # A slot's two signed gathers are charged on their own; the plan
-        # makes room for them.
-        step = dyadic._slot_steps(plan, 0)
-        assert sum(index.size for index in _indices(step)) == 2 * 2**6
+        plan = dyadic._slot_plan(2, 3, 1, 0)
+        assert sum(index.size for index in _indices(plan)) == 3 * 2**6
+        assert dyadic.slot_cells(2, 3) == 3 * 2**6
         assert list(dyadic._plans) == [(2, 3, 1, 0)]
+        # The next slot's plan fits only once the first is dropped.
+        dyadic._slot_plan(2, 3, 1, 1)
+        assert list(dyadic._plans) == [(2, 3, 1, 1)]
 
     def test_cached_indices_fit_the_budget_together(self, monkeypatch):
-        # n=1, L=12: each plan holds two 2^12-cell indices and each slot's
-        # steps one, so the budget keeps two of a sweep's twelve plans,
-        # with their slot-1 steps; the rest are rebuilt.
+        # n=1, L=12: each plan holds two 2^12-cell indices, so the budget
+        # keeps three of a sweep's 24 slot plans; the rest are rebuilt.
         n, L = 1, 12
         budget = 6 << L
         fs = random_cell_functions(np.random.default_rng(37), n, L)
@@ -532,32 +545,51 @@ class TestScalePlan:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        held = [
-            index.size for entry in dyadic._plans.values() for index in _indices(entry)
-        ]
+        held = [index.size for plan in dyadic._plans.values() for index in _indices(plan)]
         assert sum(held) <= budget
-        assert list(dyadic._plans) == [
-            (n, L, L - 1), (n, L, L - 1, 1), (n, L, L), (n, L, L, 1)
-        ]
-        # Indices, tuples and sign vectors of the two kept plans, not twelve.
+        assert list(dyadic._plans) == [(n, L, L - 2, 1), (n, L, L - 1, 1), (n, L, L, 1)]
+        # Indices and sign vectors of the three kept plans, not 24.
         assert kept <= 2 * 8 * budget
+
+    def test_budget_of_one_plan_bounds_the_live_indices(self, monkeypatch):
+        # At a budget of one plan every call rebuilds its plans, and no
+        # earlier plan may still be alive while the next is built.
+        n, L = 2, 4
+        fs = random_cell_functions(np.random.default_rng(43), n, L)
+        expected = [sup_gradient(fs, L, slot).tobytes() for slot in range(n + 1)]
+        budget = dyadic.slot_cells(n, L)
+        built = weakref.WeakSet()
+        live_cells = []
+        build = dyadic._build_slot_plan
+
+        def recording_build(*key):
+            plan = build(*key)
+            built.add(plan)
+            live_cells.append(
+                sum(index.size for alive in built for index in _indices(alive))
+            )
+            return plan
+
+        monkeypatch.setattr(dyadic, "_plans", {})
+        monkeypatch.setattr(core, "MAX_CELLS", budget)
+        monkeypatch.setattr(dyadic, "_build_slot_plan", recording_build)
+        got = [sup_gradient(fs, L, slot).tobytes() for slot in range(n + 1)]
+        assert got == expected
+        assert live_cells == [budget] * ((n + 1) * L)
 
     def test_plans_are_reused_in_recency_order(self, monkeypatch):
         monkeypatch.setattr(dyadic, "_plans", {})
-        first = dyadic._scale_plan(2, 3, 1)
-        step = dyadic._slot_steps(first, 0)
-        second = dyadic._scale_plan(2, 3, 2)
-        assert dyadic._scale_plan(2, 3, 1) is first
-        assert dyadic._slot_steps(first, 0) is step
-        assert list(dyadic._plans) == [(2, 3, 2), (2, 3, 1), (2, 3, 1, 0)]
-        assert dyadic._plans[(2, 3, 2)] is second
+        first = dyadic._slot_plan(2, 3, 1, 0)
+        dyadic._slot_plan(2, 3, 1, 1)
+        second = dyadic._slot_plan(2, 3, 2, 0)
+        assert dyadic._slot_plan(2, 3, 1, 0) is first
+        assert list(dyadic._plans) == [(2, 3, 1, 1), (2, 3, 2, 0), (2, 3, 1, 0)]
+        assert dyadic._plans[(2, 3, 2, 0)] is second
 
     def test_sup_builds_only_slot_zero_steps(self, monkeypatch):
         monkeypatch.setattr(dyadic, "_plans", {})
         eval_dyadic_sup(random_cell_functions(np.random.default_rng(41), 2, 3), 3)
-        assert sorted(dyadic._plans) == sorted(
-            [(2, 3, scale) for scale in (1, 2, 3)] + [(2, 3, scale, 0) for scale in (1, 2, 3)]
-        )
+        assert list(dyadic._plans) == [(2, 3, scale, 0) for scale in (1, 2, 3)]
 
 
 def _digest(array: np.ndarray) -> str:

@@ -153,7 +153,7 @@ class TestDyadicSupForm:
 class TestContinuousTruncatedForm:
     def test_caps_degree(self):
         with pytest.raises(ValueError, match="degree"):
-            ContinuousTruncatedForm(3, TruncationRange(0.5, 4.0))
+            ContinuousTruncatedForm(4, TruncationRange(0.5, 4.0))
 
     def test_rejects_degenerate_truncation(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -649,6 +649,11 @@ class TestFitExponent:
     def test_rejects_mixed_degrees(self):
         with pytest.raises(ValueError, match="mix"):
             fit_exponent([record(), record(n=3, abscissa=1.0)])
+
+    def test_rejects_mixed_digests(self):
+        other = "fedcba9876543210"
+        with pytest.raises(ValueError, match=f"digests.*0123456789abcdef.*{other}"):
+            fit_exponent([record(), record(abscissa=1.0, digest=other)])
 
 
 class TestRecordFiles:
