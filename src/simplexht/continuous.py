@@ -8,17 +8,16 @@ profile function against the respective kernel, with the profile computed
 by midpoint quadrature on the functions' common grid and multilinear
 interpolation along the off-grid first argument.
 
-Interpolation plans: where each node's interpolated first argument falls
-depends on the grid and the x nodes only, never on the samples.  A plan
-holds, for every (node, grid point), the flat indices of the two sample
-rows of each interpolated function (into a copy padded with two zero rows
-at both ends of axis 0, so off-box rows read and receive zeros without
-masks), the fraction on the upper row, and the node weights.  The plan of
-the truncated form's nodes +-e^s is cached by (grid, truncation, nodes per
-octave) for the last key only, and only when its arrays fit one chunk of
-_CHUNK_BUDGET doubles; larger node sets, and the arbitrary x of
-simplex_profile, are built chunk by chunk and dropped after use.  Applying
-a plan is gathers, products and one bincount scatter.
+Shift weights: at total sum x, every interpolated first argument sits at
+row c(x) - sum j, with c(x) = (x + (n+1)A)/delta - (n+1)/2, so its lower
+row floor(c) - sum j and upper-row weight f = c - floor(c) depend on the
+node alone, and expanding the interpolations regroups any node sum by
+lower row.  The truncated form's nodes collapse into one table of
+(n+1)((n+1)(N-1)+2) weights, cached for the last (grid, truncation, nodes
+per octave) only; its value and gradients are products and axis sums over
+the (N+1) N^n pairs (lower row, grid point), a slab of rows at a time, and
+the profile bins the same products by lower row.  No array grows with the
+node count and no step calls BLAS, so the bits do not depend on the CPU.
 
 The mollified kernel satisfies (g(x/R) - g(x/r))/x = -int_r^R h_t(x) dt/t
 with h = g', so the smooth form carries that orientation: truncated and
@@ -44,8 +43,9 @@ import numpy as np
 from .core import GridSampledFunction, TruncationRange, check_cells
 from .core import MAX_CELLS_PER_AXIS, MAX_CONTINUOUS_DEGREE
 
-_CHUNK_BUDGET = 1 << 21  # doubles per interpolation chunk
-_PAD = 2  # zero sample rows added at both ends of axis 0
+# Cells per slab of the lower-row axis (see _slabs): of 2**13 .. 2**20,
+# 2**14 gave the fastest gradients at (n, N) = (2, 32), (2, 128) and (3, 32).
+_SLAB_CELLS = 1 << 14
 # Doubles a bisection level of adaptive_simpson holds per interval at its
 # peak, rounded up from the 27-31 measured with tracemalloc.
 _SIMPSON_DOUBLES = 32
@@ -336,95 +336,112 @@ def _common_grid(functions: Sequence[GridSampledFunction]):
     return n, f0.half_extent, f0.spacing, f0.cells_per_axis
 
 
-@dataclass(frozen=True, eq=False)
-class _InterpPlan:
-    """The sample-independent part of the profile at a list of x nodes.
+def _node_rows(grid: tuple, xs: np.ndarray):
+    """Lower rows and row fractions of the nodes xs.
 
-    For every (node, grid point) the first argument of F_i (i >= 1) falls
-    between two rows of F_i's samples along axis 0.  rows[i - 1] holds the
-    flat indices of both, shape (2, K, N, ..., N), into F_i's samples
-    raveled after _padded; frac is the weight of the upper row.  weights
-    are the quadrature weights of the K nodes (None for bare profiles).
-    """
-
-    rows: tuple
-    frac: np.ndarray
-    weights: np.ndarray | None
-
-
-def _build_plan(
-    grid: tuple, xs: np.ndarray, weights=None, index_dtype=np.int32
-) -> _InterpPlan:
-    """The plan at nodes xs; index_dtype np.intp for a plan applied often.
-
-    numpy widens int32 indices to intp on every gather and bincount, which
-    a plan applied once pays once, at half the memory while it lives.
+    At total sum x, F_i's first argument sits at row c(x) - sum j, with
+    c(x) = (x + (n+1)A)/delta - (n+1)/2, so its lower row is L - sum j for
+    L = floor(c), and the upper row's weight f = c - L is the same at every
+    grid point.  Returns the positions of the nodes with L in -1 ..
+    (n+1)(N-1) (any other node reads zero rows only), their table entries
+    L + 1, and (1-f)^(n-m) f^m for m = 0..n as an (n+1, count) array.
     """
     n, A, delta, N = grid
-    coords = -A + (np.arange(N, dtype=np.float64) + 0.5) * delta
-    grid_sum = np.zeros((N,) * n)
-    for m in np.meshgrid(*([coords] * n), indexing="ij"):
-        grid_sum = grid_sum + m
-    pos = xs.reshape((-1,) + (1,) * n) - grid_sum
-    pos += A
-    pos /= delta
-    pos -= 0.5
-    lo = np.floor(pos)
-    frac = np.subtract(pos, lo, out=pos)
-    # Clamped to [-_PAD, N], both rows of an off-box node lie in the zero
-    # padding; fmax/fmin (unlike clip) also send a NaN node there.
-    np.fmin(np.fmax(lo, -_PAD, out=lo), N, out=lo)
-    stride = N ** (n - 1)
-    lo += _PAD
-    lo *= stride
-    cell = np.indices((N,) * n)
-    rows = []
-    for i in range(1, n + 1):
-        others = [cell[j - 1] for j in range(1, n + 1) if j != i]
-        trail = sum(c * N ** (n - 2 - k) for k, c in enumerate(others))
-        both = np.empty((2,) + lo.shape, dtype=index_dtype)
-        np.add(lo, trail, out=both[0], casting="unsafe")
-        np.add(both[0], stride, out=both[1])
-        rows.append(both)
-    for arr in (frac, *rows, weights):
-        if arr is not None:
-            arr.flags.writeable = False
-    return _InterpPlan(tuple(rows), frac, weights)
+    # A node past the largest double's reach overflows to inf, off the table.
+    with np.errstate(over="ignore"):
+        c = (xs + (n + 1) * A) / delta - 0.5 * (n + 1)
+    lower = np.floor(c)
+    keep = np.flatnonzero((lower >= -1.0) & (lower <= (n + 1) * (N - 1)))
+    frac = c[keep] - lower[keep]
+    powers = np.array([(1.0 - frac) ** (n - m) * frac**m for m in range(n + 1)])
+    return keep, lower[keep].astype(np.intp) + 1, powers
 
 
-def _padded(samples: np.ndarray) -> np.ndarray:
-    """Samples raveled with _PAD zero rows added at both ends of axis 0."""
-    out = np.zeros((samples.shape[0] + 2 * _PAD,) + samples.shape[1:])
-    out[_PAD:-_PAD] = samples
-    return out.ravel()
-
-
-def _interpolate(
-    plan: _InterpPlan, i: int, samples: np.ndarray, lower_weight: np.ndarray
-) -> np.ndarray:
-    """F_i at every (node, grid point); lower_weight is 1 - plan.frac."""
-    lower, upper = _padded(samples)[plan.rows[i - 1]]
-    lower *= lower_weight
-    upper *= plan.frac
-    lower += upper
-    return lower
-
-
-def _profile(plan: _InterpPlan, functions, delta: float) -> np.ndarray:
-    n = functions[0].dimension
-    lower_weight = 1.0 - plan.frac
-    prod = _interpolate(plan, 1, functions[1].samples, lower_weight)
-    for i in range(2, n + 1):
-        prod *= _interpolate(plan, i, functions[i].samples, lower_weight)
-    prod *= functions[0].samples
-    return prod.reshape(len(prod), -1).sum(axis=1) * delta**n
-
-
-def _node_chunks(grid: tuple, count: int):
-    """Node slices whose (node, grid point) arrays fit the chunk budget."""
+def _table_size(grid: tuple) -> int:
     n, _, _, N = grid
-    chunk = max(1, _CHUNK_BUDGET // N**n)
-    return [slice(i, i + chunk) for i in range(0, count, chunk)]
+    return (n + 1) * (N - 1) + 2
+
+
+@functools.lru_cache(maxsize=1)
+def _shift_weights(grid: tuple, trunc: TruncationRange, per_octave: int) -> np.ndarray:
+    """The truncated form's read-only weight table, shape (n+1, _table_size).
+
+    W[m, L + 1] sums w (1-f)^(n-m) f^m over the nodes +-e^s of lower row
+    L, each with its quadrature weight w = +-ds.
+    """
+    xs, weights = _truncated_nodes(trunc, per_octave)
+    keep, at, powers = _node_rows(grid, xs)
+    size = _table_size(grid)
+    table = np.array([np.bincount(at, weights[keep] * p, size) for p in powers])
+    table.flags.writeable = False
+    return table
+
+
+def _slabs(grid: tuple) -> list:
+    """The lower-row axis (rows -1 .. N-1, at r + 1) split evenly into slabs.
+
+    A slab holds whole rows of N**n cells, at most _SLAB_CELLS of them or
+    one row where a row is larger; its size is charged to the cell budget.
+    """
+    n, _, _, N = grid
+    count = -(-(N + 1) * N**n // _SLAB_CELLS)
+    rows = -(-(N + 1) // count)
+    check_cells(rows * N**n, f"shift slab of {rows} rows of {N}**{n} cells")
+    return [slice(s, min(s + rows, N + 1)) for s in range(0, N + 1, rows)]
+
+
+def _diagonals(table: np.ndarray, grid: tuple) -> np.ndarray:
+    """Read-only view of table[..., r + 1 + sum j] on axes (..., r + 1, j_1..j_n)."""
+    n, _, _, N = grid
+    return np.lib.stride_tricks.as_strided(
+        table,
+        table.shape[:-1] + (N + 1,) + (N,) * n,
+        table.strides[:-1] + table.strides[-1:] * (n + 1),
+        writeable=False,
+    )
+
+
+def _padded_rows(functions) -> list:
+    """[None] then F_1..F_n's samples, broadcastable on axes (r + 1, j_1..j_n).
+
+    A zero row at both ends of axis 0 puts sample row r at padded row r + 1
+    and makes off-grid rows read 0; a unit axis at position i stands for
+    the column j_i that F_i does not read.
+    """
+    out = [None]
+    for i, f in enumerate(functions[1:], 1):
+        padded = np.zeros((f.cells_per_axis + 2,) + f.samples.shape[1:])
+        padded[1:-1] = f.samples
+        out.append(np.expand_dims(padded, i))
+    return out
+
+
+def _shift_sums(padded: list, slots, rows: slice, first) -> list:
+    """H_0 .. H_len(slots) on one slab of the axes (r + 1, j_1..j_n).
+
+    H_m is first (F_0's samples, or 1.0) times the sum, over the a in
+    {0,1}^slots with |a| = m, of the product of F_i at row r + a_i.
+    """
+    sums = [first]
+    for i in slots:
+        lower = padded[i][rows]
+        upper = padded[i][rows.start + 1 : rows.stop + 1]
+        shifted = [sums[0] * lower]
+        for m in range(1, len(sums)):
+            term = sums[m] * lower
+            term += sums[m - 1] * upper
+            shifted.append(term)
+        shifted.append(sums[-1] * upper)
+        sums = shifted
+    return sums
+
+
+def _weighted(diagonals: np.ndarray, sums: list, rows: slice, shift: int):
+    """sum_m W[m + shift](r + sum j) * H_m(r, j) on one slab."""
+    total = diagonals[shift][rows] * sums[0]
+    for m in range(1, len(sums)):
+        total += diagonals[m + shift][rows] * sums[m]
+    return total
 
 
 def simplex_profile(
@@ -436,14 +453,31 @@ def simplex_profile(
     F_i(x - sum y, y without y_i) over the grid variables y by the midpoint
     rule; the first argument of each F_i for i >= 1 falls off-grid and is
     linearly interpolated along axis 0 (zero beyond the sampled box).
+    Returns one value per element of x, flat; a non-finite x raises a
+    ValueError naming its position.
     """
     grid = _common_grid(functions)
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    parts = [
-        _profile(_build_plan(grid, xs[part]), functions, grid[2])
-        for part in _node_chunks(grid, len(xs))
-    ]
-    return np.concatenate(parts) if parts else np.zeros(0)
+    xs = np.asarray(x, dtype=np.float64).ravel()
+    bad = np.flatnonzero(~np.isfinite(xs))
+    if bad.size:
+        raise ValueError(f"profile node {bad[0]} is {float(xs[bad[0]])!r}, not finite")
+    n, _, delta, N = grid
+    out = np.zeros(len(xs))
+    keep, at, powers = _node_rows(grid, xs)
+    if keep.size == 0:
+        return out
+    padded = _padded_rows(functions)
+    size = _table_size(grid)
+    # Q[m, L + 1] sums H_m(r, j) over r + sum j = L.
+    tables = np.zeros((n + 1, size))
+    cell_rows = _diagonals(np.arange(size), grid)
+    for rows in _slabs(grid):
+        sums = _shift_sums(padded, range(1, n + 1), rows, functions[0].samples)
+        cells = cell_rows[rows].ravel()
+        for m, h in enumerate(sums):
+            tables[m] += np.bincount(cells, h.ravel(), size)
+    out[keep] = np.sum(powers * tables[:, at], axis=0) * delta**n
+    return out
 
 
 def _node_count(trunc: TruncationRange, per_octave: int) -> int:
@@ -465,27 +499,25 @@ def _truncated_nodes(trunc: TruncationRange, per_octave: int):
     return np.concatenate([radii, -radii]), weights
 
 
-@functools.lru_cache(maxsize=1)
-def _truncated_plan(
-    grid: tuple, trunc: TruncationRange, per_octave: int
-) -> _InterpPlan:
-    return _build_plan(grid, *_truncated_nodes(trunc, per_octave), np.intp)
-
-
-def _truncated_plans(grid: tuple, trunc: TruncationRange, quad: QuadratureSpec):
-    """Plans covering the truncated form's nodes in order, one chunk each.
-
-    Nodes within one chunk budget share a single cached plan; larger node
-    sets are built chunk by chunk and dropped after use.
-    """
-    s, _ = _log_midpoint_nodes(trunc, quad.nodes_per_octave)
-    chunks = _node_chunks(grid, 2 * len(s))
-    if len(chunks) == 1:
-        yield _truncated_plan(grid, trunc, quad.nodes_per_octave)
-        return
-    xs, weights = _truncated_nodes(trunc, quad.nodes_per_octave)
-    for part in chunks:
-        yield _build_plan(grid, xs[part], weights[part])
+def _gradient(functions, grid: tuple, trunc: TruncationRange, quad, slot: int):
+    """truncated_form_gradient on checked arguments with r < R."""
+    n, _, delta, N = grid
+    diagonals = _diagonals(_shift_weights(grid, trunc, quad.nodes_per_octave), grid)
+    padded = _padded_rows(functions)
+    others = [i for i in range(1, n + 1) if i != slot]
+    if slot == 0:
+        grad = np.zeros((N,) * n)
+        for rows in _slabs(grid):
+            sums = _shift_sums(padded, others, rows, 1.0)
+            grad += _weighted(diagonals, sums, rows, 0).sum(axis=0)
+        return grad * delta**n
+    # by_row[b, r + 1] sums the products that read the slot's row r + b.
+    by_row = np.zeros((2, N + 1) + (N,) * (n - 1))
+    for rows in _slabs(grid):
+        sums = _shift_sums(padded, others, rows, functions[0].samples)
+        for b in (0, 1):
+            by_row[b, rows] = _weighted(diagonals, sums, rows, b).sum(axis=slot)
+    return (by_row[0, 1:] + by_row[1, :N]) * delta**n
 
 
 def eval_simplex_truncated(
@@ -497,20 +529,14 @@ def eval_simplex_truncated(
 
     After substituting out the kernel variable, the form is the integral of
     profile(x)/x over r <= |x| <= R, evaluated with log-uniform midpoint
-    nodes: sum over nodes of (profile(e^s) - profile(-e^s)) * ds.
+    nodes: sum over nodes of (profile(e^s) - profile(-e^s)) * ds.  The
+    form is linear in F_0: this is its slot-0 gradient paired with F_0.
     """
     grid = _common_grid(functions)
     if trunc.r == trunc.R:
         return 0.0
-    _, step = _log_midpoint_nodes(trunc, quad.nodes_per_octave)
-    profile = np.concatenate(
-        [
-            _profile(plan, functions, grid[2])
-            for plan in _truncated_plans(grid, trunc, quad)
-        ]
-    )
-    plus, minus = np.split(profile, 2)
-    return float(step * np.sum(plus - minus))
+    grad = _gradient(functions, grid, trunc, quad, 0)
+    return float(np.sum(grad * functions[0].samples))
 
 
 def truncated_form_gradient(
@@ -523,48 +549,20 @@ def truncated_form_gradient(
 
     The quadrature value is multilinear in the sample arrays, so the
     partial derivatives with respect to slot `slot` form an array G with
-    sum(G * samples) equal to the evaluated form.  For interpolated slots
-    each quadrature node scatters its two interpolation weights back onto
-    the sample grid, through the plan's row indices, in node order.
-
-    The plan is shared with eval_simplex_truncated: per interpolated
-    function two row indices per (node, grid point), plus one fraction per
-    (node, grid point) and one weight per node, keyed by (grid, trunc,
-    quad.nodes_per_octave) in a one-entry cache.  It is cached only when
-    2 * nodes * N**n fits _CHUNK_BUDGET (at most 2**21 fractions, about
-    16 MB plus 32 MB of indices per interpolated function); beyond that
-    each chunk's plan is built, applied and dropped.
+    sum(G * samples) equal to the evaluated form.  The products leave the
+    slot's function out.  For slot 0 the weighted products are summed over
+    the lower rows.  For an interpolated slot, the products that read its
+    row r + b are weighted by W[m + b] and summed over its own column.
+    The weight table is shared with eval_simplex_truncated, keyed by
+    (grid, trunc, quad.nodes_per_octave) in a one-entry cache.
     """
     grid = _common_grid(functions)
-    n, _, delta, N = grid
+    n, _, _, N = grid
     if not (0 <= slot <= n):
         raise ValueError(f"slot {slot} outside [0, {n}]")
     if trunc.r == trunc.R:
         return np.zeros((N,) * n)
-    stride = N ** (n - 1)
-    parts = []
-    for plan in _truncated_plans(grid, trunc, quad):
-        lower_weight = 1.0 - plan.frac
-        partial = np.empty(plan.frac.shape)
-        partial[...] = (delta**n * plan.weights).reshape((-1,) + (1,) * n)
-        for i in range(1, n + 1):
-            if i != slot:
-                partial *= _interpolate(plan, i, functions[i].samples, lower_weight)
-        if slot == 0:
-            parts.append(partial.sum(axis=0))
-            continue
-        partial *= functions[0].samples
-        # Lower rows then upper rows, each in node order: one pass of sums.
-        spread = np.empty((2,) + partial.shape)
-        np.multiply(partial, lower_weight, out=spread[0])
-        np.multiply(partial, plan.frac, out=spread[1])
-        scattered = np.bincount(
-            plan.rows[slot - 1].ravel(),
-            spread.ravel(),
-            minlength=(N + 2 * _PAD) * stride,
-        )
-        parts.append(scattered[_PAD * stride : (N + _PAD) * stride].reshape((N,) * n))
-    return np.sum(parts, axis=0)
+    return _gradient(functions, grid, trunc, quad, slot)
 
 
 def eval_smooth_form(
@@ -596,5 +594,4 @@ def eval_smooth_form(
     x = -half + (np.arange(count) + 0.5) * dx
     profile = simplex_profile(functions, x)
     kernel = gaussian_deriv(x[:, None] / ts[None, :]) / ts[None, :]
-    per_t = profile @ kernel
-    return -float(t_step * dx * np.sum(per_t))
+    return -float(t_step * dx * np.sum(profile * kernel.sum(axis=1)))

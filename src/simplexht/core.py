@@ -18,12 +18,15 @@ import numpy as np
 # are 512 MiB).  Engines check a size against it before allocating.
 MAX_CELLS = 2**26
 
-# Highest continuous degree and largest continuous grid in cells per axis:
-# one node's interpolation grid, 128**3 = 2**21 cells, fits one chunk.
+# Highest continuous degree and largest continuous grid in cells per axis,
+# a time limit: at n=3 and 128 cells per axis the engine works one lower
+# row of 128**3 = 2**21 cells at a time, and one gradient at 4 octaves
+# took 12.4 s at a 307 MB peak on 2 vCPUs.
 MAX_CONTINUOUS_DEGREE = 3
 MAX_CELLS_PER_AXIS = 128
-# Highest degree of continuous sweeps, a time limit: a degree-3 cycle on
-# the default 32**3 grid, 4 octaves, took 3.4 s on 2 vCPUs.
+# Highest degree of continuous sweeps: a degree-3 cycle on the default
+# 32**3 grid, 4 octaves, takes 0.16 s on 2 vCPUs (3.1 s before the shift
+# weights), but no test or benchmark runs a degree-3 sweep yet.
 MAX_CONTINUOUS_SWEEP_DEGREE = 2
 # Highest degree `verify --suite dyadic --n` accepts: beyond it the budget
 # admits n=6 at L=3, whose largest case alone holds 2**26 cells.

@@ -308,11 +308,12 @@ def _slot_kernel(
     return kern, pairings.reshape(-1) * plan.weight
 
 
-def _scale_pairings(functions: Sequence[CellFunction], scale: int) -> np.ndarray:
-    """Pairing values for every tuple at one scale, in _tuple_index_array's row order."""
-    n = functions[0].dimension
-    plan = _slot_plan(n, functions[0].side_exponent, scale, 0)
-    return _slot_kernel(plan, _sign_doubled(functions), 0)[1]
+def _scale_pairings(doubled: Sequence[np.ndarray], n: int, L: int, scale: int):
+    """Pairings of every tuple at one scale, in _tuple_index_array's row order.
+
+    doubled is _sign_doubled(functions), made once per call for all scales.
+    """
+    return _slot_kernel(_slot_plan(n, L, scale, 0), doubled, 0)[1]
 
 
 class CoefficientMap:
@@ -339,9 +340,10 @@ def sign_optimal_coefficients(
     """Coefficients +-1 aligned with each pairing's sign (sign of 0 taken as +1)."""
     n, L = _check_functions(functions)
     _check_scale_count(scale_count, L)
+    doubled = _sign_doubled(functions)
     entries: dict[tuple[int, tuple[int, ...]], float] = {}
     for scale in range(1, scale_count + 1):
-        eps = np.where(_scale_pairings(functions, scale) >= 0.0, 1.0, -1.0)
+        eps = np.where(_scale_pairings(doubled, n, L, scale) >= 0.0, 1.0, -1.0)
         for row, e in zip(_tuple_index_array(scale, L, n), eps):
             entries[(scale, tuple(int(i) for i in row))] = float(e)
     return CoefficientMap(entries)
@@ -367,9 +369,10 @@ def eval_dyadic_form(
     n, L = _check_functions(functions)
     _check_scale_count(scale_count, L)
     entries = coefficients._entries
+    doubled = _sign_doubled(functions)
     sums, matched = [], 0
     for scale in range(1, scale_count + 1):
-        vals = _scale_pairings(functions, scale)
+        vals = _scale_pairings(doubled, n, L, scale)
         found = [
             entries.get((scale, tuple(row)))
             for row in _tuple_index_array(scale, L, n).tolist()
@@ -405,10 +408,11 @@ def scale_contributions(
     """Per-scale contributions to eval_dyadic_sup, scales 1..scale_count."""
     n, L = _check_functions(functions)
     _check_scale_count(scale_count, L)
-    out = []
-    for scale in range(1, scale_count + 1):
-        out.append(float(np.sum(np.abs(_scale_pairings(functions, scale)))))
-    return out
+    doubled = _sign_doubled(functions)
+    return [
+        float(np.sum(np.abs(_scale_pairings(doubled, n, L, scale))))
+        for scale in range(1, scale_count + 1)
+    ]
 
 
 def sup_gradient(

@@ -373,37 +373,46 @@ def mc_truncated_form(functions, trunc, n_samples: int, seed: int):
     return est, err
 
 
-def brute_truncated_form(functions, trunc, quad) -> float:
-    """The truncated form's quadrature, one node and one grid point at a time.
+def brute_profile(functions, x: float) -> float:
+    """The profile at one total sum x, one grid point at a time.
 
-    Log-uniform midpoint nodes x = +-e^s in the kernel variable, the
-    midpoint rule over the grid variables y, and interp_eval for every
+    The midpoint rule over the grid variables y, with interp_eval for every
     F_i(x - sum y, y without y_i).  The interpolated factors are taken
     sparsest first, so a term stops at its first zero factor.
     """
     f0 = functions[0]
     n = f0.dimension
-    log_ratio = math.log(trunc.R / trunc.r)
-    count = max(1, math.ceil(math.log2(trunc.R / trunc.r) * quad.nodes_per_octave))
-    step = log_ratio / count
     coords = -f0.half_extent + (np.arange(f0.cells_per_axis) + 0.5) * f0.spacing
     order = sorted(
         range(1, n + 1), key=lambda i: np.count_nonzero(functions[i].samples)
     )
     total = 0.0
+    for cell in itertools.product(range(f0.cells_per_axis), repeat=n):
+        y = [coords[c] for c in cell]
+        term = float(f0.samples[cell])
+        for i in order:
+            if term == 0.0:
+                break
+            args = [x - sum(y)] + [y[j] for j in range(n) if j != i - 1]
+            term *= interp_eval(functions[i], args)
+        total += term
+    return total * f0.spacing**n
+
+
+def brute_truncated_form(functions, trunc, quad) -> float:
+    """The truncated form's quadrature, one node at a time.
+
+    Log-uniform midpoint nodes x = +-e^s in the kernel variable, each
+    weighted +-ds, and brute_profile at every node.
+    """
+    log_ratio = math.log(trunc.R / trunc.r)
+    count = max(1, math.ceil(math.log2(trunc.R / trunc.r) * quad.nodes_per_octave))
+    step = log_ratio / count
+    total = 0.0
     for k in range(count):
         radius = math.exp(math.log(trunc.r) + (k + 0.5) * step)
-        for x, sign in ((radius, 1.0), (-radius, -1.0)):
-            for cell in itertools.product(range(f0.cells_per_axis), repeat=n):
-                y = [coords[c] for c in cell]
-                term = float(f0.samples[cell])
-                for i in order:
-                    if term == 0.0:
-                        break
-                    args = [x - sum(y)] + [y[j] for j in range(n) if j != i - 1]
-                    term *= interp_eval(functions[i], args)
-                total += sign * term
-    return total * step * f0.spacing**n
+        total += brute_profile(functions, radius) - brute_profile(functions, -radius)
+    return total * step
 
 
 def brute_truncated_gradient(functions, trunc, slot: int, quad) -> np.ndarray:

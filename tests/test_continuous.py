@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import math
 import tracemalloc
 
@@ -33,9 +35,11 @@ from simplexht.core import (
     TruncationRange,
     normalize_tuple,
 )
+from simplexht.harness import growth_sweep
 
 from helpers import (
     brute_adaptive_simpson,
+    brute_profile,
     brute_truncated_form,
     brute_truncated_gradient,
     mc_truncated_form,
@@ -705,76 +709,185 @@ class TestTruncatedFormGradient:
             truncated_form_gradient(fs, TruncationRange(0.5, 4.0), 2)
 
 
-class TestInterpolationPlan:
-    def test_chunked_nodes_match_one_plan(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        fs = random_bump_tuple(rng, 2, spacing=0.25)
-        grid_points = fs[0].samples.size
-        trunc = TruncationRange(0.5, 4.0)
-        quad = QuadratureSpec(nodes_per_octave=8)  # 2 * 24 nodes
-        xs = np.linspace(-6.0, 6.0, 101)
-        continuous._truncated_plan.cache_clear()
+def random_grid_tuple(rng, n: int, half_extent: float, spacing: float):
+    """n + 1 functions of standard normal samples, with no tail check."""
+    cells = round(2.0 * half_extent / spacing)
+    return [
+        GridSampledFunction(
+            n, half_extent, spacing, rng.standard_normal((cells,) * n),
+            tail_threshold=None,
+        )
+        for _ in range(n + 1)
+    ]
+
+
+class TestShiftWeights:
+    @pytest.mark.parametrize(
+        "n, half_extent, spacing, R, per_octave",
+        [
+            # Cell centres that are not binary fractions (0.3 is not).
+            (1, 1.5, 0.3, 1.6, 2),
+            (2, 0.75, 0.3, 1.6, 2),
+            (3, 0.45, 0.3, 1.6, 2),
+            # Nodes up to 12.8 run past the reach (n+1)A = 4, 3 and 3.
+            (1, 2.0, 0.5, 12.8, 1),
+            (2, 1.0, 0.5, 12.8, 1),
+            (3, 0.75, 0.5, 12.8, 1),
+        ],
+    )
+    def test_value_and_gradients_match_brute_force(
+        self, n, half_extent, spacing, R, per_octave
+    ):
+        fs = random_grid_tuple(np.random.default_rng(60 + n), n, half_extent, spacing)
+        trunc = TruncationRange(0.4, R)
+        quad = QuadratureSpec(nodes_per_octave=per_octave)
+        expected = brute_truncated_form(fs, trunc, quad)
         value = eval_simplex_truncated(fs, trunc, quad)
-        grads = [truncated_form_gradient(fs, trunc, slot, quad) for slot in range(3)]
+        assert math.isclose(value, expected, rel_tol=1e-12)
+        for slot in range(n + 1):
+            want = brute_truncated_gradient(fs, trunc, slot, quad)
+            grad = truncated_form_gradient(fs, trunc, slot, quad)
+            assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
+            # The form is linear in the slot: the gradient pairs back to it.
+            dot = float(np.sum(grad * fs[slot].samples))
+            assert math.isclose(dot, value, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, half_extent, spacing", [(1, 2.0, 0.5), (2, 1.0, 0.5), (3, 0.75, 0.5), (2, 0.75, 0.3)]
+    )
+    def test_profile_matches_pointwise_interpolation(self, n, half_extent, spacing):
+        fs = random_grid_tuple(np.random.default_rng(70 + n), n, half_extent, spacing)
+        reach = (n + 1) * half_extent
+        # Offsets (L + (n+1)/2) * spacing - (n+1) * A put every interpolated
+        # argument on a cell centre (f = 0); on the binary grids they are
+        # exact.  The rest fall between rows, at and beyond the reach.
+        centred = (np.arange(-2, 12) + 0.5 * (n + 1)) * spacing - reach
+        between = np.array([-reach - 0.1, -reach, -0.37, 0.0, 0.21, reach, reach + 1.0])
+        xs = np.concatenate([centred, between])
+        expected = np.array([brute_profile(fs, x) for x in xs])
         profile = simplex_profile(fs, xs)
-        assert continuous._truncated_plan.cache_info().misses == 1
+        assert np.max(np.abs(profile - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert profile[-1] == 0.0
 
-        budget = 10 * grid_points  # ten nodes per chunk
-        built = []
-        build = continuous._build_plan
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_profile_refuses_non_finite_nodes(self, n, bad):
+        fs = random_grid_tuple(np.random.default_rng(n), n, 1.0, 0.5)
+        with pytest.raises(ValueError, match=f"profile node 2 is {bad!r}, not finite"):
+            simplex_profile(fs, [0.0, 1.0, bad, 2.0])
 
-        def recording_build(grid, xs, *args):
-            built.append(len(xs))
-            return build(grid, xs, *args)
-
-        monkeypatch.setattr(continuous, "_CHUNK_BUDGET", budget)
-        monkeypatch.setattr(continuous, "_build_plan", recording_build)
-        continuous._truncated_plan.cache_clear()
-        assert math.isclose(
-            eval_simplex_truncated(fs, trunc, quad), value, rel_tol=1e-12
-        )
-        for slot, whole in enumerate(grads):
-            split = truncated_form_gradient(fs, trunc, slot, quad)
-            assert np.max(np.abs(split - whole)) <= 1e-12 * np.max(np.abs(whole))
-        # Profile nodes are independent, so chunking leaves them bit-identical.
-        assert np.array_equal(simplex_profile(fs, xs), profile)
-
-        # Over the budget, every plan was built for one chunk and none cached.
-        assert built and max(built) == 10
-        assert sum(built) == 4 * 48 + len(xs)
-        info = continuous._truncated_plan.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
-
-    def test_largest_grid_node_fits_one_chunk(self):
-        # The grid caps keep one node's interpolation grid within one chunk,
-        # so _node_chunks never needs to split a node.
-        assert core.MAX_CELLS_PER_AXIS**core.MAX_CONTINUOUS_DEGREE <= (
-            continuous._CHUNK_BUDGET
-        )
-
-    def test_cache_holds_one_plan(self):
-        rng = np.random.default_rng(9)
-        fs = random_bump_tuple(rng, 1, spacing=0.25)
-        continuous._truncated_plan.cache_clear()
-        for octaves in (1, 2, 3, 2):
+    def test_cache_holds_one_table(self):
+        fs = random_grid_tuple(np.random.default_rng(9), 2, 1.0, 0.25)
+        grid = continuous._common_grid(fs)
+        continuous._shift_weights.cache_clear()
+        sizes = []
+        for octaves in (2, 200, 2):
             trunc = TruncationRange(0.5, 0.5 * 2.0**octaves)
             value = eval_simplex_truncated(fs, trunc)
             grad = truncated_form_gradient(fs, trunc, 1)
             assert math.isclose(
                 float(np.sum(grad * fs[1].samples)), value, rel_tol=1e-12
             )
-            info = continuous._truncated_plan.cache_info()
+            table = continuous._shift_weights(grid, trunc, 32)
+            info = continuous._shift_weights.cache_info()
             assert info.maxsize == 1 and info.currsize == 1
-        # One build per new truncation; the gradient reused the value's plan.
-        assert (info.hits, info.misses) == (4, 4)
+            assert not table.flags.writeable
+            sizes.append(table.size)
+        # One build per new truncation, reused by the gradient; 200 octaves
+        # hold as many weights as 2: (n+1) rows of (n+1)(N-1)+2 entries.
+        assert (info.hits, info.misses) == (6, 3)
+        assert sizes == [3 * (3 * 7 + 2)] * 3
 
-    def test_cached_plan_is_read_only(self):
-        rng = np.random.default_rng(10)
-        fs = random_bump_tuple(rng, 1, spacing=0.25)
-        trunc = TruncationRange(0.5, 2.0)
-        eval_simplex_truncated(fs, trunc)
-        plan = continuous._truncated_plan(
-            continuous._common_grid(fs), trunc, QuadratureSpec().nodes_per_octave
+    def test_memory_does_not_grow_with_the_nodes(self):
+        # 2 * 32 * 8 nodes by 4096 grid points would be 16 MiB per array of
+        # (node, grid point) pairs; the engine holds slabs of the lower-row
+        # axis instead, whatever the node count.
+        fs = random_grid_tuple(np.random.default_rng(4), 2, 2.0, 1.0 / 16.0)
+        peaks = []
+        for octaves in (1, 8):
+            trunc = TruncationRange(0.5, 0.5 * 2.0**octaves)
+            eval_simplex_truncated(fs, trunc)
+            tracemalloc.start()
+            for slot in range(3):
+                truncated_form_gradient(fs, trunc, slot)
+            eval_simplex_truncated(fs, trunc)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert max(peaks) < 2 * 2**20
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_slabs_fit_the_cell_budget(self, monkeypatch):
+        # The largest grid the caps admit, n = 3 at N = 128, works one lower
+        # row of 128**3 cells at a time.
+        grid = (core.MAX_CONTINUOUS_DEGREE, 4.0, 1.0 / 16.0, core.MAX_CELLS_PER_AXIS)
+        slabs = continuous._slabs(grid)
+        assert [s.stop - s.start for s in slabs] == [1] * 129
+        assert core.MAX_CELLS_PER_AXIS**core.MAX_CONTINUOUS_DEGREE <= core.MAX_CELLS
+        # A small grid is one slab, charged before any array is built.
+        fs = random_grid_tuple(np.random.default_rng(5), 2, 2.0, 0.5)
+        trunc = TruncationRange(0.5, 4.0)
+        expected = truncated_form_gradient(fs, trunc, 1)
+        monkeypatch.setattr(core, "MAX_CELLS", 9 * 64 - 1)
+        with pytest.raises(ValueError, match="shift slab of 9 rows of 8\\*\\*2 cells needs 576"):
+            truncated_form_gradient(fs, trunc, 1)
+        monkeypatch.setattr(core, "MAX_CELLS", 9 * 64)
+        assert np.array_equal(truncated_form_gradient(fs, trunc, 1), expected)
+
+    def test_slabs_split_the_rows_evenly(self, monkeypatch):
+        fs = random_grid_tuple(np.random.default_rng(6), 2, 2.0, 0.25)
+        trunc = TruncationRange(0.5, 4.0)
+        grid = continuous._common_grid(fs)
+        assert len(continuous._slabs(grid)) == 1
+        value = eval_simplex_truncated(fs, trunc)
+        grads = [truncated_form_gradient(fs, trunc, slot) for slot in range(3)]
+        profile = simplex_profile(fs, np.linspace(-13.0, 13.0, 53))
+        monkeypatch.setattr(continuous, "_SLAB_CELLS", 4 * 256)
+        assert [s.stop - s.start for s in continuous._slabs(grid)] == [4] * 4 + [1]
+        assert math.isclose(eval_simplex_truncated(fs, trunc), value, rel_tol=1e-13)
+        for slot, whole in enumerate(grads):
+            split = truncated_form_gradient(fs, trunc, slot)
+            assert np.max(np.abs(split - whole)) <= 1e-13 * np.max(np.abs(whole))
+        split = simplex_profile(fs, np.linspace(-13.0, 13.0, 53))
+        assert np.max(np.abs(split - profile)) <= 1e-13 * np.max(np.abs(profile))
+
+    def test_engine_makes_no_blas_call(self):
+        # BLAS kernels round by CPU type; the continuous engine's bits must
+        # not depend on which one a machine has.
+        tree = ast.parse(inspect.getsource(continuous))
+        blas = {"matmul", "einsum", "dot", "tensordot", "inner", "vdot", "outer"}
+        found = [
+            node.lineno
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+            or (isinstance(node, ast.Attribute) and node.attr in blas)
+        ]
+        assert found == []
+
+
+class TestGoldenBits:
+    """Bits of the continuous engine, which must not depend on the CPU."""
+
+    def test_sweep_records(self):
+        records = growth_sweep(
+            "continuous", 2, [1, 2], HoelderExponents.geometric(2), [0],
+            half_extent=2.0, spacing=0.25, max_iter=3,
         )
-        for arr in (plan.frac, plan.weights, *plan.rows):
-            assert not arr.flags.writeable
+        assert [(float.hex(r.S), r.iters) for r in records] == GOLDEN_SWEEP
+
+    def test_gradient(self):
+        fs = random_grid_tuple(np.random.default_rng(80), 2, 1.0, 0.5)
+        grad = truncated_form_gradient(fs, TruncationRange(0.5, 2.0), 1)
+        assert [[float.hex(v) for v in row] for row in grad] == GOLDEN_GRADIENT
+
+
+# S(octave) of a two-octave n=2 sweep on a 16x16 grid, seed 0, three
+# cycles, and the slot-1 gradient of a seeded 4x4 tuple.  Under the
+# per-(node, grid point) interpolation this engine replaced, S agrees
+# within 2e-16 relative and the gradient within 6e-16 of its largest entry.
+GOLDEN_SWEEP = [("0x1.a8912fb369174p-1", 3), ("0x1.28bb67fe8ac46p+0", 3)]
+GOLDEN_GRADIENT = [
+    ["0x1.d029d9f8dc8a4p-5", "-0x1.f6d3a806d44b1p-4", "0x1.8bcd2d02c03e4p-9", "0x1.2af9eb4f8bfaap-3"],
+    ["0x1.73ace16e7f25ep-5", "-0x1.70c6c2237b8efp-3", "-0x1.3568a56dc4e88p-4", "0x1.26d7c572b4d8ap-6"],
+    ["0x1.e0d3118af4accp-4", "-0x1.8ee68be836146p-4", "0x1.1493371c89643p-4", "-0x1.3cb4adcc44ca8p-6"],
+    ["0x1.deb735f9bf583p-5", "-0x1.bf68c223e5715p-4", "0x1.3158e78132cbfp-4", "-0x1.0598423fc2538p-5"],
+]
