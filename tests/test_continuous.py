@@ -776,28 +776,6 @@ class TestShiftWeights:
         with pytest.raises(ValueError, match=f"profile node 2 is {bad!r}, not finite"):
             simplex_profile(fs, [0.0, 1.0, bad, 2.0])
 
-    def test_cache_holds_one_table(self):
-        fs = random_grid_tuple(np.random.default_rng(9), 2, 1.0, 0.25)
-        grid = continuous._common_grid(fs)
-        continuous._shift_weights.cache_clear()
-        sizes = []
-        for octaves in (2, 200, 2):
-            trunc = TruncationRange(0.5, 0.5 * 2.0**octaves)
-            value = eval_simplex_truncated(fs, trunc)
-            grad = truncated_form_gradient(fs, trunc, 1)
-            assert math.isclose(
-                float(np.sum(grad * fs[1].samples)), value, rel_tol=1e-12
-            )
-            table = continuous._shift_weights(grid, trunc, 32)
-            info = continuous._shift_weights.cache_info()
-            assert info.maxsize == 1 and info.currsize == 1
-            assert not table.flags.writeable
-            sizes.append(table.size)
-        # One build per new truncation, reused by the gradient; 200 octaves
-        # hold as many weights as 2: (n+1) rows of (n+1)(N-1)+2 entries.
-        assert (info.hits, info.misses) == (6, 3)
-        assert sizes == [3 * (3 * 7 + 2)] * 3
-
     def test_memory_does_not_grow_with_the_nodes(self):
         # 2 * 32 * 8 nodes by 4096 grid points would be 16 MiB per array of
         # (node, grid point) pairs; the engine holds slabs of the lower-row
@@ -862,6 +840,43 @@ class TestShiftWeights:
             or (isinstance(node, ast.Attribute) and node.attr in blas)
         ]
         assert found == []
+
+
+class TestInterpolationPlan:
+    """The truncated form's interpolation plan: its shift-weight table."""
+
+    def test_cache_holds_one_plan(self):
+        fs = random_grid_tuple(np.random.default_rng(9), 2, 1.0, 0.25)
+        grid = continuous._common_grid(fs)
+        continuous._shift_weights.cache_clear()
+        sizes = []
+        for octaves in (2, 200, 2):
+            trunc = TruncationRange(0.5, 0.5 * 2.0**octaves)
+            value = eval_simplex_truncated(fs, trunc)
+            grad = truncated_form_gradient(fs, trunc, 1)
+            assert math.isclose(
+                float(np.sum(grad * fs[1].samples)), value, rel_tol=1e-12
+            )
+            table = continuous._shift_weights(grid, trunc, 32)
+            info = continuous._shift_weights.cache_info()
+            assert info.maxsize == 1 and info.currsize == 1
+            sizes.append(table.size)
+        # One build per new truncation, reused by the gradient; 200 octaves
+        # hold as many weights as 2: (n+1) rows of (n+1)(N-1)+2 entries.
+        assert (info.hits, info.misses) == (6, 3)
+        assert sizes == [3 * (3 * 7 + 2)] * 3
+
+    def test_cached_plan_is_read_only(self):
+        fs = random_grid_tuple(np.random.default_rng(10), 1, 1.0, 0.25)
+        trunc = TruncationRange(0.5, 2.0)
+        eval_simplex_truncated(fs, trunc)
+        table = continuous._shift_weights(
+            continuous._common_grid(fs), trunc, QuadratureSpec().nodes_per_octave
+        )
+        assert continuous._shift_weights.cache_info().hits >= 1
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
 
 
 class TestGoldenBits:
