@@ -280,13 +280,13 @@ class DilationParams:
     alphas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.t is not None and not self.t > 0.0:
-            raise ValueError(f"t must be positive or None, got {self.t!r}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        if self.t is not None and not 0.0 < self.t < math.inf:
+            raise ValueError(f"t must be positive and finite or None, got {self.t!r}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
         vals = tuple(float(a) for a in self.alphas)
-        if any(not a > 0.0 for a in vals):
-            raise ValueError("all dilation factors must be positive")
+        if any(not 0.0 < a < math.inf for a in vals):
+            raise ValueError(f"alphas must all be positive and finite, got {vals!r}")
         object.__setattr__(self, "alphas", vals)
 
     def in_proof_range(self, n: int, k: int) -> bool:

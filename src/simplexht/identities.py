@@ -227,7 +227,8 @@ def check_convolution(x) -> float:
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     h_part = gaussian_deriv(ys / _SQRT_HALF) / _SQRT_HALF
     g_part = gaussian((arr[:, None] - ys[None, :]) / _SQRT_HALF) / _SQRT_HALF
-    conv = g_part @ h_part * step
+    # A row sum, not a matrix product: BLAS kernels round by CPU type.
+    conv = np.sum(g_part * h_part, axis=1) * step
     errors = np.abs(gaussian_deriv(arr) - math.sqrt(2.0) * conv)
     if np.ndim(x) == 0:
         return float(errors[0])
@@ -260,8 +261,13 @@ class Gaussian1D:
     width: float
 
     def __post_init__(self) -> None:
-        if not self.width > 0.0:
-            raise ValueError(f"width must be positive, got {self.width!r}")
+        for field in ("amplitude", "center"):
+            if not math.isfinite(getattr(self, field)):
+                raise ValueError(
+                    f"{field} must be finite, got {getattr(self, field)!r}"
+                )
+        if not 0.0 < self.width < math.inf:
+            raise ValueError(f"width must be positive and finite, got {self.width!r}")
 
     def __call__(self, x):
         return self.amplitude * gaussian((np.asarray(x) - self.center) / self.width)
@@ -275,11 +281,7 @@ class Gaussian1D:
             return abs(self.amplitude)
         if p < 1.0:
             raise ValueError(f"need p >= 1, got {p!r}")
-        xs, step = _midpoint_grid(
-            self.center - 9.0 * self.width, self.center + 9.0 * self.width,
-            self.width / 16.0,
-        )
-        return float(np.sum(np.abs(self(xs)) ** p * step) ** (1.0 / p))
+        return abs(self.amplitude) * self.width ** (1.0 / p) * p ** (-0.5 / p)
 
 
 @dataclass(frozen=True)
@@ -320,81 +322,55 @@ class SingleScaleCheck(NamedTuple):
     passed: bool
 
 
-def _midpoint_grid(lo: float, hi: float, step: float):
-    count = max(1, math.ceil((hi - lo) / step))
-    count = min(count, 200_000)
-    actual = (hi - lo) / count
-    return lo + (np.arange(count) + 0.5) * actual, actual
-
-
-def _kernel_values(s: float, x: np.ndarray) -> np.ndarray:
-    """Values of the L^1-normalized dilate g_s on an array."""
-    return gaussian(x / s) / s
-
-
 def _pair_energy(f: Gaussian1D, s: float) -> float:
-    """Integral over p of (f convolved with g_s)(p) squared."""
-    combined = math.hypot(f.width, s)
-    ps, dp = _midpoint_grid(
-        f.center - 8.0 * combined, f.center + 8.0 * combined, combined / 16.0
-    )
-    xs, dx = _midpoint_grid(
-        f.center - 8.0 * f.width, f.center + 8.0 * f.width, min(f.width, s) / 8.0
-    )
-    smoothed = _kernel_values(s, xs[None, :] - ps[:, None]) @ f(xs) * dx
-    return float(np.sum(smoothed**2) * dp)
+    """Integral over p of (f convolved with g_s)(p) squared.
+
+    f * g_s is the bump A w g_H(. - c) with H = hypot(w, s), and the
+    integral of g_H squared is 1 / (sqrt(2) H).
+    """
+    return (f.amplitude * f.width) ** 2 * _SQRT_HALF / math.hypot(f.width, s)
 
 
 def _scale_two_value(
     f0: SeparableGaussian, f1: SeparableGaussian, t: float, params: DilationParams
 ) -> float:
-    """Quadrature value of the split-at-two single-scale form (two variables).
+    """Closed-form value of the split-at-two single-scale form (two variables).
 
     The first-axis factors enter squared through a double convolution
     against the wide kernel; the second-axis factors pair through the
-    narrow kernel and enter the integral squared.
+    narrow kernel and enter the integral squared.  Writing a bump as
+    A g((x - c)/w) = A w g_w(x - c), with g_w the L^1-normalized dilate,
+    convolutions add centres and add widths in quadrature, a product of
+    two bumps is one bump, and each integral is a convolution at a point.
     """
     a0 = f0.factors[0].squared()
     a1 = f1.factors[0].squared()
     b0, b1 = f0.factors[1], f1.factors[1]
-    s_wide = t * params.alpha
-    s_narrow = t * params.alphas[0]
-
-    # density of the sum of the two squared first-axis factors
-    sum_width = math.hypot(a0.width, a1.width)
+    # With P_i, u_i the amplitude and width of a_i:
+    # (a0 * a1 * g_{t alpha})(-p) = P0 P1 u0 u1 g_W(p + C)
     sum_center = a0.center + a1.center
-    ss, ds = _midpoint_grid(
-        sum_center - 8.0 * sum_width, sum_center + 8.0 * sum_width, sum_width / 16.0
-    )
-    ys, dy = _midpoint_grid(
-        a1.center - 8.0 * a1.width,
-        a1.center + 8.0 * a1.width,
-        min(a0.width, a1.width) / 8.0,
-    )
-    density = a0(ss[:, None] - ys[None, :]) @ a1(ys) * dy
-
-    # second-axis pairing: product of the two factors smoothed by g_narrow
-    prod_width = b0.width * b1.width / math.hypot(b0.width, b1.width)
+    wide = math.sqrt(a0.width**2 + a1.width**2 + (t * params.alpha) ** 2)
+    # b0 b1 = K g_omega(. - mu), which g_{t alpha_1} smooths to K g_M(. - mu)
+    spread = math.hypot(b0.width, b1.width)
+    prod_width = b0.width * b1.width / spread
     prod_center = (
         b0.center * b1.width**2 + b1.center * b0.width**2
-    ) / (b0.width**2 + b1.width**2)
-    m_width = math.hypot(prod_width, s_narrow)
-    c_width = math.hypot(sum_width, s_wide)
-
-    lo = min(-sum_center - 8.0 * c_width, prod_center - 8.0 * m_width)
-    hi = max(-sum_center + 8.0 * c_width, prod_center + 8.0 * m_width)
-    ps, dp = _midpoint_grid(lo, hi, min(c_width, m_width) / 16.0)
-
-    us, du = _midpoint_grid(
-        min(b0.center - 8.0 * b0.width, b1.center - 8.0 * b1.width),
-        max(b0.center + 8.0 * b0.width, b1.center + 8.0 * b1.width),
-        min(b0.width, b1.width, s_narrow) / 8.0,
+    ) / spread**2
+    pair_amp = (
+        b0.amplitude
+        * b1.amplitude
+        * prod_width
+        * float(gaussian((b0.center - b1.center) / spread))
     )
-    smoothing = _kernel_values(s_wide, ss[None, :] + ps[:, None]) @ density * ds
-    pairing = _kernel_values(s_narrow, us[None, :] - ps[:, None]) @ (
-        b0(us) * b1(us)
-    ) * du
-    return float(np.sum(smoothing * pairing**2) * dp)
+    narrow = math.hypot(prod_width, t * params.alphas[0])
+    # (K g_M)^2 = K^2 / (sqrt(2) M) g_{M / sqrt 2}, and the p-integral of
+    # g_W(p + C) g_{M / sqrt 2}(p - mu) is g_Z(C + mu), Z^2 = W^2 + M^2 / 2.
+    z_width = math.sqrt(wide**2 + 0.5 * narrow**2)
+    return (
+        a0.amplitude * a1.amplitude * a0.width * a1.width
+        * pair_amp**2 * _SQRT_HALF / narrow
+        * float(gaussian((sum_center + prod_center) / z_width)) / z_width
+    )
 
 
 def check_single_scale(
@@ -408,9 +384,10 @@ def check_single_scale(
 
     Takes the k functions appearing in the split-at-k form (the remaining
     ones are already eliminated at this stage of the argument), evaluates
-    the form by factored Gaussian quadrature, and compares |value| with
-    the norm product raised to the doubling power.  The bound holds for
-    every t > 0 and all positive dilation factors.
+    the form exactly, since each of its integrals is a Gaussian integral
+    with a closed form, and compares |value| with the norm product raised
+    to the doubling power.  The bound holds for every t > 0 and all
+    positive dilation factors.
     """
     for i, f in enumerate(functions):
         if not isinstance(f, SeparableGaussian):
@@ -432,8 +409,8 @@ def check_single_scale(
             f"the split-at-{k} form pairs exactly {k} functions, "
             f"got {len(functions)}"
         )
-    if not t > 0.0:
-        raise ValueError(f"scale must be positive, got {t!r}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"scale t must be positive and finite, got {t!r}")
     if len(params.alphas) != n - k + 1:
         raise ValueError(
             f"expected {n - k + 1} trailing dilation factors, "

@@ -1,8 +1,9 @@
 """Independent reference implementations used only by tests.
 
 Everything here is deliberately written in plain nested-loop Python over
-unit cells and pointwise haar_eval calls, or as a plain recursion over
-scalars, so it shares no code path with the vectorized engines it checks.
+unit cells and pointwise haar_eval calls, as a plain recursion over
+scalars, or as discrete convolutions of sampled Gaussians on one fine
+grid, so it shares no code path with the engines it checks.
 The engines hold each XOR-zero tuple as a row of integer indices; the
 oracles hold it as an IntervalTuple of DyadicInterval objects, a model of
 its own that imports nothing from simplexht but the CellFunction value type.
@@ -487,3 +488,72 @@ def brute_adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
     fa, fm, fb = f(a), f(mid), f(b)
     whole = simpson(a, mid, b, fa, fm, fb)
     return float(recurse(a, mid, b, fa, fm, fb, whole, tol, 48))
+
+
+def _sampled_bump(amplitude, center, width, step):
+    """amplitude * e^{-pi ((x - center) / width)^2} on the grid x = i * step.
+
+    Only the points within 12 widths of center are kept; the result is the
+    pair (first index, samples).
+    """
+    lo = math.floor((center - 12.0 * width) / step)
+    hi = math.ceil((center + 12.0 * width) / step)
+    xs = np.arange(lo, hi + 1) * step
+    return lo, amplitude * np.exp(-math.pi * ((xs - center) / width) ** 2)
+
+
+def _grid_product(a, b):
+    """Pointwise product of two sampled functions on their common points."""
+    lo = max(a[0], b[0])
+    hi = min(a[0] + len(a[1]), b[0] + len(b[1]))
+    if hi <= lo:
+        return lo, np.zeros(0)
+    return lo, a[1][lo - a[0] : hi - a[0]] * b[1][lo - b[0] : hi - b[0]]
+
+
+def brute_single_scale(functions, k: int, t: float, params) -> float:
+    """The split-at-k single-scale form by discrete convolution on a fine grid.
+
+    Every bump and kernel g_s(x) = e^{-pi (x/s)^2} / s is sampled on the
+    grid x = i * h, with h an eighth of the narrowest width in play, and
+    every convolution is np.convolve times h, straight from the form:
+      n=1:        int (F * g_s)^2 with s = t alpha_1;
+      n=2, k=1:   int (F^2 * (g_{t alpha_1} x g_{t alpha_2}))^2, a product
+                  of two one-dimensional integrals since F(x, y) = f(x) f'(y);
+      n=2, k=2:   int ((a0 * a1) * g_{t alpha})(-p)
+                      ((b0 b1) * g_{t alpha_1})(p)^2 dp,
+                  with a_i the square of F_i's first factor and b_i its second.
+    The bumps are read through their amplitude, center and width only.
+    """
+    factors = [f.factors for f in functions]
+    n = len(factors[0])
+    kernels = [t * params.alpha] + [t * a for a in params.alphas]
+    step = min(kernels + [b.width for fs in factors for b in fs]) / 8.0
+
+    def sample(bump):
+        return _sampled_bump(bump.amplitude, bump.center, bump.width, step)
+
+    def convolve(a, b):
+        return a[0] + b[0], np.convolve(a[1], b[1]) * step
+
+    def smooth(a, s):
+        return convolve(a, _sampled_bump(1.0 / s, 0.0, s, step))
+
+    def energy(a):
+        return float(np.sum(a[1] ** 2) * step)
+
+    if n == 1:
+        return energy(smooth(sample(factors[0][0]), kernels[1]))
+    if k == 1:
+        value = 1.0
+        for bump, s in zip(factors[0], kernels[1:]):
+            value *= energy(smooth(_grid_product(sample(bump), sample(bump)), s))
+        return value
+    a0, a1 = (_grid_product(sample(fs[0]), sample(fs[0])) for fs in factors)
+    lo, smoothed = smooth(convolve(a0, a1), kernels[0])
+    reflected = -(lo + len(smoothed) - 1), smoothed[::-1]
+    b0, b1 = (sample(fs[1]) for fs in factors)
+    pairing = smooth(_grid_product(b0, b1), kernels[1])
+    return float(
+        np.sum(_grid_product(reflected, _grid_product(pairing, pairing))[1]) * step
+    )

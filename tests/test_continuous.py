@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from simplexht import continuous, core
+from simplexht import continuous, core, identities
 from simplexht.continuous import (
     DilationParams,
     QuadratureSpec,
@@ -439,6 +439,14 @@ class TestDilationParams:
         with pytest.raises(ValueError):
             DilationParams(t=1.0, alpha=1.0, alphas=(1.0, 0.0))
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["t", "alpha", "alphas"])
+    def test_rejects_non_finite(self, field, value):
+        fields = {"t": 1.0, "alpha": 1.0, "alphas": (1.0, 2.0)}
+        fields[field] = (1.0, value) if field == "alphas" else value
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            DilationParams(**fields)
+
     def test_in_proof_range_threshold(self):
         # two trailing factors (n=2, k=1): threshold 2^{-1} = 0.5
         good = DilationParams(t=None, alpha=0.6, alphas=(0.5, 0.7))
@@ -829,17 +837,19 @@ class TestShiftWeights:
         assert np.max(np.abs(split - profile)) <= 1e-13 * np.max(np.abs(profile))
 
     def test_engine_makes_no_blas_call(self):
-        # BLAS kernels round by CPU type; the continuous engine's bits must
-        # not depend on which one a machine has.
-        tree = ast.parse(inspect.getsource(continuous))
+        # BLAS kernels round by CPU type; the continuous engine's bits and
+        # the analytic suite's pinned discrepancies must not depend on which
+        # one a machine has.
         blas = {"matmul", "einsum", "dot", "tensordot", "inner", "vdot", "outer"}
-        found = [
-            node.lineno
-            for node in ast.walk(tree)
-            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
-            or (isinstance(node, ast.Attribute) and node.attr in blas)
-        ]
-        assert found == []
+        for module in (continuous, identities):
+            tree = ast.parse(inspect.getsource(module))
+            found = [
+                node.lineno
+                for node in ast.walk(tree)
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+                or (isinstance(node, ast.Attribute) and node.attr in blas)
+            ]
+            assert found == [], module.__name__
 
 
 class TestInterpolationPlan:

@@ -34,7 +34,7 @@ from simplexht.identities import (
 
 from simplexht import identities
 
-from helpers import brute_adaptive_simpson
+from helpers import brute_adaptive_simpson, brute_single_scale
 
 
 def random_point_and_params(rng, span=10.0, lo=0.5, hi=10.0, with_t=True):
@@ -49,6 +49,34 @@ def random_point_and_params(rng, span=10.0, lo=0.5, hi=10.0, with_t=True):
         alphas=tuple(float(v) for v in rng.uniform(lo, hi, size=count)),
     )
     return point, params
+
+
+def single_scale_draws(n, k):
+    """Three draws of k normalized bumps in n variables and their dilations."""
+    rng = np.random.default_rng(17 * n + k)
+    draws = []
+    for _ in range(3):
+        functions = []
+        for i in range(k):
+            exponent = float(2**n if i == 0 else 2 ** (n - i + 1))
+            factors = tuple(
+                Gaussian1D(
+                    float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])),
+                    float(rng.uniform(-1.0, 1.0)),
+                    float(rng.uniform(0.5, 1.5)),
+                )
+                for _ in range(n)
+            )
+            functions.append(SeparableGaussian(factors).normalized(exponent))
+        params = DilationParams(
+            t=None,
+            alpha=float(rng.uniform(2.0**-0.5, 4.0)),
+            alphas=tuple(
+                float(v) for v in rng.uniform(2.0**-0.5, 4.0, size=n - k + 1)
+            ),
+        )
+        draws.append((functions, params))
+    return draws
 
 
 class TestFrequencyPoint:
@@ -345,7 +373,7 @@ class TestGaussian1D:
         ]:
             f = Gaussian1D(amp, 0.4, width)
             closed = abs(amp) * width ** (1.0 / p) * p ** (-1.0 / (2.0 * p))
-            assert math.isclose(f.lp_norm(p), closed, rel_tol=1e-12)
+            assert math.isclose(f.lp_norm(p), closed, rel_tol=1e-15)
 
     def test_sup_norm(self):
         assert Gaussian1D(-3.0, 1.0, 2.0).lp_norm(math.inf) == 3.0
@@ -358,6 +386,13 @@ class TestGaussian1D:
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
             Gaussian1D(1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["amplitude", "center", "width"])
+    def test_rejects_non_finite(self, field, value):
+        fields = {"amplitude": 1.0, "center": 0.0, "width": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            Gaussian1D(**fields)
 
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
@@ -399,39 +434,30 @@ class TestSingleScale:
         result = check_single_scale([f], 1, t, params)
         s = t * a1
         expected = amp**2 * width**2 / (math.sqrt(2.0) * math.hypot(width, s))
-        assert math.isclose(result.value, expected, rel_tol=1e-10)
+        assert math.isclose(result.value, expected, rel_tol=1e-15)
         closed_bound = (amp**2 * width * 2.0**-0.5)
-        assert math.isclose(result.bound, closed_bound, rel_tol=1e-10)
+        assert math.isclose(result.bound, closed_bound, rel_tol=1e-15)
         assert result.passed
 
     @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2)])
     @pytest.mark.parametrize("t", [0.01, 0.1, 1.0, 10.0, 100.0])
     def test_bound_holds_uniformly_in_t(self, n, k, t):
-        rng = np.random.default_rng(17 * n + k)
-        for _ in range(3):
-            functions = []
-            for i in range(k):
-                exponent = float(2**n if i == 0 else 2 ** (n - i + 1))
-                factors = tuple(
-                    Gaussian1D(
-                        float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])),
-                        float(rng.uniform(-1.0, 1.0)),
-                        float(rng.uniform(0.5, 1.5)),
-                    )
-                    for _ in range(n)
-                )
-                functions.append(SeparableGaussian(factors).normalized(exponent))
-            params = DilationParams(
-                t=None,
-                alpha=float(rng.uniform(2.0**-0.5, 4.0)),
-                alphas=tuple(
-                    float(v) for v in rng.uniform(2.0**-0.5, 4.0, size=n - k + 1)
-                ),
-            )
+        for functions, params in single_scale_draws(n, k):
             result = check_single_scale(functions, k, t, params)
             assert result.value >= 0.0
             assert abs(result.value) <= result.bound + 1e-6
             assert result.passed
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("t", [0.01, 0.1, 1.0, 10.0, 100.0])
+    def test_matches_fine_grid_oracle(self, n, k, t):
+        # At t = 0.01 the wide kernel is far narrower than the functions:
+        # the first (2, 2) draw reads 0.6068 here, and 0.0653 on a density
+        # grid that is not refined to the kernel's width.
+        for functions, params in single_scale_draws(n, k):
+            value = check_single_scale(functions, k, t, params).value
+            oracle = brute_single_scale(functions, k, t, params)
+            assert math.isclose(value, oracle, rel_tol=1e-12)
 
     def test_bound_nearly_attained_at_small_scale(self):
         f = SeparableGaussian((Gaussian1D(1.0, 0.0, 1.0),))
@@ -512,6 +538,13 @@ class TestSingleScale:
         with pytest.raises(ValueError):
             check_single_scale([f], 1, 0.0, params)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_scale(self, t):
+        f = SeparableGaussian((Gaussian1D(1.0, 0.0, 1.0),))
+        params = DilationParams(t=None, alpha=1.0, alphas=(1.0,))
+        with pytest.raises(ValueError, match="scale t must"):
+            check_single_scale([f], 1, t, params)
+
 
 class TestRelativeDiscrepancy:
     def test_ordinary_values(self):
@@ -546,10 +579,12 @@ class TestAnalyticSuite:
 
     # (check, samples, max_discrepancy as float.hex) per seed, captured
     # before the domination integrals were batched into one quadrature.
+    # The convolution entry is a plain row sum, so it reads the same under
+    # every OpenBLAS kernel.
     GOLDEN = {
         0: [
             ("fourier_pair", 25, "0x1.801554bda99c6p-48"),
-            ("convolution", 21, "0x1.7590000000000p-42"),
+            ("convolution", 21, "0x1.7580000000000p-42"),
             ("domination", 201, "0x0.0p+0"),
             ("poly_identity", 2000, "0x1.71d91f240de18p-43"),
             ("ftc", 20, "0x1.03c8c9ac80000p-35"),
@@ -557,7 +592,7 @@ class TestAnalyticSuite:
         ],
         1: [
             ("fourier_pair", 25, "0x1.801554bda99c6p-48"),
-            ("convolution", 21, "0x1.7590000000000p-42"),
+            ("convolution", 21, "0x1.7580000000000p-42"),
             ("domination", 201, "0x0.0p+0"),
             ("poly_identity", 2000, "0x1.a7b33505ac7d8p-43"),
             ("ftc", 20, "0x1.15f6db4dfb732p-32"),
