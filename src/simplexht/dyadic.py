@@ -40,14 +40,16 @@ Per-scale results are reduced in a fixed order, scales in increasing
 order, so evaluations are deterministic.
 
 Tuples exist here only as rows of integer indices, never as objects: the
-plans, the coefficient keys, the telescoping check and the parity rule all
-take index rows, and the parity rule checks a whole array of rows against
-every selector code in one call.
+plans, the telescoping check and the parity rule take index rows (the rule
+checks every row under every selector code in one call), and a
+CoefficientMap holds its keys, which must be integral, in the order given
+as rows of the scale and the indices, beside an array of their values.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -57,7 +59,7 @@ from . import core
 from .core import CellFunction, check_cells
 
 
-def _check_functions(functions: Sequence[CellFunction]) -> tuple[int, int]:
+def _check_inputs(functions: Sequence[CellFunction], scale_count: int) -> tuple[int, int]:
     if not functions:
         raise ValueError("need at least two functions")
     n = functions[0].dimension
@@ -71,6 +73,8 @@ def _check_functions(functions: Sequence[CellFunction]) -> tuple[int, int]:
             raise TypeError(f"function {i} is not a CellFunction")
         if f.dimension != n or f.side_exponent != L:
             raise ValueError("all functions must share dimension and side exponent")
+    if not (1 <= scale_count <= L):
+        raise ValueError(f"scale count {scale_count} outside [1, side exponent {L}]")
     return n, L
 
 
@@ -308,52 +312,66 @@ def _slot_kernel(
     return kern, pairings.reshape(-1) * plan.weight
 
 
-def _scale_pairings(doubled: Sequence[np.ndarray], n: int, L: int, scale: int):
-    """Pairings of every tuple at one scale, in _tuple_index_array's row order.
-
-    doubled is _sign_doubled(functions), made once per call for all scales.
-    """
-    return _slot_kernel(_slot_plan(n, L, scale, 0), doubled, 0)[1]
+def _pairings(functions: Sequence[CellFunction], scale_count: int):
+    """Check the inputs and sign-double once: (n, L, slot 0's pairings by scale)."""
+    n, L = _check_inputs(functions, scale_count)
+    doubled = _sign_doubled(functions)
+    scales = range(1, scale_count + 1)
+    return n, L, (_slot_kernel(_slot_plan(n, L, l, 0), doubled, 0)[1] for l in scales)
 
 
 class CoefficientMap:
-    """Bounded coefficients keyed by (scale, index tuple); missing entries are 0."""
+    """Bounded coefficients keyed by integral (scale, indices); missing entries are 0."""
 
     def __init__(
         self, entries: Mapping[tuple[int, Sequence[int]], float] | None = None
     ) -> None:
-        self._entries: dict[tuple[int, tuple[int, ...]], float] = {}
-        for (scale, indices), eps in (entries or {}).items():
-            key = (int(scale), tuple(map(int, indices)))
-            val = float(eps)
-            if not abs(val) <= 1.0:
-                raise ValueError(f"coefficient {val!r} at {key} exceeds magnitude 1")
-            self._entries[key] = val
+        self._keys = keys = list(entries or {})
+        pairs = list(itertools.chain.from_iterable(keys))
+        self._widths = widths = np.fromiter(map(len, pairs[1::2]), np.intp, len(keys))
+        numbers = np.array(pairs[0::2] + list(itertools.chain.from_iterable(pairs[1::2])))
+        exact = numbers.dtype == np.int64  # else a float, or an integer past int64
+        rows = np.zeros((len(keys), 1 + widths.max(initial=0)), np.int64 if exact else float)
+        rows[:, 0] = numbers[: len(keys)]
+        rows[:, 1:][np.arange(rows.shape[1] - 1) < widths[:, None]] = numbers[len(keys) :]
+        if not exact:
+            whole = (np.isfinite(rows) & (np.floor(rows) == rows)).all(axis=1)
+            if not whole.all():
+                raise ValueError(f"coefficient key {keys[np.argmin(whole)]} is not integral")
+            rows = rows.clip(-(2**62), 2**62)
+        self._rows = rows.astype(np.int64, copy=False)
+        self._values = values = np.fromiter((entries or {}).values(), float, len(keys))
+        if not np.abs(values).max(initial=0.0) <= 1.0:
+            i = int(np.argmin(np.abs(values) <= 1.0))
+            raise ValueError(f"coefficient {values[i]} at {keys[i]} exceeds magnitude 1")
+
+    def _key(self, i: int) -> tuple[int, tuple[int, ...]]:
+        scale, *indices = self._rows[i, : 1 + self._widths[i]].tolist()
+        if self._keys is not None:  # rows hold integers past int64 at +-2^62
+            scale, indices = self._keys[i]
+        return (int(scale), tuple(map(int, indices)))
 
     def value(self, scale: int, indices: Sequence[int]) -> float:
-        return self._entries.get((int(scale), tuple(map(int, indices))), 0.0)
+        query = CoefficientMap({(scale, tuple(indices)): 0.0})
+        k = min(query._rows.shape[1], self._rows.shape[1])
+        same = (self._rows[:, :k] == query._rows[:, :k]).all(axis=1)
+        found = (i for i in np.flatnonzero(same) if self._key(i) == query._key(0))
+        return next((float(self._values[i]) for i in found), 0.0)
 
 
 def sign_optimal_coefficients(
     functions: Sequence[CellFunction], scale_count: int
 ) -> CoefficientMap:
     """Coefficients +-1 aligned with each pairing's sign (sign of 0 taken as +1)."""
-    n, L = _check_functions(functions)
-    _check_scale_count(scale_count, L)
-    doubled = _sign_doubled(functions)
-    entries: dict[tuple[int, tuple[int, ...]], float] = {}
-    for scale in range(1, scale_count + 1):
-        eps = np.where(_scale_pairings(doubled, n, L, scale) >= 0.0, 1.0, -1.0)
-        for row, e in zip(_tuple_index_array(scale, L, n), eps):
-            entries[(scale, tuple(int(i) for i in row))] = float(e)
-    return CoefficientMap(entries)
-
-
-def _check_scale_count(scale_count: int, side_exponent: int) -> None:
-    if not (1 <= scale_count <= side_exponent):
-        raise ValueError(
-            f"scale count {scale_count} outside [1, side exponent {side_exponent}]"
-        )
+    n, L, pairings = _pairings(functions, scale_count)
+    cm = CoefficientMap()
+    cm._keys = None  # its keys are named from their exact rows
+    cm._values = np.where(np.concatenate(list(pairings)) >= 0.0, 1.0, -1.0)
+    rows = [np.pad(_tuple_index_array(l, L, n), ((0, 0), (1, 0)), constant_values=l)
+            for l in range(1, scale_count + 1)]
+    cm._rows = np.concatenate(rows)
+    cm._widths = np.full(len(cm._rows), n + 1)
+    return cm
 
 
 def eval_dyadic_form(
@@ -366,32 +384,31 @@ def eval_dyadic_form(
     Entries at scales in (scale_count, L] are truncated away; any other
     entry that names no tuple of the grid raises a ValueError naming it.
     """
-    n, L = _check_functions(functions)
-    _check_scale_count(scale_count, L)
-    entries = coefficients._entries
-    doubled = _sign_doubled(functions)
-    sums, matched = [], 0
-    for scale in range(1, scale_count + 1):
-        vals = _scale_pairings(doubled, n, L, scale)
-        found = [
-            entries.get((scale, tuple(row)))
-            for row in _tuple_index_array(scale, L, n).tolist()
-        ]
-        matched += len(found) - found.count(None)
-        eps = np.array([0.0 if e is None else e for e in found], dtype=np.float64)
-        sums.append(float(np.sum(eps * vals)))
-    # Every key must have matched a row above or sit at a truncated scale.
-    if matched + sum(scale_count < s <= L for s, _ in entries) != len(entries):
-        rows = {
-            (s, tuple(row))
-            for s in range(1, scale_count + 1)
-            for row in _tuple_index_array(s, L, n).tolist()
-        }
-        key = next(k for k in entries if k not in rows and not scale_count < k[0] <= L)
-        raise ValueError(
-            f"coefficient key {key} names no XOR-zero tuple of {n + 1} intervals "
-            f"in [0, 2^{L}) at a scale in 1..{L}"
-        )
+    if not isinstance(coefficients, CoefficientMap):
+        raise TypeError(f"{type(coefficients).__name__} is not a CoefficientMap")
+    n, L, pairings = _pairings(functions, scale_count)
+    rows = coefficients._rows[:, : n + 2]  # keys of another width are never named
+    scales = rows[:, 0]
+    # 2^{L-l} blocks a side at scale l, none off 1..scale_count: an index
+    # read unsigned is below that exactly when it lies on the grid.
+    blocks = np.array([0, *(1 << (L - l) for l in range(1, scale_count + 1)), 0], np.uint64)
+    on_grid = rows[:, 1:].view(np.uint64) < blocks.take(scales, mode="clip")[:, None]
+    named = on_grid.all(axis=1) & (np.bitwise_xor.reduce(rows[:, 1:], axis=1) == 0)
+    named &= coefficients._widths == n + 1
+    if not named.all():
+        unmatched = ~named & ((scales <= scale_count) | (scales > L))
+        if unmatched.any():
+            raise ValueError(
+                f"coefficient key {coefficients._key(int(np.argmax(unmatched)))} names no "
+                f"XOR-zero tuple of {n + 1} intervals in [0, 2^{L}) at a scale in 1..{L}"
+            )
+    # Key (l, (m_0..m_n)) sits in scale l's part of eps at m_1..m_n in base 2^{L-l}.
+    starts = np.cumsum(blocks**n, dtype=np.int64)
+    digits = rows[:, 2:] << (L - scales)[:, None] * np.arange(rows.shape[1] - 3, -1, -1)
+    eps = np.zeros(starts[-1])
+    place = starts.take(scales - 1, mode="clip") + digits.sum(axis=1)
+    eps[place[named]] = coefficients._values[named]
+    sums = [float((eps[a:b] * p).sum()) for a, b, p in zip(starts, starts[1:], pairings)]
     return float(sum(sums))
 
 
@@ -406,13 +423,8 @@ def scale_contributions(
     functions: Sequence[CellFunction], scale_count: int
 ) -> list[float]:
     """Per-scale contributions to eval_dyadic_sup, scales 1..scale_count."""
-    n, L = _check_functions(functions)
-    _check_scale_count(scale_count, L)
-    doubled = _sign_doubled(functions)
-    return [
-        float(np.sum(np.abs(_scale_pairings(doubled, n, L, scale))))
-        for scale in range(1, scale_count + 1)
-    ]
+    _, _, pairings = _pairings(functions, scale_count)
+    return [float(np.sum(np.abs(p))) for p in pairings]
 
 
 def sup_gradient(
@@ -427,8 +439,7 @@ def sup_gradient(
     as <H, own block>, and sign(pairing) * 2^{-l} * H is scattered back
     onto the slot's blocks.
     """
-    n, L = _check_functions(functions)
-    _check_scale_count(scale_count, L)
+    n, L = _check_inputs(functions, scale_count)
     if not (0 <= slot <= n):
         raise ValueError(f"slot {slot} outside [0, {n}]")
     doubled = _sign_doubled(functions)
@@ -463,8 +474,7 @@ def eval_dyadic_aux(
     ranging over I_j for j > k, with weight (2^{-l})^{n-k+1}.  Needs
     1 <= k <= n; at k = n this collapses to eval_dyadic_sup.
     """
-    n, L = _check_functions(functions)
-    _check_scale_count(scale_count, L)
+    n, L = _check_inputs(functions, scale_count)
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     # Scale l holds 2^{(L-l)n} tuples of (2^l)^{2(n-k)} doubled-variable

@@ -157,6 +157,33 @@ class TestCoefficientMap:
         assert cm.value(1, (0, 0)) == 0.5
         assert cm.value(1, (1, 1)) == 0.0
         assert cm.value(2, (0, 0)) == 0.0
+        assert cm.value(1, (0, 0, 0)) == 0.0
+        assert cm.value(1, (0,)) == 0.0
+
+    @pytest.mark.parametrize(
+        "key",
+        [(1.9, (0.7, 0.2)), (1.6, (0.3, 0)), (1, (0, 0.5)), (1, (math.nan, 0)), (math.inf, (0, 0))],
+        ids=["scale-and-indices", "value-query", "one-index", "nan-index", "inf-scale"],
+    )
+    def test_non_integral_keys_refused(self, key):
+        # A fraction truncated to an integer would read as the (1, (0, 0)) entry.
+        with pytest.raises(ValueError, match=re.escape(f"key {key} is not integral")):
+            CoefficientMap({(1, (0, 0)): 0.5, key: 1.0})
+        with pytest.raises(ValueError, match=re.escape(f"key {key} is not integral")):
+            CoefficientMap({(1, (0, 0)): 0.5}).value(*key)
+
+    def test_integral_floats_read_as_integers(self):
+        fs = random_cell_functions(np.random.default_rng(4), 1, 2)
+        ints = CoefficientMap({(1, (0, 0)): 0.5, (1, (1, 1)): -0.25})
+        floats = CoefficientMap({(1.0, (0.0, 0.0)): 0.5, (np.int64(1), (1.0, np.int32(1))): -0.25})
+        assert floats.value(1, (1, 1)) == -0.25 and ints.value(1.0, (0.0, 0.0)) == 0.5
+        assert eval_dyadic_form(fs, floats, 2) == eval_dyadic_form(fs, ints, 2)
+
+    def test_keys_past_int64_read_exactly(self):
+        cm = CoefficientMap({(1, (2**70, 2**70)): 0.5, (1, (2**71, 2**71)): -0.5})
+        assert cm.value(1, (2**70, 2**70)) == 0.5
+        assert cm.value(1, (2**71, 2**71)) == -0.5
+        assert cm.value(1, (2**72, 2**72)) == 0.0
 
     def test_magnitude_bound_enforced(self):
         with pytest.raises(ValueError):
@@ -176,7 +203,7 @@ class TestEvalDyadicForm:
 
     def test_sign_optimal_coefficients_attain_sup(self):
         rng = np.random.default_rng(2)
-        for n, L in [(1, 3), (2, 2)]:
+        for n, L in [(1, 3), (2, 2), (2, 8), (3, 4), (1, 16)]:
             fs = random_cell_functions(rng, n, L)
             eps = sign_optimal_coefficients(fs, L)
             assert eval_dyadic_form(fs, eps, L) == eval_dyadic_sup(fs, L)
@@ -217,8 +244,26 @@ class TestEvalDyadicForm:
 
     @pytest.mark.parametrize(
         "key",
-        [(1, (0, 0)), (1, (1, 2, 0)), (1, (0, 9, 9)), (0, (0, 0, 0)), (4, (0, 0, 0))],
-        ids=["wrong-degree", "not-xor-zero", "outside-grid", "scale-0", "scale-above-L"],
+        [
+            (1, (0, 0)),
+            (1, (1, 2, 0)),
+            (1, (0, 9, 9)),
+            (0, (0, 0, 0)),
+            (4, (0, 0, 0)),
+            (1, (2**70, 2**70, 0)),
+            (2**70, (0, 0, 0)),
+            (1, (-1, -1, 0)),
+        ],
+        ids=[
+            "wrong-degree",
+            "not-xor-zero",
+            "outside-grid",
+            "scale-0",
+            "scale-above-L",
+            "indices-past-int64",
+            "scale-past-int64",
+            "negative-indices",
+        ],
     )
     def test_unmatched_entry_is_refused(self, key):
         fs = random_cell_functions(np.random.default_rng(6), 2, 3)
@@ -228,9 +273,43 @@ class TestEvalDyadicForm:
 
     def test_first_unmatched_entry_is_named(self):
         fs = random_cell_functions(np.random.default_rng(6), 2, 3)
-        cm = CoefficientMap({(1, (1, 2, 0)): 0.5, (2, (0, 0, 0)): 0.5, (9, (0, 0, 0)): 1.0})
-        with pytest.raises(ValueError, match=re.escape("key (1, (1, 2, 0)) ")):
-            eval_dyadic_form(fs, cm, 2)
+        cases = [
+            ({(1, (1, 2, 0)): 0.5, (2, (0, 0, 0)): 0.5, (9, (0, 0, 0)): 1.0}, (1, (1, 2, 0))),
+            # Good keys, keys of other widths at the truncated scale 3, and
+            # bad keys of several widths and scales, interleaved; the first
+            # bad key is the wider one, then the narrower one.
+            (
+                {
+                    (2, (1, 0, 1)): 0.5,
+                    (3, (0, 0)): 1.0,
+                    (1, (3, 1, 2)): -0.5,
+                    (3, (0, 0, 0, 0)): 1.0,
+                    (2, (0, 0, 0, 0)): 0.25,
+                    (1, (0, 1)): 0.25,
+                    (0, (0, 0, 0)): 1.0,
+                },
+                (2, (0, 0, 0, 0)),
+            ),
+            (
+                {
+                    (2, (1, 0, 1)): 0.5,
+                    (3, (0, 0, 0, 0)): 1.0,
+                    (1, (3, 1, 2)): -0.5,
+                    (1, (0, 1)): 0.25,
+                    (2, (0, 0, 0, 0)): 0.25,
+                    (5, (1, 1, 0)): 1.0,
+                },
+                (1, (0, 1)),
+            ),
+        ]
+        for entries, first in cases:
+            with pytest.raises(ValueError, match=re.escape(f"key {first} ")):
+                eval_dyadic_form(fs, CoefficientMap(entries), 2)
+
+    def test_plain_dict_is_refused(self):
+        fs = random_cell_functions(np.random.default_rng(6), 1, 2)
+        with pytest.raises(TypeError, match="dict is not a CoefficientMap"):
+            eval_dyadic_form(fs, {(1, (0, 0)): 1.0}, 2)
 
     def test_entry_above_the_scale_count_is_truncated(self):
         fs = random_cell_functions(np.random.default_rng(6), 2, 3)
@@ -280,6 +359,40 @@ class TestEvalDyadicSup:
             )
             for contribution in scale_contributions(list(fs), L):
                 assert contribution <= 2.0 + 1e-9
+
+
+class TestSymmetries:
+    """Exact symmetries of the dyadic sup, checked on scale_contributions.
+
+    Both sides sum their pairings in another order, so they agree to
+    rounding only: on standard-normal functions at seed 9 the swap moved a
+    contribution by at most 3.5e-15 relative and the padding by 1.8e-16,
+    so 1e-13 relative is asserted.
+    """
+
+    SIZES = [(1, 16, 16), (2, 8, 8), (3, 4, 4)]
+
+    @staticmethod
+    def _normal_functions(n: int, L: int) -> list:
+        rng = np.random.default_rng(9)
+        return [CellFunction(n, L, rng.standard_normal((1 << L,) * n)) for _ in range(n + 1)]
+
+    @pytest.mark.parametrize("n,L,m", SIZES)
+    def test_swapping_x0_and_x1(self, n, L, m):
+        # F_0 and F_1 trade places; every other F_i reads x_0 and x_1 on its
+        # first two axes, which trade places too.
+        fs = self._normal_functions(n, L)
+        swapped = [fs[1], fs[0]] + [f.with_values(np.swapaxes(f.values, 0, 1)) for f in fs[2:]]
+        expected = scale_contributions(fs, m)
+        assert scale_contributions(swapped, m) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("n,L,m", SIZES)
+    def test_zero_padding_into_a_larger_grid(self, n, L, m):
+        # A tuple that leaves the corner meets a zero block in some slot.
+        fs = self._normal_functions(n, L)
+        padded = [CellFunction(n, L + 1, np.pad(f.values, [(0, 1 << L)] * n)) for f in fs]
+        expected = scale_contributions(fs, m)
+        assert scale_contributions(padded, m) == pytest.approx(expected, rel=1e-13)
 
 
 class TestEvalDyadicAux:
