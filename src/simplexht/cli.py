@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
         "octave at which R is a finite double",
     )
     sweep.add_argument("--L", type=int, default=None, help="dyadic side exponent")
-    sweep.add_argument("--seeds", type=int, default=5, help="seed count, 0..k-1")
+    top = core.MAX_CELLS // core.SEED_CELLS
+    sweep.add_argument("--seeds", type=int, default=5, help=f"seed count, 0..k-1, k <= {top}")
     sweep.add_argument("--out", required=True, help="output .csv or .json")
     sweep.add_argument("--exponents", default=None, help="comma list, inf allowed")
     sweep.add_argument("--max-iter", type=int, default=40)
@@ -357,9 +358,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if args.r is None or args.R is None:
             raise CliError("continuous eval needs --r and --R")
         trunc = TruncationRange(args.r, args.R)
-        form = ContinuousTruncatedForm(
-            args.n, trunc, args.half_extent, args.spacing
-        )
+        form = ContinuousTruncatedForm(args.n, trunc, args.half_extent, args.spacing)
         functions = normalize_tuple(form.functions(form.initial(rng)), exps)
         value = eval_simplex_truncated(list(functions), trunc)
         bound = 2.0 * trunc.log_ratio
@@ -397,6 +396,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     exps = _exponents_for(args, args.n)
     if args.seeds < 1:
         raise CliError("--seeds must be >= 1")
+    top = core.MAX_CELLS // core.SEED_CELLS
+    core.check_cells(args.seeds * core.SEED_CELLS, f"--seeds {args.seeds} (at most {top})")
     seeds = list(range(args.seeds))
     if args.model == "dyadic":
         if args.m is None:

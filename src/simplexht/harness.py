@@ -33,9 +33,8 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .continuous import truncated_form_gradient
+from .continuous import check_grid, truncated_form_gradient
 from .core import (
-    MAX_CONTINUOUS_DEGREE,
     MAX_CONTINUOUS_SWEEP_DEGREE,
     CellFunction,
     GridSampledFunction,
@@ -43,6 +42,7 @@ from .core import (
     TruncationRange,
     array_lp_norm,
     check_cells,
+    grid_cells_per_axis,
 )
 from .dyadic import slot_cells, sup_gradient
 
@@ -212,32 +212,27 @@ class ContinuousTruncatedForm(_KeptWraps):
         half_extent: float = 4.0,
         spacing: float = 0.25,
     ) -> None:
-        if not (1 <= n <= MAX_CONTINUOUS_DEGREE):
-            raise ValueError(
-                f"continuous evaluation capped at degree {MAX_CONTINUOUS_DEGREE}"
-            )
+        self.half_extent = float(half_extent)
+        self.spacing = float(spacing)
+        self.cells_per_axis = grid_cells_per_axis(self.half_extent, self.spacing)
+        check_grid(n, self.cells_per_axis)
         if trunc.r == trunc.R:
             raise ValueError("degenerate truncation range: the form is identically 0")
         self.n = n
         self.trunc = trunc
-        self.half_extent = float(half_extent)
-        self.spacing = float(spacing)
-        probe = np.zeros((round(2.0 * self.half_extent / self.spacing),) * n)
-        self._template = GridSampledFunction(
-            n, self.half_extent, self.spacing, probe, tail_threshold=None
-        )
-        self.cell_measure = self._template.cell_volume
+        self.cell_measure = self.spacing**n
 
     @property
     def slot_count(self) -> int:
         return self.n + 1
 
     def initial(self, rng: np.random.Generator) -> list:
-        coords = self._template.coordinates()
+        # GridSampledFunction.coordinates(), before any function exists.
+        coords = -self.half_extent + (np.arange(self.cells_per_axis) + 0.5) * self.spacing
         mesh = np.meshgrid(*([coords] * self.n), indexing="ij")
         out = []
         for _ in range(self.slot_count):
-            field = np.zeros(self._template.samples.shape)
+            field = np.zeros((self.cells_per_axis,) * self.n)
             for _ in range(_BUMPS_PER_SLOT):
                 center = rng.uniform(-self.half_extent / 2, self.half_extent / 2, self.n)
                 width = rng.uniform(0.6, 1.4, self.n)
@@ -250,7 +245,7 @@ class ContinuousTruncatedForm(_KeptWraps):
         return out
 
     def _wrap(self, samples: np.ndarray) -> GridSampledFunction:
-        return self._template.with_samples(samples)
+        return GridSampledFunction(self.n, self.half_extent, self.spacing, samples, None)
 
     def kernel(self, values: Sequence[np.ndarray], slot: int) -> np.ndarray:
         grad = truncated_form_gradient(self.functions(values), self.trunc, slot)

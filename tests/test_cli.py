@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -434,6 +435,93 @@ class TestCellBudget:
         assert code == 2
         assert "needs 274877906944 cells" in err
         assert not out_csv.exists()
+
+
+_EVAL_CONTINUOUS = ["eval", "--model", "continuous", "--r", "1", "--R", "2"]
+_SWEEP_CONTINUOUS = ["sweep", "--model", "continuous", "--n", "1", "--octaves", "1"]
+
+
+class TestRefusedBeforeAllocation:
+    """Bad grid flags and seed counts: exit 2 naming the reason, before any
+    grid-sized or seed-sized array or list exists."""
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (
+                _EVAL_CONTINUOUS + ["--n", "2", "--spacing", "0.0001"],
+                "grids capped at 128 cells per axis, got 80000",
+            ),
+            (_SWEEP_CONTINUOUS + ["--spacing", "0"], "spacing must be positive and finite"),
+            (
+                _EVAL_CONTINUOUS + ["--n", "1", "--spacing", "-0.25"],
+                "spacing must be positive and finite",
+            ),
+            (
+                _EVAL_CONTINUOUS + ["--n", "1", "--spacing", "nan"],
+                "spacing must be positive and finite",
+            ),
+            (
+                _EVAL_CONTINUOUS + ["--n", "3", "--half-extent", "10", "--spacing", "0.3"],
+                "spacing must divide 2 * half_extent into >= 2 cells",
+            ),
+            (
+                _EVAL_CONTINUOUS + ["--n", "1", "--half-extent", "inf"],
+                "half_extent must be positive and finite",
+            ),
+            (
+                _SWEEP_CONTINUOUS + ["--half-extent", "0"],
+                "half_extent must be positive and finite",
+            ),
+            (
+                _EVAL_CONTINUOUS + ["--n", "3", "--spacing", "0.03125"],
+                "grids capped at 128 cells per axis, got 256",
+            ),
+            (
+                ["sweep", "--model", "dyadic", "--n", "1", "--L", "3", "--m", "1"]
+                + ["--seeds", "100000000"],
+                "--seeds 100000000 (at most 8388608) needs 800000000 cells, "
+                "over the limit of 67108864",
+            ),
+        ],
+        ids=[
+            "spacing-0.0001", "spacing-0", "spacing-negative", "spacing-nan", "spacing-0.3",
+            "half-extent-inf", "half-extent-0", "n3-spacing-0.03125", "seeds-1e8",
+        ],
+    )
+    def test_exits_2_naming_the_reason(self, tmp_path, capsys, argv, reason):
+        out_csv = tmp_path / "never.csv"
+        if argv[0] == "sweep":
+            argv = argv + ["--out", str(out_csv)]
+        # A first call may import numpy.random lazily; trace a second one.
+        main(argv)
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2
+        assert reason in captured.err
+        assert captured.out == "" and not out_csv.exists()
+        assert peak < 2**20
+
+    def test_seed_charge_admits_its_named_count(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(core, "MAX_CELLS", 10 * core.SEED_CELLS)
+        argv = ["sweep", "--model", "dyadic", "--n", "1", "--L", "3"]
+        argv += ["--out", str(tmp_path / "never.csv")]
+        code, _, err = run_cli(capsys, *argv, "--seeds", "11")
+        assert code == 2 and "--seeds 11 (at most 10) needs 88 cells" in err
+        # Ten seeds pass the charge and stop at the next check.
+        code, _, err = run_cli(capsys, *argv, "--seeds", "10")
+        assert code == 2 and "dyadic sweeps need --m" in err
+
+    def test_help_names_the_largest_seed_count(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--help")
+        assert code == 0
+        assert f"k <= {core.MAX_CELLS // core.SEED_CELLS}" in " ".join(out.split())
 
 
 class TestConfigFile:

@@ -408,13 +408,12 @@ class TestPhiL1:
 class TestQuadratureSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
-        assert spec.half_extent is None
+        assert spec.spacing is None
         assert spec.nodes_per_octave == 32
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"half_extent": 0.0},
             {"spacing": -1.0},
             {"nodes_per_octave": 0},
         ],
@@ -801,6 +800,17 @@ class TestShiftWeights:
             tracemalloc.stop()
         assert max(peaks) < 2 * 2**20
         assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("n, N", [(1, 7), (2, 32), (3, 9)])
+    def test_workspace_rows_hold_a_slab_on_64_byte_boundaries(self, n, N):
+        # Odd N**n rounds each row up to whole 64-byte lines.
+        grid = (n, 1.0, 2.0 / N, N)
+        head = continuous._slabs(grid)[0]
+        for steps in range(n + 1):
+            work = continuous._workspace(grid, steps)
+            assert work.shape[0] == 2 * steps + 4
+            assert work.shape[1] >= (head.stop - head.start) * N**n
+            assert [row.ctypes.data % 64 for row in work] == [0] * len(work)
 
     def test_slabs_fit_the_cell_budget(self, monkeypatch):
         # The largest grid the caps admit, n = 3 at N = 128, works one lower

@@ -17,6 +17,7 @@ from simplexht.core import (
     GridSampledFunction,
     HoelderExponents,
     TruncationRange,
+    grid_cells_per_axis,
     lp_norm,
     normalize_tuple,
 )
@@ -186,6 +187,23 @@ class TestGridSampledFunction:
     def test_spacing_must_divide(self):
         with pytest.raises(ValueError):
             GridSampledFunction(1, 1.0, 0.3, np.zeros(7))
+
+    @pytest.mark.parametrize(
+        "half_extent, spacing, reason",
+        [
+            (math.inf, 0.25, "half_extent must be positive and finite"),
+            (4.0, math.nan, "spacing must be positive and finite"),
+            (4.0, 0.3, "spacing must divide"),
+            (1e308, 1e-308, "spacing must divide"),
+        ],
+    )
+    def test_grid_rule_reads_the_numbers_alone(self, half_extent, spacing, reason):
+        # 2A/spacing overflows to inf in the last case: not an integer.
+        with pytest.raises(ValueError, match=reason):
+            grid_cells_per_axis(half_extent, spacing)
+        with pytest.raises(ValueError, match=reason):
+            GridSampledFunction(1, half_extent, spacing, np.zeros(4))
+        assert grid_cells_per_axis(4.0, 0.25) == 32
 
     def test_tail_decay_enforced(self):
         with pytest.raises(ValueError):

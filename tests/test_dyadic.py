@@ -365,9 +365,10 @@ class TestSymmetries:
     """Exact symmetries of the dyadic sup, checked on scale_contributions.
 
     Both sides sum their pairings in another order, so they agree to
-    rounding only: on standard-normal functions at seed 9 the swap moved a
-    contribution by at most 3.5e-15 relative and the padding by 1.8e-16,
-    so 1e-13 relative is asserted.
+    rounding only: on standard-normal functions at seed 9 the x_0/x_1 swap
+    moved a contribution by at most 3.5e-15 relative, the x_0/x_2 swap by
+    4.5e-16, the padding by 1.8e-16 and the scale lift by 4.7e-15, so 1e-13
+    relative is asserted.
     """
 
     SIZES = [(1, 16, 16), (2, 8, 8), (3, 4, 4)]
@@ -385,6 +386,35 @@ class TestSymmetries:
         swapped = [fs[1], fs[0]] + [f.with_values(np.swapaxes(f.values, 0, 1)) for f in fs[2:]]
         expected = scale_contributions(fs, m)
         assert scale_contributions(swapped, m) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("n,L,m", [size for size in SIZES if size[0] >= 2])
+    def test_swapping_x0_and_x2(self, n, L, m):
+        # F_0 and F_2 trade places, each with its first two axes (x_1, x_2
+        # and x_0, x_1) swapped, and so does F_1 (x_0, x_2); every F_i for
+        # i >= 3 reads x_0 and x_2 on its first and third axes.  At n = 2
+        # that is (F_2^T, F_1^T, F_0^T).
+        fs = self._normal_functions(n, L)
+
+        def swapped(f, a, b):
+            return f.with_values(np.swapaxes(f.values, a, b))
+
+        swap = [swapped(fs[2], 0, 1), swapped(fs[1], 0, 1), swapped(fs[0], 0, 1)]
+        swap += [swapped(f, 0, 2) for f in fs[3:]]
+        expected = scale_contributions(fs, m)
+        assert scale_contributions(swap, m) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("n,L,m", SIZES)
+    def test_scale_lift(self, n, L, m):
+        # Replicating every cell into a 2 x ... x 2 block (L -> L+1) moves
+        # scale l to scale l + 1 and multiplies each pairing by 2^n; at
+        # scale 1 every Haar step of the lifted functions cancels.
+        fs = self._normal_functions(n, L)
+        block = np.ones((2,) * n)
+        lifted = [CellFunction(n, L + 1, np.kron(f.values, block)) for f in fs]
+        contributions = scale_contributions(lifted, m + 1)
+        expected = [2.0**n * c for c in scale_contributions(fs, m)]
+        assert abs(contributions[0]) <= 1e-13 * max(expected)
+        assert contributions[1:] == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("n,L,m", SIZES)
     def test_zero_padding_into_a_larger_grid(self, n, L, m):

@@ -159,6 +159,47 @@ class TestContinuousTruncatedForm:
         with pytest.raises(ValueError, match="degenerate"):
             ContinuousTruncatedForm(1, TruncationRange(1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "n, half_extent, spacing, reason",
+        [
+            (3, 4.0, 0.03125, "grids capped at 128 cells per axis, got 256"),
+            (2, 4.0, 0.0001, "grids capped at 128 cells per axis, got 80000"),
+            (1, 4.0, 0.0, "spacing must be positive and finite"),
+            (1, 4.0, -0.25, "spacing must be positive and finite"),
+            (1, 4.0, float("nan"), "spacing must be positive and finite"),
+            (3, 10.0, 0.3, "spacing must divide 2 \\* half_extent into >= 2 cells"),
+            (1, float("inf"), 0.25, "half_extent must be positive and finite"),
+            (1, 0.0, 0.25, "half_extent must be positive and finite"),
+        ],
+        ids=[
+            "n3-spacing-0.03125", "spacing-0.0001", "spacing-0", "spacing-negative",
+            "spacing-nan", "spacing-0.3", "half-extent-inf", "half-extent-0",
+        ],
+    )
+    def test_grid_refused_before_any_array(self, n, half_extent, spacing, reason):
+        trunc = TruncationRange(1.0, 2.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=reason):
+                ContinuousTruncatedForm(n, trunc, half_extent, spacing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "n, half_extent, spacing", [(1, 4.0, 0.25), (2, 0.9, 0.3), (3, 4.0, 0.0625)]
+    )
+    def test_wraps_share_the_admitted_grid(self, n, half_extent, spacing):
+        # The form sizes its arrays before any function exists; the
+        # functions it wraps read the same grid and cell measure.
+        form = ContinuousTruncatedForm(n, TruncationRange(0.5, 4.0), half_extent, spacing)
+        for f in form.functions(form.initial(np.random.default_rng(1))):
+            assert f.samples.shape == (form.cells_per_axis,) * n
+            assert (f.half_extent, f.spacing) == (half_extent, spacing)
+            assert f.tail_threshold is None
+            assert f.cell_volume == form.cell_measure
+
     def test_initial_functions_are_nonzero_and_tail_free(self):
         form = ContinuousTruncatedForm(1, TruncationRange(0.5, 4.0))
         values = form.initial(np.random.default_rng(0))
