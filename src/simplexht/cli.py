@@ -6,9 +6,10 @@ files, parameters outside an engine's range), 3 on an unexpected internal
 error, whose traceback goes to stderr.  Every subcommand is deterministic
 given its flags and seeds.
 
-A config file passed via --config holds `key=value` lines (one flag per
-line, without the leading dashes); flags given on the command line override
-the file.
+A config file passed via --config FILE or --config=FILE holds `key=value`
+lines (one flag per line, without the leading dashes); flags given on the
+command line override the file.  One config file per command: a second
+--config, or a config key inside the file, is a usage error.
 """
 
 from __future__ import annotations
@@ -110,19 +111,29 @@ def _read_config(path: str) -> list:
         key = key.strip()
         if not key:
             raise CliError(f"{path}: line {lineno}: empty key")
+        if _names_config(f"--{key}"):
+            raise CliError(f"{path}: line {lineno}: a config file cannot hold {key!r}")
         injected.extend([f"--{key}", value.strip()])
     return injected
 
 
+def _names_config(flag: str) -> bool:
+    """Whether argparse reads flag as --config: it takes any unique prefix."""
+    return len(flag) > 2 and "--config".startswith(flag)
+
+
 def _inject_config(argv: list) -> list:
-    """Expand --config FILE into flags placed before the explicit ones."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise CliError("--config needs a file path")
-    injected = _read_config(argv[idx + 1])
-    return argv[:1] + injected + argv[1:]
+    """Expand --config FILE (or --config=FILE) into flags before the explicit ones."""
+    paths = []
+    for token, following in zip(argv, argv[1:] + [None]):
+        flag, equals, path = token.partition("=")
+        if _names_config(flag):
+            paths.append(path if equals else following)
+    if len(paths) > 1:
+        raise CliError(f"--config given {len(paths)} times; pass one config file")
+    if not paths or paths[0] is None:
+        return argv  # argparse refuses a --config without its path
+    return argv[:1] + _read_config(paths[0]) + argv[1:]
 
 
 def _add_config_flag(parser: argparse.ArgumentParser) -> None:
@@ -214,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--octaves",
         default=None,
-        help="continuous log2(R/r) values, e.g. 1..3; 0 up to the last whole "
-        "octave at which R is a finite double",
+        help="continuous log2(R/r) values, e.g. 1..3; each positive and at most "
+        "the last whole octave at which R is a finite double",
     )
     sweep.add_argument("--L", type=int, default=None, help="dyadic side exponent")
     top = core.MAX_CELLS // core.SEED_CELLS
@@ -350,7 +361,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if args.L is None or args.m is None:
             raise CliError("dyadic eval needs --L and --m")
         form = DyadicSupForm(args.n, args.L, args.m)
-        functions = normalize_tuple(form.functions(form.initial(rng)), exps)
+        functions = normalize_tuple([form.wrap(v) for v in form.initial(rng)], exps)
         value = eval_dyadic_sup(list(functions), args.m)
         bound = float(args.m)
         settings = {"L": args.L, "m": args.m, "seed": args.seed}
@@ -359,7 +370,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             raise CliError("continuous eval needs --r and --R")
         trunc = TruncationRange(args.r, args.R)
         form = ContinuousTruncatedForm(args.n, trunc, args.half_extent, args.spacing)
-        functions = normalize_tuple(form.functions(form.initial(rng)), exps)
+        functions = normalize_tuple([form.wrap(v) for v in form.initial(rng)], exps)
         value = eval_simplex_truncated(list(functions), trunc)
         bound = 2.0 * trunc.log_ratio
         settings = {
@@ -382,8 +393,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _octave_bounds(base_radius: float) -> tuple:
-    """Octaves a continuous sweep admits: 0 up to the last whole octave
-    at which R = base_radius * 2**octave is a finite double."""
+    """Bounds of the octave range check: 0 up to the last whole octave at which
+    R = base_radius * 2**octave is finite.  Octave 0 (R = r) is refused later."""
     if not 0.0 < base_radius < math.inf:
         raise CliError(f"--base-radius must be positive and finite, got {base_radius!r}")
     top = min(1023, math.floor(math.log2(sys.float_info.max) - math.log2(base_radius)))

@@ -9,12 +9,11 @@ full cycle.  Trace values are read off the slot-0 kernel as
 sum(kernel * F_0), and that kernel also opens the next cycle, so a cycle
 costs n+1 kernel passes and no separate evaluation.
 
-The loop holds one plain array per slot.  A form (DyadicSupForm or
-ContinuousTruncatedForm) hands out arrays through five members --
-slot_count, cell_measure, initial, kernel and functions -- and wraps them
-into validated CellFunction or GridSampledFunction tuples only for its
-engine call and for the final result.  The loop marks every array it
-stores read-only, so a form re-wraps only the slot that changed.
+A form (DyadicSupForm or ContinuousTruncatedForm) holds no iterate.  It
+answers through five members -- slot_count, cell_measure, initial, wrap
+and kernel.  The loop keeps each slot's plain array beside its validated
+CellFunction or GridSampledFunction wrap, wraps a slot again only when it
+stores that slot's update, and hands kernel() the wrapped functions.
 
 Every sweep row carries its seed and a digest of the remaining settings,
 so any record can be reproduced bit-for-bit; timestamps are left unset by
@@ -132,28 +131,7 @@ def settings_digest(settings: Mapping[str, object]) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-class _KeptWraps:
-    """Form mixin: functions() re-wraps only the arrays that changed.
-
-    It keeps the last arrays and their wraps, and reuses a wrap for an
-    array that is the same object, owns its data and is read-only, which
-    alternating_maximize makes every array it stores: such an array
-    cannot have changed since it was wrapped.  Forms define _wrap(array).
-    """
-
-    _kept: tuple = ()
-
-    def functions(self, values: Sequence[np.ndarray]) -> list:
-        kept = self._kept or ((None, None),) * len(values)
-        self._kept = tuple(
-            pair if pair[0] is v and v.flags.owndata and not v.flags.writeable
-            else (v, self._wrap(v))
-            for v, pair in zip(values, kept, strict=True)
-        )
-        return [wrapped for _, wrapped in self._kept]
-
-
-class DyadicSupForm(_KeptWraps):
+class DyadicSupForm:
     """Evaluator handle for the coefficient-optimal dyadic objective.
 
     kernel() freezes the optimal signs, making the objective linear in one
@@ -186,14 +164,14 @@ class DyadicSupForm(_KeptWraps):
         shape = (2**self.side_exponent,) * self.n
         return [rng.standard_normal(shape) for _ in range(self.slot_count)]
 
-    def _wrap(self, values: np.ndarray) -> CellFunction:
+    def wrap(self, values: np.ndarray) -> CellFunction:
         return CellFunction(self.n, self.side_exponent, values)
 
-    def kernel(self, values: Sequence[np.ndarray], slot: int) -> np.ndarray:
-        return sup_gradient(self.functions(values), self.scale_count, slot)
+    def kernel(self, functions: Sequence[CellFunction], slot: int) -> np.ndarray:
+        return sup_gradient(functions, self.scale_count, slot)
 
 
-class ContinuousTruncatedForm(_KeptWraps):
+class ContinuousTruncatedForm:
     """Evaluator handle for |truncated form| on a shared sample grid.
 
     kernel() is the exact gradient of the quadrature value times the sign
@@ -244,24 +222,22 @@ class ContinuousTruncatedForm(_KeptWraps):
             out.append(field)
         return out
 
-    def _wrap(self, samples: np.ndarray) -> GridSampledFunction:
+    def wrap(self, samples: np.ndarray) -> GridSampledFunction:
         return GridSampledFunction(self.n, self.half_extent, self.spacing, samples, None)
 
-    def kernel(self, values: Sequence[np.ndarray], slot: int) -> np.ndarray:
-        grad = truncated_form_gradient(self.functions(values), self.trunc, slot)
+    def kernel(self, functions: Sequence[GridSampledFunction], slot: int) -> np.ndarray:
+        grad = truncated_form_gradient(functions, self.trunc, slot)
         # The form is linear in the slot, so sum(grad * F_slot) is its value.
-        signed = float(np.sum(grad * values[slot]))
+        signed = float(np.sum(grad * functions[slot].samples))
         return grad if signed >= 0.0 else -grad
 
 
 def _holder_update(kernel: np.ndarray, p: float) -> np.ndarray:
     """Direction maximizing sum(kernel * v) over the unit L^p ball.
 
-    Up to normalization this is sign(kernel) * |kernel|**(1/(p-1)); for
-    p = inf the sup-norm extremizer is plain sign(kernel).
+    Up to normalization this is sign(kernel) * |kernel|**(1/(p-1)); at
+    p = inf the power is 0, leaving the sup-norm extremizer sign(kernel).
     """
-    if math.isinf(p):
-        return np.sign(kernel)
     return np.sign(kernel) * np.abs(kernel) ** (1.0 / (p - 1.0))
 
 
@@ -274,20 +250,21 @@ def alternating_maximize(
 ) -> MaximizeResult:
     """Maximize a multilinear objective by exact slot-wise updates.
 
-    The loop holds one plain array per slot.  Starting from seeded random
-    arrays scaled to unit L^{p_i} norm, each cycle replaces every slot in
-    turn by the Hoelder-extremal array of its frozen-sign kernel.  The
-    per-cycle value trace (including the initial value) is nondecreasing
-    after the first full cycle; each value is sum(kernel_0 * F_0), the
-    objective's slot-0 linear form.  Slots whose kernel vanishes
-    identically are kept and the result is flagged stagnated; an all-zero
-    initial slot triggers a reseed.  The typed functions are built once,
-    from the final arrays.
+    The loop holds each slot's plain array and its wrap.  Starting from
+    seeded random arrays scaled to unit L^{p_i} norm, each cycle replaces
+    every slot in turn by the Hoelder-extremal array of its frozen-sign
+    kernel.  The per-cycle value trace (including the initial value) is
+    nondecreasing after the first full cycle; each value is
+    sum(kernel_0 * F_0), the objective's slot-0 linear form.  Slots whose
+    kernel vanishes identically are kept and the result is flagged
+    stagnated; an all-zero initial slot triggers a reseed.  The result's
+    functions are the last wraps themselves.
 
     form supplies slot_count, cell_measure (the measure of one array cell
-    in the L^p norms), initial(rng) -> arrays, kernel(arrays, slot) ->
-    array, and functions(arrays) -> the typed tuple; kernel() validates
-    the arrays it hands to its engine, so a non-finite iterate is refused.
+    in the L^p norms), initial(rng) -> arrays, wrap(array) -> one typed
+    function, and kernel(functions, slot) -> array.  A slot is wrapped
+    when it is stored, and wrap() validates, so a non-finite iterate is
+    refused there.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -312,12 +289,11 @@ def alternating_maximize(
     values = [
         v / array_lp_norm(v, p, form.cell_measure) for v, p in zip(values, exponents)
     ]
-    for v in values:
-        v.flags.writeable = False
+    functions = [form.wrap(v) for v in values]
 
     # The objective is linear in slot 0 with kernel kern, so its value is
     # sum(kern * F_0), and a cycle's closing kernel opens the next cycle.
-    kern = form.kernel(values, 0)
+    kern = form.kernel(functions, 0)
     trace = [float(np.sum(kern * values[0]))]
     stagnated = False
     cycles = 0
@@ -325,24 +301,24 @@ def alternating_maximize(
         updated_any = False
         for slot in range(form.slot_count):
             if slot:
-                kern = form.kernel(values, slot)
+                kern = form.kernel(functions, slot)
             if not np.any(kern):
                 stagnated = True
                 continue
             candidate = _holder_update(kern, exponents[slot])
             norm = array_lp_norm(candidate, exponents[slot], form.cell_measure)
             values[slot] = candidate / norm
-            values[slot].flags.writeable = False
+            functions[slot] = form.wrap(values[slot])
             updated_any = True
         cycles += 1
-        kern = form.kernel(values, 0)
+        kern = form.kernel(functions, 0)
         trace.append(float(np.sum(kern * values[0])))
         if not updated_any:
             break
         if abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
             break
     return MaximizeResult(
-        functions=tuple(form.functions(values)),
+        functions=tuple(functions),
         trace=tuple(trace),
         iterations=cycles,
         stagnated=stagnated,
@@ -429,14 +405,12 @@ def growth_sweep(
     digest = settings_digest(settings)
 
     # Build every form up front so an invalid abscissa fails before any run.
-    # Each is let go after its runs, with the wraps it keeps.
     forms = [
         _sweep_form(model, n, a, side_exponent, base_radius, half_extent, spacing)
         for a in abscissae
     ]
     records = []
-    for a in abscissae:
-        form = forms.pop(0)
+    for a, form in zip(abscissae, forms):
         # Keep each run's final value and cycle count, not its slot arrays.
         finals = []
         for seed in seeds:

@@ -10,8 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from simplexht import cli, core
+from simplexht import cli, core, harness
 from simplexht.cli import CliError, main, parse_exponents, parse_range
+from simplexht.core import lp_norm
 from simplexht.dyadic import eval_dyadic_sup
 from simplexht.harness import ExperimentRecord, GrowthFit, save_records
 from simplexht.plotting import emit_plot
@@ -134,6 +135,44 @@ class TestVerifyCommand:
         _, first, _ = run_cli(capsys, "verify", "--suite", "analytic", "--seed", "3")
         _, second, _ = run_cli(capsys, "verify", "--suite", "analytic", "--seed", "3")
         assert first == second
+
+    def test_telescoping_discrepancy_exits_1(self, capsys, monkeypatch):
+        real = cli.run_telescoping_suite
+
+        def broken(**kwargs):
+            rows = real(**kwargs)
+            rows[0] = dict(rows[0], discrepancy=5)
+            return rows
+
+        monkeypatch.setattr(cli, "run_telescoping_suite", broken)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "dyadic", "--n", "1", "--L", "2")
+        assert code == 1
+        assert "telescoping n=1 k=1 l=2 L=2 discrepancy=5\n" in out
+        assert out.endswith("\n1/2 checks passed\n")
+
+    def test_parity_failure_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "run_parity_trials", lambda **kwargs: {"trials": 7, "failures": 2}
+        )
+        code, out, _ = run_cli(capsys, "verify", "--suite", "dyadic", "--n", "1", "--L", "2")
+        assert code == 1
+        assert "parity trials=7 failures=2\n" in out
+        assert out.endswith("\n1/2 checks passed\n")
+
+    def test_failing_analytic_row_exits_1(self, capsys, monkeypatch):
+        real = cli.run_analytic_suite
+
+        def broken(**kwargs):
+            rows = real(**kwargs)
+            rows[-1] = dict(rows[-1], **{"pass": False})
+            return rows
+
+        monkeypatch.setattr(cli, "run_analytic_suite", broken)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "analytic")
+        assert code == 1
+        rows = [json.loads(line) for line in out.splitlines()[:-1]]
+        assert [row["pass"] for row in rows] == [True] * 5 + [False]
+        assert out.endswith("\n5/6 checks passed\n")
 
 
 class TestEvalCommand:
@@ -312,6 +351,44 @@ class TestSweepAndFit:
         text = svg.read_text()
         assert text.count("<circle") == 4
         assert text.count("<polyline") == 0
+
+    def test_infinite_exponent_sweep(self, tmp_path, capsys, monkeypatch):
+        # Slot 2 takes the sup-norm update sign(kernel).
+        results = []
+        maximize = harness.alternating_maximize
+
+        def keep(*args, **kwargs):
+            results.append(maximize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "alternating_maximize", keep)
+        code, _, _ = run_cli(
+            capsys,
+            "sweep", "--model", "dyadic", "--n", "2", "--L", "4", "--m", "1..4",
+            "--seeds", "2", "--exponents", "2,2,inf", "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 0
+        assert len(results) == 8
+        for result in results:
+            assert np.all(np.diff(result.trace[1:]) >= 0)
+            norms = [lp_norm(f, p) for f, p in zip(result.functions, (2, 2, math.inf))]
+            assert norms == pytest.approx([1.0] * 3, abs=1e-12)
+            assert set(np.unique(result.functions[2].values)) <= {-1.0, 0.0, 1.0}
+
+    @pytest.mark.parametrize(
+        "exponents, message",
+        [("2,2", "degree 2 needs 3 exponents, got 2"), ("2,x,2", "exponent 'x'")],
+    )
+    def test_bad_exponents_are_usage_errors(self, tmp_path, capsys, exponents, message):
+        out_csv = tmp_path / "never.csv"
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--model", "dyadic", "--n", "2", "--L", "3", "--m", "1",
+            "--exponents", exponents, "--out", str(out_csv),
+        )
+        assert code == 2
+        assert message in err
+        assert out == "" and not out_csv.exists()
 
     def test_sweep_needs_matching_range_flag(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -565,6 +642,34 @@ class TestConfigFile:
         cfg.write_text("warp-speed=9\n")
         code = main(["verify", "--config", str(cfg)])
         assert code == 2
+
+    @pytest.mark.parametrize("spelling", ["--config={}", "--conf={}", "--conf {}"])
+    def test_every_spelling_reads_the_file(self, tmp_path, capsys, spelling):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("suite=bogus\n")
+        flags = spelling.format(cfg).split(" ")
+        code, out, err = run_cli(
+            capsys, "verify", *flags, "--suite", "dyadic", "--n", "1", "--L", "2"
+        )
+        assert code == 2
+        assert out == "" and "'bogus'" in err
+
+    def test_second_config_is_usage_error(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
+        good.write_text("seed=1\n")
+        bad.write_text("suite=bogus\n")
+        code, out, err = run_cli(
+            capsys, "verify", "--config", str(good), f"--config={bad}", "--n", "1", "--L", "2"
+        )
+        assert code == 2
+        assert out == "" and "--config given 2 times" in err
+
+    def test_config_key_inside_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "outer.cfg"
+        cfg.write_text("seed=1\nconfig=inner.cfg\n")
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg), "--n", "1", "--L", "2")
+        assert code == 2
+        assert out == "" and "line 2: a config file cannot hold 'config'" in err
 
 
 def sample_records():

@@ -113,18 +113,18 @@ class TestDyadicSupForm:
     def test_functions_wrap_each_array(self):
         form = DyadicSupForm(1, 2, 1)
         values = form.initial(np.random.default_rng(1))
-        functions = form.functions(values)
+        functions = [form.wrap(v) for v in values]
         assert all(isinstance(f, CellFunction) for f in functions)
         assert all(np.array_equal(f.values, v) for f, v in zip(functions, values))
         assert (functions[0].dimension, functions[0].side_exponent) == (1, 2)
         assert form.cell_measure == 1.0
 
-    def test_kernel_refuses_a_non_finite_iterate(self):
+    def test_wrap_refuses_a_non_finite_iterate(self):
         form = DyadicSupForm(1, 2, 1)
         values = form.initial(np.random.default_rng(1))
         values[1][0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            form.kernel(values, 0)
+            form.wrap(values[1])
 
     def test_rejects_scale_count_beyond_side_exponent(self):
         with pytest.raises(ValueError, match="scale_count"):
@@ -194,7 +194,7 @@ class TestContinuousTruncatedForm:
         # The form sizes its arrays before any function exists; the
         # functions it wraps read the same grid and cell measure.
         form = ContinuousTruncatedForm(n, TruncationRange(0.5, 4.0), half_extent, spacing)
-        for f in form.functions(form.initial(np.random.default_rng(1))):
+        for f in map(form.wrap, form.initial(np.random.default_rng(1))):
             assert f.samples.shape == (form.cells_per_axis,) * n
             assert (f.half_extent, f.spacing) == (half_extent, spacing)
             assert f.tail_threshold is None
@@ -204,7 +204,7 @@ class TestContinuousTruncatedForm:
         form = ContinuousTruncatedForm(1, TruncationRange(0.5, 4.0))
         values = form.initial(np.random.default_rng(0))
         assert len(values) == 2
-        for f in form.functions(values):
+        for f in map(form.wrap, values):
             assert np.any(f.samples)
             assert f.tail_threshold is None
         assert form.cell_measure == 0.25
@@ -212,9 +212,10 @@ class TestContinuousTruncatedForm:
     def test_kernel_contraction_reproduces_value(self):
         form = ContinuousTruncatedForm(1, TruncationRange(0.5, 4.0))
         values = form.initial(np.random.default_rng(3))
-        value = abs(eval_simplex_truncated(form.functions(values), form.trunc))
+        functions = [form.wrap(v) for v in values]
+        value = abs(eval_simplex_truncated(functions, form.trunc))
         for slot in range(form.slot_count):
-            kern = form.kernel(values, slot)
+            kern = form.kernel(functions, slot)
             dot = float(np.sum(kern * values[slot]))
             assert dot == pytest.approx(value, rel=1e-12)
 
@@ -222,8 +223,8 @@ class TestContinuousTruncatedForm:
 class StagnantForm(DyadicSupForm):
     """Dyadic form whose kernels vanish identically."""
 
-    def kernel(self, values, slot):
-        return np.zeros(values[slot].shape)
+    def kernel(self, functions, slot):
+        return np.zeros(functions[slot].values.shape)
 
 
 class ZeroSeedingForm(DyadicSupForm):
@@ -260,9 +261,9 @@ class CallCounter:
         super().__init__(*args, **kwargs)
         self.kernel_calls = 0
 
-    def kernel(self, values, slot):
+    def kernel(self, functions, slot):
         self.kernel_calls += 1
-        return super().kernel(values, slot)
+        return super().kernel(functions, slot)
 
 
 class CountingDyadicForm(CallCounter, DyadicSupForm):
@@ -271,6 +272,15 @@ class CountingDyadicForm(CallCounter, DyadicSupForm):
 
 class CountingContinuousForm(CallCounter, ContinuousTruncatedForm):
     pass
+
+
+class NonFiniteKernelForm(CountingDyadicForm):
+    """Dyadic form whose kernels hold a NaN, so every update is non-finite."""
+
+    def kernel(self, functions, slot):
+        out = super().kernel(functions, slot)
+        out[0] = np.nan
+        return out
 
 
 class TestAlternatingMaximize:
@@ -393,6 +403,54 @@ class TestAlternatingMaximize:
         for fa, fb in zip(a.functions, b.functions):
             assert np.array_equal(fa.values, fb.values)
 
+    @pytest.mark.parametrize(
+        "form, wrapped",
+        [
+            (DyadicSupForm(2, 3, 3), CellFunction),
+            (ContinuousTruncatedForm(1, TruncationRange(0.5, 4.0)), GridSampledFunction),
+        ],
+        ids=["dyadic", "continuous"],
+    )
+    def test_wraps_each_slot_once_when_it_is_stored(self, monkeypatch, form, wrapped):
+        # Log every wrap built, wherever it is built, and every kernel call.
+        built, events = [], []
+        post_init = wrapped.__post_init__
+
+        def counting(self):
+            post_init(self)
+            built.append(self)
+            events.append("wrap")
+
+        monkeypatch.setattr(wrapped, "__post_init__", counting)
+        kernel = form.kernel
+
+        def recording(functions, slot):
+            before = len(built)
+            out = kernel(functions, slot)
+            assert len(built) == before, "a kernel call made a wrap"
+            events.append("kernel")
+            return out
+
+        monkeypatch.setattr(form, "kernel", recording)
+        k = form.slot_count
+        result = alternating_maximize(
+            form, HoelderExponents.geometric(k - 1), max_iter=3, seed=0
+        )
+        assert not result.stagnated
+        # n+1 wraps open the run; each stored update makes exactly one wrap,
+        # and every slot but 0 is stored right after its own kernel call.
+        cycle = ["wrap"] + ["kernel", "wrap"] * (k - 1) + ["kernel"]
+        assert events == ["wrap"] * k + ["kernel"] + cycle * result.iterations
+        # The result's functions are the last wraps themselves.
+        assert len(result.functions) == k
+        assert all(f is b for f, b in zip(result.functions, built[-k:], strict=True))
+
+    def test_non_finite_iterate_refused_when_stored(self):
+        form = NonFiniteKernelForm(1, 2, 1)
+        with pytest.raises(ValueError, match="finite"):
+            alternating_maximize(form, HoelderExponents.geometric(1), seed=0)
+        assert form.kernel_calls == 1
+
     def test_continuous_trace_nondecreasing(self):
         form = ContinuousTruncatedForm(1, TruncationRange(0.5, 4.0))
         exps = HoelderExponents.geometric(1)
@@ -415,62 +473,13 @@ class BilinearForm:
     def initial(self, rng):
         return [rng.standard_normal(5), rng.standard_normal(7)]
 
-    def kernel(self, values, slot):
+    def wrap(self, values):
+        return values
+
+    def kernel(self, functions, slot):
         if slot == 0:
-            return self.matrix @ values[1]
-        return self.matrix.T @ values[0]
-
-    def functions(self, values):
-        return list(values)
-
-
-class TestKeptWraps:
-    @pytest.mark.parametrize(
-        "form, wrapped",
-        [
-            (DyadicSupForm(2, 3, 3), CellFunction),
-            (ContinuousTruncatedForm(1, TruncationRange(0.5, 4.0)), GridSampledFunction),
-        ],
-    )
-    def test_kernel_rewraps_only_the_changed_slot(self, monkeypatch, form, wrapped):
-        built = []
-        post_init = wrapped.__post_init__
-
-        def counting(self):
-            built.append(self)
-            post_init(self)
-
-        monkeypatch.setattr(wrapped, "__post_init__", counting)
-        per_call = []
-        kernel = form.kernel
-
-        def recording(values, slot):
-            before = len(built)
-            out = kernel(values, slot)
-            per_call.append(len(built) - before)
-            return out
-
-        monkeypatch.setattr(form, "kernel", recording)
-        exps = HoelderExponents.geometric(form.slot_count - 1)
-        result = alternating_maximize(form, exps, max_iter=3, seed=0)
-        assert len(per_call) == 1 + 3 * form.slot_count
-        assert per_call == [form.slot_count] + [1] * (len(per_call) - 1)
-        # The result reuses the last kernel call's wraps.
-        assert len(built) == sum(per_call)
-        assert set(map(id, result.functions)) <= set(map(id, built))
-
-    def test_writeable_arrays_are_wrapped_again(self):
-        form = DyadicSupForm(1, 2, 1)
-        values = form.initial(np.random.default_rng(1))
-        first = form.functions(values)
-        values[0][0] = 7.0
-        second = form.functions(values)
-        assert second[0] is not first[0] and second[0].values[0] == 7.0
-        for v in values:
-            v.flags.writeable = False
-        third = form.functions(values)
-        assert form.functions(values) == third
-        assert form.functions([values[0], values[1].copy()])[0] is third[0]
+            return self.matrix @ functions[1]
+        return self.matrix.T @ functions[0]
 
 
 class TestMaximizerAlone:
