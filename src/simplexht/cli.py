@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import traceback
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -36,6 +37,7 @@ from .harness import (
     fit_exponent,
     growth_sweep,
     load_records,
+    records_format,
     save_records,
 )
 from .identities import run_analytic_suite
@@ -125,7 +127,9 @@ def _names_config(flag: str) -> bool:
 def _inject_config(argv: list) -> list:
     """Expand --config FILE (or --config=FILE) into flags before the explicit ones."""
     paths = []
-    for token, following in zip(argv, argv[1:] + [None]):
+    # argparse takes no flag as the path of --config; None marks a missing path.
+    nexts = [None if t.startswith("-") and t != "-" else t for t in argv[1:]]
+    for token, following in zip(argv, nexts + [None]):
         flag, equals, path = token.partition("=")
         if _names_config(flag):
             paths.append(path if equals else following)
@@ -311,6 +315,8 @@ def _check_verify_sizes(ns: Sequence[int], sides: Sequence[int], trials: int) ->
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     checks = 0
     failures = 0
     if args.suite in ("dyadic", "all"):
@@ -355,6 +361,8 @@ def _exponents_for(args: argparse.Namespace, n: int) -> HoelderExponents:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     exps = _exponents_for(args, args.n)
     rng = np.random.default_rng(args.seed)
     if args.model == "dyadic":
@@ -404,6 +412,9 @@ def _octave_bounds(base_radius: float) -> tuple:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    records_format(args.out)
+    if not Path(args.out).parent.is_dir():
+        raise CliError(f"--out {args.out}: its directory does not exist")
     exps = _exponents_for(args, args.n)
     if args.seeds < 1:
         raise CliError("--seeds must be >= 1")
@@ -443,15 +454,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    records = load_records(args.input)
-    fit = fit_exponent(records)
-    payload = {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "residual": fit.residual,
-        "reference": fit.reference,
-    }
-    text = json.dumps(payload, sort_keys=True)
+    if args.out is not None and not Path(args.out).parent.is_dir():
+        raise CliError(f"--out {args.out}: its directory does not exist")
+    text = json.dumps(asdict(fit_exponent(load_records(args.input))), sort_keys=True)
     print(text)
     if args.out is not None:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

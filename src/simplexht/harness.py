@@ -16,8 +16,8 @@ CellFunction or GridSampledFunction wrap, wraps a slot again only when it
 stores that slot's update, and hands kernel() the wrapped functions.
 
 Every sweep row carries its seed and a digest of the remaining settings,
-so any record can be reproduced bit-for-bit; timestamps are left unset by
-the sweep itself to keep outputs byte-identical across runs.
+so any record can be reproduced bit-for-bit.  A record file holds exactly
+ExperimentRecord's fields, and fit_exponent's bits do not depend on the CPU.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union, get_type_hints
 
 import numpy as np
 
@@ -49,19 +49,6 @@ MODELS = ("dyadic", "continuous")
 _RESEED_ATTEMPTS = 5
 _BUMPS_PER_SLOT = 3
 
-# The saved columns of a record, in file order, each with the parser that
-# reads it back from text.  The timestamp rides along in JSON files only.
-_COLUMNS = {
-    "model": str,
-    "n": int,
-    "abscissa": float,
-    "S": float,
-    "iters": int,
-    "seed": int,
-    "digest": str,
-}
-CSV_COLUMNS = tuple(_COLUMNS)
-
 
 @dataclass(frozen=True)
 class ExperimentRecord:
@@ -79,7 +66,6 @@ class ExperimentRecord:
     iters: int
     seed: int
     digest: str
-    timestamp: Union[str, None] = None
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
@@ -92,6 +78,11 @@ class ExperimentRecord:
             raise ValueError(f"norm estimate must be finite and >= 0, got {self.S!r}")
         if self.iters < 0:
             raise ValueError("iters must be >= 0")
+
+
+# A record's saved columns in file order; each type (str, int, float) parses its text.
+_COLUMNS = get_type_hints(ExperimentRecord)
+CSV_COLUMNS = tuple(_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -108,8 +99,8 @@ class GrowthFit:
     reference: float
 
     def __post_init__(self) -> None:
-        for name in ("slope", "intercept", "residual", "reference"):
-            if not math.isfinite(getattr(self, name)):
+        for name, value in asdict(self).items():
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if self.residual < 0:
             raise ValueError("residual must be >= 0")
@@ -374,6 +365,8 @@ def growth_sweep(
     abscissae = list(abscissae)
     if not abscissae:
         raise ValueError("empty abscissa range")
+    if len(set(abscissae)) != len(abscissae):
+        raise ValueError("abscissae must be distinct")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
@@ -432,12 +425,12 @@ def growth_sweep(
 
 
 def fit_exponent(records: Sequence[ExperimentRecord]) -> GrowthFit:
-    """Least-squares slope of log S against the log abscissa.
+    """Least-squares slope of log S against the log abscissa, in closed form.
 
-    Requires >= 2 records with distinct abscissae, all S > 0, from a single
-    model, degree and settings digest, that is from one sweep's
-    configuration.  The reference exponent 1 - 2**(-n+1) rides along for
-    comparison.
+    Requires >= 2 records with distinct abscissae, all S > 0, from one
+    sweep's configuration (model, degree and settings digest).  Every sum is
+    a math.fsum, so the bits do not depend on the CPU.  The reference
+    exponent 1 - 2**(-n+1) rides along for comparison.
     """
     if len(records) < 2:
         raise ValueError("need at least 2 records to fit a slope")
@@ -448,34 +441,43 @@ def fit_exponent(records: Sequence[ExperimentRecord]) -> GrowthFit:
         raise ValueError(
             f"records mix models {models}, degrees {degrees} or digests {digests}"
         )
-    if len({r.abscissa for r in records}) < 2:
+    # Distinct in log, or the slope's denominator is 0.
+    if len({math.log(r.abscissa) for r in records}) < 2:
         raise ValueError("need at least 2 distinct abscissae")
     for r in records:
         if not (r.S > 0):
             raise ValueError(f"cannot log-fit nonpositive estimate S={r.S!r}")
-    x = np.log([r.abscissa for r in records])
-    y = np.log([r.S for r in records])
-    design = np.stack([x, np.ones_like(x)], axis=1)
-    coeffs, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    slope, intercept = float(coeffs[0]), float(coeffs[1])
-    residual = float(np.sqrt(np.mean((y - design @ coeffs) ** 2)))
-    n = records[0].n
+    x = [math.log(r.abscissa) for r in records]
+    y = [math.log(r.S) for r in records]
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [u - x_mean for u in x]
+    slope = math.fsum(d * (v - y_mean) for d, v in zip(dx, y)) / math.fsum(d * d for d in dx)
+    intercept = y_mean - slope * x_mean
+    misfits = [v - (slope * u + intercept) for u, v in zip(x, y)]
+    residual = math.sqrt(math.fsum(e * e for e in misfits) / len(misfits))
     return GrowthFit(
         slope=slope,
         intercept=intercept,
         residual=residual,
-        reference=1.0 - 2.0 ** (-n + 1),
+        reference=1.0 - 2.0 ** (-records[0].n + 1),
     )
 
 
+def records_format(path) -> str:
+    """The records format that path's suffix names: ".csv" or ".json"."""
+    suffix = Path(path).suffix.lower()
+    if suffix not in (".csv", ".json"):
+        raise ValueError(f"unsupported records format {suffix!r} (use .csv or .json)")
+    return suffix
+
+
 def save_records(records: Sequence[ExperimentRecord], path) -> None:
-    """Write records as .csv (no timestamp column) or .json (with it)."""
+    """Write records as .csv or .json, each holding exactly the record's fields."""
     path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".json":
+    if records_format(path) == ".json":
         payload = [asdict(r) for r in records]
         path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    elif suffix == ".csv":
+    else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
@@ -485,8 +487,6 @@ def save_records(records: Sequence[ExperimentRecord], path) -> None:
                     repr(float(getattr(r, name))) if parse is float else getattr(r, name)
                     for name, parse in _COLUMNS.items()
                 )
-    else:
-        raise ValueError(f"unsupported records format {suffix!r} (use .csv or .json)")
 
 
 def _record_from_fields(fields: Mapping[str, object], where: str) -> ExperimentRecord:
@@ -501,11 +501,8 @@ def _record_from_fields(fields: Mapping[str, object], where: str) -> ExperimentR
             raise ValueError(
                 f"{where}: field {name!r}: could not parse {raw!r}"
             ) from None
-    timestamp = fields.get("timestamp")
-    if timestamp is not None and not isinstance(timestamp, str):
-        raise ValueError(f"{where}: field 'timestamp': expected string or null")
     try:
-        return ExperimentRecord(timestamp=timestamp, **kwargs)
+        return ExperimentRecord(**kwargs)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
@@ -513,8 +510,7 @@ def _record_from_fields(fields: Mapping[str, object], where: str) -> ExperimentR
 def load_records(path) -> list:
     """Read records saved by save_records; errors name the offending spot."""
     path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".json":
+    if records_format(path) == ".json":
         text = path.read_text(encoding="utf-8")
         try:
             payload = json.loads(text)
@@ -527,8 +523,7 @@ def load_records(path) -> list:
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}: record {i}: expected an object")
             out.append(_record_from_fields(obj, f"{path}: record {i}"))
-        return out
-    if suffix == ".csv":
+    else:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             try:
@@ -550,5 +545,4 @@ def load_records(path) -> list:
                     )
                 fields = dict(zip(CSV_COLUMNS, row))
                 out.append(_record_from_fields(fields, f"{path}: line {lineno}"))
-        return out
-    raise ValueError(f"unsupported records format {suffix!r} (use .csv or .json)")
+    return out

@@ -131,6 +131,11 @@ class TestVerifyCommand:
         assert code == 0
         assert "n=1: --L 2..9, n=2: --L 2..6, n=3: --L 2..4" in " ".join(out.split())
 
+    def test_negative_seed_refused_before_any_check(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--seed", "-1")
+        assert code == 2
+        assert out == "" and "--seed must be >= 0, got -1" in err
+
     def test_output_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--suite", "analytic", "--seed", "3")
         _, second, _ = run_cli(capsys, "verify", "--suite", "analytic", "--seed", "3")
@@ -219,6 +224,18 @@ class TestEvalCommand:
         code, _, err = run_cli(capsys, "eval", "--model", "continuous", "--n", "1")
         assert code == 2
         assert "--r" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--model", "dyadic", "--n", "2", "--L", "3", "--m", "2"),
+            ("--model", "continuous", "--n", "2", "--r", "0.5", "--R", "4"),
+        ],
+    )
+    def test_negative_seed_refused_naming_the_flag(self, capsys, flags):
+        code, out, err = run_cli(capsys, "eval", *flags, "--seed", "-1")
+        assert code == 2
+        assert out == "" and "--seed must be >= 0, got -1" in err
 
     def test_engine_validation_maps_to_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -389,6 +406,56 @@ class TestSweepAndFit:
         assert code == 2
         assert message in err
         assert out == "" and not out_csv.exists()
+
+    def test_csv_and_json_records_fit_the_same(self, tmp_path, capsys):
+        fits = []
+        for suffix in (".csv", ".json"):
+            records = tmp_path / f"s{suffix}"
+            code, _, _ = run_cli(
+                capsys,
+                "sweep", "--model", "dyadic", "--n", "2", "--m", "1..3", "--L", "3",
+                "--seeds", "2", "--max-iter", "6", "--out", str(records),
+            )
+            assert code == 0
+            code, out, _ = run_cli(capsys, "fit", "--input", str(records))
+            assert code == 0
+            fits.append(out.encode())
+        assert fits[0] == fits[1]
+
+    @pytest.mark.parametrize(
+        "name, reason",
+        [
+            ("r.txt", "unsupported records format '.txt'"),
+            ("missing/r.csv", "its directory does not exist"),
+        ],
+    )
+    def test_bad_sweep_out_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, name, reason
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "growth_sweep", refuse)
+        out_path = tmp_path / name
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--model", "dyadic", "--n", "2", "--L", "6", "--m", "2..6",
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == "" and reason in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_fit_out_refused_before_any_output(self, tmp_path, capsys):
+        records = tmp_path / "r.csv"
+        save_records(sample_records(), records)
+        fit_path = tmp_path / "missing" / "f.json"
+        code, out, err = run_cli(
+            capsys, "fit", "--input", str(records), "--out", str(fit_path)
+        )
+        assert code == 2
+        assert out == "" and "its directory does not exist" in err
+        assert not fit_path.parent.exists()
 
     def test_sweep_needs_matching_range_flag(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -653,6 +720,12 @@ class TestConfigFile:
         )
         assert code == 2
         assert out == "" and "'bogus'" in err
+
+    @pytest.mark.parametrize("spelling", ["--config", "--conf"])
+    def test_bare_config_leaves_the_next_flag_to_argparse(self, capsys, spelling):
+        code, out, err = run_cli(capsys, "verify", spelling, "--suite", "dyadic")
+        assert code == 2
+        assert out == "" and "argument --config: expected one argument" in err
 
     def test_second_config_is_usage_error(self, tmp_path, capsys):
         good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from simplexht import continuous, core, identities
+from simplexht import continuous, core, harness, identities
 from simplexht.continuous import (
     DilationParams,
     QuadratureSpec,
@@ -847,11 +847,11 @@ class TestShiftWeights:
         assert np.max(np.abs(split - profile)) <= 1e-13 * np.max(np.abs(profile))
 
     def test_engine_makes_no_blas_call(self):
-        # BLAS kernels round by CPU type; the continuous engine's bits and
-        # the analytic suite's pinned discrepancies must not depend on which
-        # one a machine has.
-        blas = {"matmul", "einsum", "dot", "tensordot", "inner", "vdot", "outer"}
-        for module in (continuous, identities):
+        # BLAS kernels round by CPU type; the continuous engine's bits, the
+        # analytic suite's pinned discrepancies and the growth fit must not
+        # depend on which one a machine has.
+        blas = {"matmul", "einsum", "dot", "tensordot", "inner", "vdot", "outer", "linalg"}
+        for module in (continuous, identities, harness):
             tree = ast.parse(inspect.getsource(module))
             found = [
                 node.lineno

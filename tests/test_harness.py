@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from simplexht import core, dyadic
+from simplexht import core, dyadic, harness
 from simplexht.continuous import eval_simplex_truncated
 from simplexht.core import (
     CellFunction,
@@ -30,6 +33,7 @@ from simplexht.harness import (
     fit_exponent,
     growth_sweep,
     load_records,
+    records_format,
     save_records,
     settings_digest,
 )
@@ -53,7 +57,8 @@ class TestExperimentRecord:
     def test_accepts_valid_fields(self):
         r = record()
         assert r.model == "dyadic"
-        assert r.timestamp is None
+        # The saved columns are the record's fields, nothing more.
+        assert tuple(f.name for f in dataclasses.fields(r)) == CSV_COLUMNS
 
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError, match="model"):
@@ -553,7 +558,6 @@ class TestGrowthSweep:
         assert len({r.digest for r in first}) == 1
         for r in first:
             assert r.model == "dyadic"
-            assert r.timestamp is None
             assert r.seed in (0, 1)
 
     def test_best_of_seeds_takes_the_max(self):
@@ -633,6 +637,20 @@ class TestGrowthSweep:
         exps = HoelderExponents.geometric(1)
         with pytest.raises(ValueError, match="distinct"):
             growth_sweep("dyadic", 1, [1], exps, seeds=(0, 0), side_exponent=3)
+
+    @pytest.mark.parametrize(
+        "model, abscissae", [("dyadic", [1, 2, 1]), ("continuous", [1.0, 1.0])]
+    )
+    def test_repeated_abscissae_refused_before_any_form(
+        self, monkeypatch, model, abscissae
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a form was built")
+
+        monkeypatch.setattr(harness, "_sweep_form", refuse)
+        exps = HoelderExponents.geometric(1)
+        with pytest.raises(ValueError, match="abscissae must be distinct"):
+            growth_sweep(model, 1, abscissae, exps, seeds=(0,), side_exponent=3)
 
     def test_dyadic_needs_side_exponent(self):
         exps = HoelderExponents.geometric(1)
@@ -717,6 +735,51 @@ class TestFitExponent:
         with pytest.raises(ValueError, match=f"digests.*0123456789abcdef.*{other}"):
             fit_exponent([record(), record(abscissa=1.0, digest=other)])
 
+    def test_rejects_abscissae_equal_in_log(self):
+        # Adjacent doubles whose logs round alike: the slope's denominator is 0.
+        with pytest.raises(ValueError, match="distinct"):
+            fit_exponent([record(abscissa=1e10), record(abscissa=math.nextafter(1e10, 0))])
+
+    # The criterion-10 records (n=2, L=6, m=2..6) as the acceptance test pins them.
+    GOLDEN_S = (
+        "0x1.7ffff755c8926p+0",
+        "0x1.ff2d5c87ea3c6p+0",
+        "0x1.170ecf288276bp+1",
+        "0x1.2d67669969b9bp+1",
+        "0x1.38672fb5f58afp+1",
+    )
+
+    def golden_records(self):
+        return [
+            record(abscissa=float(m), S=float.fromhex(s))
+            for m, s in zip(range(2, 7), self.GOLDEN_S)
+        ]
+
+    def test_golden_fit_bits(self):
+        # The fit makes no BLAS call, so these bits hold on every CPU.
+        fit = fit_exponent(self.golden_records())
+        assert (fit.slope.hex(), fit.intercept.hex(), fit.residual.hex()) == (
+            "0x1.bea3f53c1efe9p-2",
+            "0x1.356865561f998p-3",
+            "0x1.4cc51d74b68d5p-5",
+        )
+
+    def test_matches_the_exact_rational_fit(self):
+        # Least squares in exact arithmetic on the same float logs.
+        records = self.golden_records()
+        x = [Fraction(math.log(r.abscissa)) for r in records]
+        y = [Fraction(math.log(r.S)) for r in records]
+        x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+        slope = sum((u - x_mean) * (v - y_mean) for u, v in zip(x, y)) / sum(
+            (u - x_mean) ** 2 for u in x
+        )
+        intercept = y_mean - slope * x_mean
+        square = sum((v - slope * u - intercept) ** 2 for u, v in zip(x, y)) / len(x)
+        fit = fit_exponent(records)
+        assert fit.slope == float(slope)
+        assert fit.intercept == float(intercept)
+        assert fit.residual == pytest.approx(math.sqrt(square), rel=1e-14)
+
 
 class TestRecordFiles:
     def sample_records(self):
@@ -738,14 +801,16 @@ class TestRecordFiles:
         save_records(records, path)
         assert load_records(path) == records
 
-    def test_json_preserves_timestamp_csv_drops_it(self, tmp_path):
-        stamped = [record(timestamp="2026-08-19T00:00:00Z")]
-        jpath = tmp_path / "records.json"
-        cpath = tmp_path / "records.csv"
-        save_records(stamped, jpath)
-        save_records(stamped, cpath)
-        assert load_records(jpath)[0].timestamp == "2026-08-19T00:00:00Z"
-        assert load_records(cpath)[0].timestamp is None
+    def test_older_json_with_timestamps_still_loads(self, tmp_path):
+        path = tmp_path / "records.json"
+        records = self.sample_records()
+        save_records(records, path)
+        payload = json.loads(path.read_text())
+        assert [list(obj) for obj in payload] == [list(CSV_COLUMNS)] * len(records)
+        for obj, stamp in zip(payload, ["2026-08-19T00:00:00Z", None, 17]):
+            obj["timestamp"] = stamp
+        path.write_text(json.dumps(payload))
+        assert load_records(path) == records
 
     def test_empty_list_writes_header_only(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -765,7 +830,7 @@ class TestRecordFiles:
         assert a.read_bytes() == b.read_bytes()
 
     GOLDEN_RECORDS = [
-        record(abscissa=3, S=1.2345678901234567, timestamp="2026-08-19T00:00:00Z"),
+        record(abscissa=3, S=1.2345678901234567),
         record(model="continuous", n=1, abscissa=1.5, S=2.0 / 3.0, iters=0, seed=4),
     ]
     GOLDEN_TEXT = {
@@ -782,8 +847,7 @@ class TestRecordFiles:
     "S": 1.2345678901234567,
     "iters": 7,
     "seed": 0,
-    "digest": "0123456789abcdef",
-    "timestamp": "2026-08-19T00:00:00Z"
+    "digest": "0123456789abcdef"
   },
   {
     "model": "continuous",
@@ -792,8 +856,7 @@ class TestRecordFiles:
     "S": 0.6666666666666666,
     "iters": 0,
     "seed": 4,
-    "digest": "0123456789abcdef",
-    "timestamp": null
+    "digest": "0123456789abcdef"
   }
 ]
 """,
@@ -867,6 +930,9 @@ class TestRecordFiles:
             load_records(path)
 
     def test_unsupported_extension_rejected(self, tmp_path):
+        assert [records_format(f"r{s}") for s in (".csv", ".JSON")] == [".csv", ".json"]
+        with pytest.raises(ValueError, match="unsupported records format '.txt'"):
+            records_format(tmp_path / "records.txt")
         with pytest.raises(ValueError, match="format"):
             save_records([], tmp_path / "records.parquet")
         with pytest.raises(ValueError, match="format"):
