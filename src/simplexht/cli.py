@@ -10,6 +10,10 @@ A config file passed via --config FILE or --config=FILE holds `key=value`
 lines (one flag per line, without the leading dashes); flags given on the
 command line override the file.  One config file per command: a second
 --config, or a config key inside the file, is a usage error.
+
+main(argv) may be called many times in one process: the argument parser is
+built once, when the module is imported, and each call looks up its
+subcommand's handler, `_cmd_<subcommand>`, by name.
 """
 
 from __future__ import annotations
@@ -190,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--seed", type=int, default=0)
     _add_config_flag(verify)
-    verify.set_defaults(handler=_cmd_verify)
 
     evaluate = sub.add_parser(
         "eval",
@@ -212,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--exponents", default=None, help="comma list, inf allowed")
     evaluate.add_argument("--seed", type=int, default=0)
     _add_config_flag(evaluate)
-    evaluate.set_defaults(handler=_cmd_eval)
 
     sweep = sub.add_parser(
         "sweep",
@@ -243,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--half-extent", type=float, default=4.0)
     sweep.add_argument("--spacing", type=float, default=0.25)
     _add_config_flag(sweep)
-    sweep.set_defaults(handler=_cmd_sweep)
 
     fit = sub.add_parser(
         "fit",
@@ -256,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--input", required=True, help="records .csv or .json")
     fit.add_argument("--out", default=None, help="also write the fit as JSON")
     _add_config_flag(fit)
-    fit.set_defaults(handler=_cmd_fit)
 
     plot = sub.add_parser(
         "plot",
@@ -269,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     plot.add_argument("--input", required=True, help="records .csv or .json")
     plot.add_argument("--out", required=True, help="output .svg path")
     _add_config_flag(plot)
-    plot.set_defaults(handler=_cmd_plot)
 
     return parser
 
@@ -360,6 +359,13 @@ def _exponents_for(args: argparse.Namespace, n: int) -> HoelderExponents:
     return exps
 
 
+def _refuse_unread(args: argparse.Namespace, names: Sequence[str]) -> None:
+    """Refuse a given flag (all default to None) that --model args.model never reads."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise CliError(f"--{name} is not read by --model {args.model}")
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise CliError(f"--seed must be >= 0, got {args.seed}")
@@ -368,6 +374,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.model == "dyadic":
         if args.L is None or args.m is None:
             raise CliError("dyadic eval needs --L and --m")
+        _refuse_unread(args, ("r", "R"))
         form = DyadicSupForm(args.n, args.L, args.m)
         functions = normalize_tuple([form.wrap(v) for v in form.initial(rng)], exps)
         value = eval_dyadic_sup(list(functions), args.m)
@@ -376,6 +383,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     else:
         if args.r is None or args.R is None:
             raise CliError("continuous eval needs --r and --R")
+        _refuse_unread(args, ("L", "m"))
         trunc = TruncationRange(args.r, args.R)
         form = ContinuousTruncatedForm(args.n, trunc, args.half_extent, args.spacing)
         functions = normalize_tuple([form.wrap(v) for v in form.initial(rng)], exps)
@@ -426,11 +434,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise CliError("dyadic sweeps need --m")
         if args.L is None:
             raise CliError("dyadic sweeps need --L")
+        _refuse_unread(args, ("octaves",))
         # Scale counts run 1..L.
         abscissae = parse_range(args.m, integer=True, bounds=(1, args.L))
     else:
         if args.octaves is None:
             raise CliError("continuous sweeps need --octaves")
+        _refuse_unread(args, ("L", "m"))
         bounds = _octave_bounds(args.base_radius)
         abscissae = parse_range(args.octaves, integer=False, bounds=bounds)
     records = growth_sweep(
@@ -474,20 +484,25 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
+# Built once, at import: its help text reads the budgets as they are then.
+_PARSER = build_parser()
+
+
 def main(argv: Union[Sequence[str], None] = None) -> int:
     raw = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
-    parser = build_parser()
     try:
         expanded = _inject_config(raw)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        args = parser.parse_args(expanded)
+        args = _PARSER.parse_args(expanded)
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
+    # The handler is looked up on each call, so a rebound _cmd_* is the one run.
+    handler = globals()[f"_cmd_{args.subcommand}"]
     try:
-        return args.handler(args)
+        return handler(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,10 +25,11 @@ smooth evaluations differ by the pairing with the residual kernel phi, and
 their gap is bounded by the L^1 norm of phi times the norm product.  phi
 jumps by 1/rho at |x| = rho for rho in {r, R}, so phi_l1 integrates each
 of (0, r), (r, R) and (R, 8R) with the closed form of its own side of the
-jumps, endpoints included, by adaptive_simpson, which evaluates every
-interval of one bisection level in one array call.  adaptive_simpson is
-the one-integral call of adaptive_simpson_many, whose single bisection
-loop carries many integrals level by level, each on its own tree.
+jumps, endpoints included.  It integrates the three pieces in one
+adaptive_simpson_many call, whose single bisection loop carries many
+integrals level by level, each on its own tree, and evaluates every open
+interval of a level in one array call.  adaptive_simpson is its
+one-integral call.
 """
 
 from __future__ import annotations
@@ -222,27 +223,28 @@ def phi_l1(trunc: TruncationRange, tol: float = 1e-10) -> float:
     if trunc.r == trunc.R:
         return 0.0
 
-    def g(x, rho):
-        return np.exp(-np.pi * np.square(x / rho))
+    def integrand(u: np.ndarray, which: np.ndarray) -> np.ndarray:
+        # Column j lies on piece which[j]: 0 in x itself, 1 and 2 in u = log x.
+        near = which == 0
+        x = np.exp(u, out=u.copy(), where=~near)
+        at_r = -np.pi * np.square(x / trunc.r)
+        at_R = -np.pi * np.square(x / trunc.R)
+        # g(x/r) on the log pieces, g(x/r) - 1 near zero.
+        gap = np.exp(at_r)
+        np.expm1(at_r, out=gap, where=near)
+        # g(x/R) - 1 below R, g(x/R) beyond it.
+        beyond = which == 2
+        outer = np.expm1(at_R)
+        np.exp(at_R, out=outer, where=beyond)
+        gap -= outer
+        # Near zero the integrand is |phi| itself: 0 at x = 0, where gap is 0.
+        np.divide(gap, x, out=gap, where=near & (x != 0.0))
+        return np.abs(gap, out=gap)
 
-    def g_minus_1(x, rho):
-        return np.expm1(-np.pi * np.square(x / rho))
-
-    def near_zero(x):
-        gap = g_minus_1(x, trunc.r) - g_minus_1(x, trunc.R)
-        return np.abs(np.divide(gap, x, out=np.zeros_like(x), where=x != 0.0))
-
-    def log_piece(a: float, b: float, gap) -> float:
-        return adaptive_simpson(
-            lambda u: np.abs(gap(np.exp(u))), math.log(a), math.log(b), tol / 3.0
-        )
-
-    total = (
-        adaptive_simpson(near_zero, 0.0, trunc.r, tol / 3.0)
-        + log_piece(trunc.r, trunc.R, lambda x: g(x, trunc.r) - g_minus_1(x, trunc.R))
-        + log_piece(trunc.R, 8.0 * trunc.R, lambda x: g(x, trunc.r) - g(x, trunc.R))
-    )
-    return 2.0 * total
+    lo = [0.0, math.log(trunc.r), math.log(trunc.R)]
+    hi = [trunc.r, math.log(trunc.R), math.log(8.0 * trunc.R)]
+    pieces = adaptive_simpson_many(integrand, lo, hi, tol / 3.0)
+    return float(2.0 * (pieces[0] + pieces[1] + pieces[2]))
 
 
 @dataclass(frozen=True)

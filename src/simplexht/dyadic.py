@@ -34,8 +34,9 @@ gradient's zero-initialised sum erases and the pairing sign test ignores.
 No step calls np.einsum.  The kernel's inner product with the slot's
 own block is the tuple's pairing, so pairings and slot gradients come from
 the same pass.  The sup and the form read slot 0's plans and the gradient
-its own slot's, with no loop over tuples; the aux majorant gathers its
-blocks unsigned on each call and keeps only its einsum contraction paths.
+its own slot's, with no loop over tuples; the aux form, a term of the
+telescoped identity, gathers its blocks unsigned on each call and keeps
+only its einsum contraction paths.
 Per-scale results are reduced in a fixed order, scales in increasing
 order, so evaluations are deterministic.
 
@@ -463,7 +464,7 @@ _aux_paths: dict[tuple, list] = {}
 def eval_dyadic_aux(
     functions: Sequence[CellFunction], k: int, scale_count: int
 ) -> float:
-    """Doubled-variable majorant of the dyadic form.
+    """Doubled-variable aux form, a term of the dyadic form's telescoped identity.
 
     Functions F_0..F_k each appear once per choice vector r in {0,1}^{n-k}
     in the split product: factor (i, r) takes the single variables
@@ -472,20 +473,22 @@ def eval_dyadic_aux(
     integral of that product over x_0..x_k is taken in absolute value,
     then integrated over the doubled outer variables x_j^{(0)}, x_j^{(1)}
     ranging over I_j for j > k, with weight (2^{-l})^{n-k+1}.  Needs
-    1 <= k <= n; at k = n this collapses to eval_dyadic_sup.
+    1 <= k <= n; at k = n this collapses to eval_dyadic_sup.  It is
+    homogeneous of degree 2^{n-k} in each F_i with i <= k and does not read
+    F_{k+1}..F_n, so for k < n neither it nor the sup bounds the other.
     """
     n, L = _check_inputs(functions, scale_count)
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     # Scale l holds 2^{(L-l)n} tuples of (2^l)^{2(n-k)} doubled-variable
     # cells.  Its k+1 gathers are charged as one dyadic plan, so the aux
-    # majorant admits every (n, L) whose plans the sup admits.
+    # form admits every (n, L) whose plans the sup admits.
     check_cells(
         max(
             slot_cells(n, L),
             *(1 << ((L - l) * n + 2 * l * (n - k)) for l in range(1, scale_count + 1)),
         ),
-        f"aux majorant n={n} k={k} L={L} m={scale_count}",
+        f"aux form n={n} k={k} L={L} m={scale_count}",
     )
     # einsum axes: 0 is the tuple, 1 + j the single variable x_j, and
     # k + 2 + 2j + r the doubled variable x_{k+1+j}^{(r)}.  Factors run over

@@ -489,15 +489,27 @@ def save_records(records: Sequence[ExperimentRecord], path) -> None:
                 )
 
 
-def _record_from_fields(fields: Mapping[str, object], where: str) -> ExperimentRecord:
+# The JSON values each column type admits: a bool is never a number.
+_JSON_TYPES = {str: ("string", str), int: ("integer", int), float: ("number", (int, float))}
+
+
+def _record_from_fields(
+    fields: Mapping[str, object], where: str, from_json: bool = False
+) -> ExperimentRecord:
+    """A record from its fields: CSV text is parsed, JSON values must have their column's type."""
     kwargs = {}
     for name, parse in _COLUMNS.items():
         if name not in fields:
             raise ValueError(f"{where}: missing field {name!r}")
         raw = fields[name]
+        kind, admitted = _JSON_TYPES[parse]
+        if from_json and (isinstance(raw, bool) or not isinstance(raw, admitted)):
+            raise ValueError(
+                f"{where}: field {name!r}: expected a JSON {kind}, got {json.dumps(raw)}"
+            )
         try:
             kwargs[name] = parse(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(
                 f"{where}: field {name!r}: could not parse {raw!r}"
             ) from None
@@ -522,7 +534,7 @@ def load_records(path) -> list:
         for i, obj in enumerate(payload):
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}: record {i}: expected an object")
-            out.append(_record_from_fields(obj, f"{path}: record {i}"))
+            out.append(_record_from_fields(obj, f"{path}: record {i}", from_json=True))
     else:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)

@@ -490,6 +490,40 @@ def brute_adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
     return float(recurse(a, mid, b, fa, fm, fb, whole, tol, 48))
 
 
+def brute_phi_l1(r: float, R: float, tol: float = 1e-10) -> float:
+    """L^1 norm of the residual kernel for r < R as three separate quadratures.
+
+    x phi(x) is g(x/r) - g(x/R) on (0, r), written with expm1 near 0, and
+    on (R, 8R), and 1 - g(x/R) + g(x/r) on (r, R); the pieces away from 0
+    integrate |x phi(x)| in u = log x, each by brute_adaptive_simpson at
+    tol/3, and phi is even.
+    """
+
+    def g(x, rho):
+        return np.exp(-np.pi * np.square(x / rho))
+
+    def g_minus_1(x, rho):
+        return np.expm1(-np.pi * np.square(x / rho))
+
+    def near_zero(x):
+        return 0.0 if x == 0.0 else abs((g_minus_1(x, r) - g_minus_1(x, R)) / x)
+
+    def between(u):
+        x = np.exp(u)
+        return abs(g(x, r) - g_minus_1(x, R))
+
+    def beyond(u):
+        x = np.exp(u)
+        return abs(g(x, r) - g(x, R))
+
+    total = (
+        brute_adaptive_simpson(near_zero, 0.0, r, tol / 3.0)
+        + brute_adaptive_simpson(between, math.log(r), math.log(R), tol / 3.0)
+        + brute_adaptive_simpson(beyond, math.log(R), math.log(8.0 * R), tol / 3.0)
+    )
+    return 2.0 * total
+
+
 def _sampled_bump(amplitude, center, width, step):
     """amplitude * e^{-pi ((x - center) / width)^2} on the grid x = i * step.
 

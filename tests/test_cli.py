@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +242,20 @@ class TestEvalCommand:
         assert code == 2
         assert out == "" and "--seed must be >= 0, got -1" in err
 
+    @pytest.mark.parametrize(
+        "flags, unread",
+        [
+            (("--model", "dyadic", "--n", "2", "--L", "3", "--m", "2", "--r", "1"), "--r"),
+            (("--model", "dyadic", "--n", "2", "--L", "3", "--m", "2", "--R", "4"), "--R"),
+            (("--model", "continuous", "--n", "1", "--r", "1", "--R", "2", "--L", "5"), "--L"),
+            (("--model", "continuous", "--n", "1", "--r", "1", "--R", "2", "--m", "9"), "--m"),
+        ],
+    )
+    def test_flag_of_the_other_model_refused(self, capsys, flags, unread):
+        code, out, err = run_cli(capsys, "eval", *flags)
+        assert code == 2
+        assert out == "" and f"{unread} is not read by --model {flags[1]}" in err
+
     def test_engine_validation_maps_to_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "eval", "--model", "dyadic", "--n", "1", "--L", "3", "--m", "9"
@@ -457,6 +476,45 @@ class TestSweepAndFit:
         assert out == "" and "its directory does not exist" in err
         assert not fit_path.parent.exists()
 
+    @pytest.mark.parametrize(
+        "flags, unread",
+        [
+            (("--model", "dyadic", "--n", "1", "--L", "3", "--m", "1", "--octaves", "1"),
+             "--octaves"),
+            (("--model", "continuous", "--n", "1", "--octaves", "1", "--L", "3"), "--L"),
+            (("--model", "continuous", "--n", "1", "--octaves", "1", "--m", "2"), "--m"),
+        ],
+    )
+    def test_sweep_refuses_flag_of_the_other_model(
+        self, tmp_path, capsys, monkeypatch, flags, unread
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("swept despite an unread flag")
+
+        monkeypatch.setattr(cli, "growth_sweep", refuse)
+        out_csv = tmp_path / "never.csv"
+        code, out, err = run_cli(capsys, "sweep", *flags, "--out", str(out_csv))
+        assert code == 2
+        assert out == "" and f"{unread} is not read by --model {flags[1]}" in err
+        assert not out_csv.exists()
+
+    def test_fit_refuses_json_value_of_the_wrong_type(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        save_records(
+            [
+                ExperimentRecord("dyadic", 2, float(m), 0.5 * m, 3, 0, "ab")
+                for m in (1, 2)
+            ],
+            path,
+        )
+        payload = json.loads(path.read_text())
+        payload[1]["n"] = 2.7
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "fit", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}: record 1: field 'n': expected a JSON integer, got 2.7" in err
+
     def test_sweep_needs_matching_range_flag(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -493,6 +551,43 @@ class TestUsageErrors:
         assert code == 3
         assert "Traceback" in err
         assert "RuntimeError: internal fault" in err
+
+
+class TestRepeatedCalls:
+    """main may be called many times in one process; it builds no parser per call."""
+
+    EVAL = ["eval", "--model", "dyadic", "--n", "2", "--L", "3", "--m", "2", "--seed", "4"]
+
+    def test_main_constructs_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for argv in (self.EVAL, ["eval", "--bogus"], ["--help"], ["fit", "--help"], self.EVAL):
+            main(argv)
+        capsys.readouterr()
+        assert built == []
+
+    def test_each_call_behaves_as_a_first_call(self, capsys, monkeypatch):
+        # The outputs of each command alone in a new process; COLUMNS fixes
+        # argparse's help width in both.
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        script = "import sys; from simplexht.cli import main; sys.exit(main(sys.argv[1:]))"
+        calls = [["eval", "--model", "dyadic", "--n", "2", "--bogus"], self.EVAL, ["--help"]]
+        first = {}
+        for argv in calls:
+            done = subprocess.run(
+                [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+            )
+            first[tuple(argv)] = (done.returncode, done.stdout, done.stderr)
+        assert [first[tuple(argv)][0] for argv in calls] == [2, 0, 0]
+        for argv in calls + [self.EVAL]:
+            assert run_cli(capsys, *argv) == first[tuple(argv)]
 
 
 @pytest.mark.skipif(

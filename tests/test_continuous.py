@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import collections
 import inspect
 import math
 import tracemalloc
@@ -39,6 +40,7 @@ from simplexht.harness import growth_sweep
 
 from helpers import (
     brute_adaptive_simpson,
+    brute_phi_l1,
     brute_profile,
     brute_truncated_form,
     brute_truncated_gradient,
@@ -386,23 +388,35 @@ class TestPhiL1:
     @pytest.mark.parametrize("ratio", [1.1, 4.0, 105.0, 455.0, 1e4])
     def test_no_piece_reaches_the_depth_cap(self, ratio, monkeypatch):
         # Each piece reads its own side of the cutoff jumps at its ends, so
-        # bisection stops at the kernel's smoothness scale.
-        calls = []
-        quadrature = continuous.adaptive_simpson
+        # bisection stops at the kernel's smoothness scale.  Every integrand
+        # call is one level; count the levels at which each piece is open.
+        levels = collections.Counter()
+        quadrature = continuous.adaptive_simpson_many
 
         def counted(f, a, b, tol):
-            calls.append(0)
-
-            def g(x):
-                calls[-1] += 1
-                return f(x)
+            def g(x, which):
+                levels.update(np.unique(which).tolist())
+                return f(x, which)
 
             return quadrature(g, a, b, tol)
 
-        monkeypatch.setattr(continuous, "adaptive_simpson", counted)
+        monkeypatch.setattr(continuous, "adaptive_simpson_many", counted)
         phi_l1(TruncationRange(0.7, 0.7 * ratio))
-        assert len(calls) == 3
-        assert max(calls) <= 20
+        assert sorted(levels) == [0, 1, 2]
+        assert max(levels.values()) <= 20
+
+    def test_bits_match_three_separate_quadratures(self):
+        # The three pieces share one bisection loop, each on its own tree.
+        rng = np.random.default_rng(20)
+        cases = [(0.7, 0.7 * 1.1), (0.7, 0.7 * 1e4), (1.0, 4.0), (1e-3, 2e-3), (40.0, 41.0)]
+        cases += [
+            (r, r * 2.0 ** float(rng.uniform(0.05, 14.0)))
+            for r in np.geomspace(0.01, 100.0, 17).tolist()
+        ]
+        for tol in (1e-10, 1e-7):
+            for r, R in cases:
+                value = phi_l1(TruncationRange(r, R), tol)
+                assert value.hex() == brute_phi_l1(r, R, tol).hex(), (r, R, tol)
 
 
 class TestQuadratureSpec:

@@ -453,12 +453,19 @@ class TestEvalDyadicAux:
                 brute_aux(fs, k, L), rel=1e-12, abs=1e-12
             )
 
-    def test_dominates_sup(self):
-        rng = np.random.default_rng(9)
-        fs = random_cell_functions(rng, 2, 3)
-        sup = eval_dyadic_sup(fs, 3)
-        for k in (1, 2):
-            assert eval_dyadic_aux(fs, k, 3) >= sup - 1e-12
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_homogeneous_in_each_slot(self, k):
+        # F_i for i <= k appears 2^(n-k) times in the split product and a
+        # later slot not at all, so aux is no bound on the sup: scaled by
+        # 0.1, this draw's aux_1 is 0.0693 and its sup 0.2925.
+        n, L, c = 2, 3, -3.0
+        fs = random_cell_functions(np.random.default_rng(9), n, L)
+        base = eval_dyadic_aux(fs, k, L)
+        for i in range(n + 1):
+            scaled = list(fs)
+            scaled[i] = CellFunction(n, L, c * fs[i].values)
+            factor = abs(c) ** (2 ** (n - k)) if i <= k else 1.0
+            assert eval_dyadic_aux(scaled, k, L) == pytest.approx(factor * base, rel=1e-12)
 
     def test_split_level_validation(self):
         fs = [CellFunction(1, 2, np.ones(4)) for _ in range(2)]

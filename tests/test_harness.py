@@ -917,6 +917,45 @@ class TestRecordFiles:
         with pytest.raises(ValueError, match="record 1.*'seed'"):
             load_records(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 2.7), ("n", True), ("n", "2"), ("iters", True), ("iters", 3.0),
+            ("seed", 0.9), ("seed", None), ("digest", 12), ("model", ["dyadic"]),
+            ("abscissa", True), ("abscissa", "2.0"), ("S", False), ("S", None),
+        ],
+    )
+    def test_json_value_of_the_wrong_type_named(self, tmp_path, field, value):
+        path = tmp_path / "records.json"
+        save_records(self.sample_records(), path)
+        payload = json.loads(path.read_text())
+        payload[2][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as info:
+            load_records(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: record 2: field {field!r}: expected a JSON ")
+        assert message.endswith(f"got {json.dumps(value)}")
+
+    def test_json_integers_are_numbers(self, tmp_path):
+        path = tmp_path / "records.json"
+        records = self.sample_records()
+        save_records(records, path)
+        payload = json.loads(path.read_text())
+        payload[0]["abscissa"], payload[1]["S"] = 1, 2
+        path.write_text(json.dumps(payload))
+        loaded = load_records(path)
+        assert (loaded[0].abscissa, loaded[1].S) == (1.0, 2.0)
+        assert type(loaded[0].abscissa) is float and type(loaded[1].S) is float
+        assert loaded[2] == records[2]
+
+    def test_json_integer_too_large_for_a_float_named(self, tmp_path):
+        path = tmp_path / "records.json"
+        save_records(self.sample_records(), path)
+        path.write_text(path.read_text().replace('"S": 2.75', '"S": 1' + "0" * 400))
+        with pytest.raises(ValueError, match="record 2: field 'S': could not parse"):
+            load_records(path)
+
     def test_invalid_json_text_rejected(self, tmp_path):
         path = tmp_path / "records.json"
         path.write_text("{not json")
