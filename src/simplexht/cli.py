@@ -29,11 +29,11 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import core
+from . import core, harness
 from .continuous import eval_simplex_truncated
 from .core import HoelderExponents, TruncationRange, lp_norm, normalize_tuple
 from .core import MAX_VERIFY_DEGREE
-from .dyadic import eval_dyadic_sup, parity_cells, run_parity_trials
+from .dyadic import PARITY_TRIALS, eval_dyadic_sup, parity_cells, run_parity_trials
 from .dyadic import run_telescoping_suite, telescoping_cells
 from .harness import (
     ContinuousTruncatedForm,
@@ -188,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--trials",
         type=int,
-        default=200,
-        help="parity trials per degree; the cell budget admits up to "
+        help=f"parity trials per degree (default {PARITY_TRIALS}); the budget admits up to "
         f"{core.MAX_CELLS // parity_cells(1, MAX_VERIFY_DEGREE)} at n={MAX_VERIFY_DEGREE}",
     )
     verify.add_argument("--seed", type=int, default=0)
@@ -210,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--m", type=int, help="dyadic scale count")
     evaluate.add_argument("--r", type=float, help="continuous inner radius")
     evaluate.add_argument("--R", dest="R", type=float, help="continuous outer radius")
-    evaluate.add_argument("--half-extent", type=float, default=4.0)
-    evaluate.add_argument("--spacing", type=float, default=0.25)
+    evaluate.add_argument("--half-extent", type=float, help=f"default {_GRID['half_extent']}")
+    evaluate.add_argument("--spacing", type=float, help=f"default {_GRID['spacing']}")
     evaluate.add_argument("--exponents", default=None, help="comma list, inf allowed")
     evaluate.add_argument("--seed", type=int, default=0)
     _add_config_flag(evaluate)
@@ -241,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--exponents", default=None, help="comma list, inf allowed")
     sweep.add_argument("--max-iter", type=int, default=40)
     sweep.add_argument("--tol", type=float, default=1e-9)
-    sweep.add_argument("--base-radius", type=float, default=1.0)
-    sweep.add_argument("--half-extent", type=float, default=4.0)
-    sweep.add_argument("--spacing", type=float, default=0.25)
+    sweep.add_argument("--base-radius", type=float, help=f"default {_GRID['base_radius']}")
+    sweep.add_argument("--half-extent", type=float, help=f"default {_GRID['half_extent']}")
+    sweep.add_argument("--spacing", type=float, help=f"default {_GRID['spacing']}")
     _add_config_flag(sweep)
 
     fit = sub.add_parser(
@@ -316,16 +315,19 @@ def _check_verify_sizes(ns: Sequence[int], sides: Sequence[int], trials: int) ->
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise CliError(f"--seed must be >= 0, got {args.seed}")
+    if args.suite == "analytic":
+        _refuse_unread(args, ("n", "L", "trials"), "--suite analytic")
     checks = 0
     failures = 0
     if args.suite in ("dyadic", "all"):
         if args.n is not None and not (1 <= args.n <= MAX_VERIFY_DEGREE):
             raise CliError(f"--n must lie in 1..{MAX_VERIFY_DEGREE}")
-        if args.trials < 1:
+        trials = PARITY_TRIALS if args.trials is None else args.trials
+        if trials < 1:
             raise CliError("--trials must be >= 1")
         ns = (args.n,) if args.n is not None else (1, 2, 3)
         sides = (args.L,) if args.L is not None else (2, 3, 4)
-        _check_verify_sizes(ns, sides, args.trials)
+        _check_verify_sizes(ns, sides, trials)
         for row in run_telescoping_suite(ns=ns, side_exponents=sides):
             checks += 1
             if row["discrepancy"] != 0:
@@ -335,7 +337,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     **row
                 )
             )
-        parity = run_parity_trials(trials=args.trials, ns=ns, seed=args.seed)
+        parity = run_parity_trials(trials=trials, ns=ns, seed=args.seed)
         checks += 1
         if parity["failures"] != 0:
             failures += 1
@@ -359,11 +361,26 @@ def _exponents_for(args: argparse.Namespace, n: int) -> HoelderExponents:
     return exps
 
 
-def _refuse_unread(args: argparse.Namespace, names: Sequence[str]) -> None:
-    """Refuse a given flag (all default to None) that --model args.model never reads."""
+def _refuse_unread(args: argparse.Namespace, names: Sequence[str], reader: str) -> None:
+    """Refuse a given flag (all default to None) that reader never reads."""
     for name in names:
-        if getattr(args, name) is not None:
-            raise CliError(f"--{name} is not read by --model {args.model}")
+        if getattr(args, name, None) is not None:
+            raise CliError(f"--{name.replace('_', '-')} is not read by {reader}")
+
+
+# Each --model refuses the flags only the other reads; settings pass through by name.
+_GRID = harness.MODEL_SETTINGS["continuous"]
+_UNREAD_FLAGS = {
+    "dyadic": ("r", "R", "octaves", *_GRID),
+    "continuous": ("L", "m"),
+}
+
+
+def _model_settings(args: argparse.Namespace) -> dict:
+    """The harness settings given for args.model, after refusing the other model's flags."""
+    _refuse_unread(args, _UNREAD_FLAGS[args.model], f"--model {args.model}")
+    settings = harness.MODEL_SETTINGS[args.model]
+    return {k: v for k, v in vars(args).items() if k in settings and v is not None}
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -374,7 +391,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.model == "dyadic":
         if args.L is None or args.m is None:
             raise CliError("dyadic eval needs --L and --m")
-        _refuse_unread(args, ("r", "R"))
+        _model_settings(args)
         form = DyadicSupForm(args.n, args.L, args.m)
         functions = normalize_tuple([form.wrap(v) for v in form.initial(rng)], exps)
         value = eval_dyadic_sup(list(functions), args.m)
@@ -383,17 +400,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     else:
         if args.r is None or args.R is None:
             raise CliError("continuous eval needs --r and --R")
-        _refuse_unread(args, ("L", "m"))
         trunc = TruncationRange(args.r, args.R)
-        form = ContinuousTruncatedForm(args.n, trunc, args.half_extent, args.spacing)
+        form = ContinuousTruncatedForm(args.n, trunc, **_model_settings(args))
         functions = normalize_tuple([form.wrap(v) for v in form.initial(rng)], exps)
         value = eval_simplex_truncated(list(functions), trunc)
         bound = 2.0 * trunc.log_ratio
         settings = {
             "r": args.r,
             "R": args.R,
-            "half_extent": args.half_extent,
-            "spacing": args.spacing,
+            "half_extent": form.half_extent,
+            "spacing": form.spacing,
             "seed": args.seed,
         }
     payload = {
@@ -434,14 +450,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise CliError("dyadic sweeps need --m")
         if args.L is None:
             raise CliError("dyadic sweeps need --L")
-        _refuse_unread(args, ("octaves",))
+        settings = dict(_model_settings(args), side_exponent=args.L)
         # Scale counts run 1..L.
         abscissae = parse_range(args.m, integer=True, bounds=(1, args.L))
     else:
         if args.octaves is None:
             raise CliError("continuous sweeps need --octaves")
-        _refuse_unread(args, ("L", "m"))
-        bounds = _octave_bounds(args.base_radius)
+        settings = _model_settings(args)
+        bounds = _octave_bounds({**_GRID, **settings}["base_radius"])
         abscissae = parse_range(args.octaves, integer=False, bounds=bounds)
     records = growth_sweep(
         args.model,
@@ -449,12 +465,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         abscissae,
         exps,
         seeds=seeds,
-        side_exponent=args.L,
-        base_radius=args.base_radius,
-        half_extent=args.half_extent,
-        spacing=args.spacing,
         max_iter=args.max_iter,
         tol=args.tol,
+        **settings,
     )
     save_records(records, args.out)
     for r in records:

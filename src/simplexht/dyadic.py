@@ -679,8 +679,11 @@ def parity_cells(trials: int, n: int) -> int:
     return trials << (n + 1)
 
 
+PARITY_TRIALS = 200  # per degree, when none are asked for
+
+
 def run_parity_trials(
-    trials: int = 200, ns: Sequence[int] = (1, 2, 3), seed: int = 0
+    trials: int = PARITY_TRIALS, ns: Sequence[int] = (1, 2, 3), seed: int = 0
 ) -> dict:
     """Random child-selector sweeps of the parity rule; returns failure count.
 

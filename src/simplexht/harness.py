@@ -15,8 +15,9 @@ and kernel.  The loop keeps each slot's plain array beside its validated
 CellFunction or GridSampledFunction wrap, wraps a slot again only when it
 stores that slot's update, and hands kernel() the wrapped functions.
 
-Every sweep row carries its seed and a digest of the remaining settings,
-so any record can be reproduced bit-for-bit.  A record file holds exactly
+Every sweep row carries its seed and a digest of the loop's settings and
+exactly its model's row of MODEL_SETTINGS, so any record can be
+reproduced bit-for-bit.  A record file holds exactly
 ExperimentRecord's fields, and fit_exponent's bits do not depend on the CPU.
 """
 
@@ -28,7 +29,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence, Union, get_type_hints
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -45,7 +46,12 @@ from .core import (
 )
 from .dyadic import slot_cells, sup_gradient
 
-MODELS = ("dyadic", "continuous")
+# Each model's settings besides n and its abscissa, with defaults (None: no default).
+MODEL_SETTINGS = {
+    "dyadic": {"side_exponent": None},
+    "continuous": {"base_radius": 1.0, "half_extent": 4.0, "spacing": 0.25},
+}
+MODELS = tuple(MODEL_SETTINGS)
 _RESEED_ATTEMPTS = 5
 _BUMPS_PER_SLOT = 3
 
@@ -129,7 +135,6 @@ class DyadicSupForm:
     slot so the maximizer can solve the slot subproblem exactly.
     """
 
-    model = "dyadic"
     cell_measure = 1.0
 
     def __init__(self, n: int, side_exponent: int, scale_count: int) -> None:
@@ -172,14 +177,12 @@ class ContinuousTruncatedForm:
     anyway.
     """
 
-    model = "continuous"
-
     def __init__(
         self,
         n: int,
         trunc: TruncationRange,
-        half_extent: float = 4.0,
-        spacing: float = 0.25,
+        half_extent: float = MODEL_SETTINGS["continuous"]["half_extent"],
+        spacing: float = MODEL_SETTINGS["continuous"]["spacing"],
     ) -> None:
         self.half_extent = float(half_extent)
         self.spacing = float(spacing)
@@ -319,22 +322,14 @@ def alternating_maximize(
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
 
-def _sweep_form(
-    model: str,
-    n: int,
-    abscissa: float,
-    side_exponent: Union[int, None],
-    base_radius: float,
-    half_extent: float,
-    spacing: float,
-):
+def _sweep_form(model: str, n: int, abscissa: float, settings: Mapping[str, object]):
     if model == "dyadic":
         scale_count = round(abscissa)
         if abs(abscissa - scale_count) > 0:
             raise ValueError(f"dyadic abscissae are scale counts, got {abscissa!r}")
-        return DyadicSupForm(n, side_exponent, scale_count)
-    trunc = TruncationRange(base_radius, base_radius * 2.0**abscissa)
-    return ContinuousTruncatedForm(n, trunc, half_extent, spacing)
+        return DyadicSupForm(n, settings["side_exponent"], scale_count)
+    trunc = TruncationRange(settings["base_radius"], settings["base_radius"] * 2.0**abscissa)
+    return ContinuousTruncatedForm(n, trunc, settings["half_extent"], settings["spacing"])
 
 
 def growth_sweep(
@@ -344,15 +339,13 @@ def growth_sweep(
     exponents: HoelderExponents,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     *,
-    side_exponent: Union[int, None] = None,
-    base_radius: float = 1.0,
-    half_extent: float = 4.0,
-    spacing: float = 0.25,
     max_iter: int = 40,
     tol: float = 1e-9,
+    **given: object,
 ) -> list:
     """Best-of-seeds norm estimates across a range of problem sizes.
 
+    given overrides the model's MODEL_SETTINGS row; any other setting is refused.
     Dyadic sweeps walk the scale count m (requires side_exponent, m <=
     side_exponent); continuous sweeps walk log2(R/r) with R = base_radius *
     2**abscissa.  The (abscissa, seed) maximizations run one after another,
@@ -362,6 +355,12 @@ def growth_sweep(
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    settings = {**MODEL_SETTINGS[model], **given}
+    for name, value in settings.items():
+        if name not in MODEL_SETTINGS[model]:
+            raise ValueError(f"{model} sweeps do not read {name!r}")
+        if value is None:
+            raise ValueError(f"{model} sweeps require {name}")
     abscissae = list(abscissae)
     if not abscissae:
         raise ValueError("empty abscissa range")
@@ -376,32 +375,16 @@ def growth_sweep(
         raise ValueError(
             f"degree-{n} sweeps need {n + 1} exponents, got {len(exponents)}"
         )
-    if model == "dyadic" and side_exponent is None:
-        raise ValueError("dyadic sweeps require side_exponent")
     if model == "continuous" and n > MAX_CONTINUOUS_SWEEP_DEGREE:
         raise ValueError(
             f"continuous sweeps capped at degree {MAX_CONTINUOUS_SWEEP_DEGREE}"
         )
 
-    settings = {
-        "model": model,
-        "n": n,
-        "exponents": tuple(exponents),
-        "side_exponent": side_exponent,
-        "base_radius": base_radius,
-        "half_extent": half_extent,
-        "spacing": spacing,
-        "max_iter": max_iter,
-        "tol": tol,
-        "seeds": seeds,
-    }
-    digest = settings_digest(settings)
+    loop = dict(model=model, n=n, exponents=tuple(exponents), max_iter=max_iter, tol=tol)
+    digest = settings_digest(dict(loop, seeds=seeds, **settings))
 
     # Build every form up front so an invalid abscissa fails before any run.
-    forms = [
-        _sweep_form(model, n, a, side_exponent, base_radius, half_extent, spacing)
-        for a in abscissae
-    ]
+    forms = [_sweep_form(model, n, a, settings) for a in abscissae]
     records = []
     for a, form in zip(abscissae, forms):
         # Keep each run's final value and cycle count, not its slot arrays.

@@ -169,6 +169,34 @@ class TestVerifyCommand:
         assert "parity trials=7 failures=2\n" in out
         assert out.endswith("\n1/2 checks passed\n")
 
+    @pytest.mark.parametrize(
+        "flags", [("--n", "2"), ("--L", "9"), ("--trials", "0"), ("--trials", "200")]
+    )
+    def test_analytic_suite_refuses_dyadic_flags_before_any_check(
+        self, capsys, monkeypatch, flags
+    ):
+        def refuse(**kwargs):
+            raise AssertionError("checked despite an unread flag")
+
+        monkeypatch.setattr(cli, "run_analytic_suite", refuse)
+        code, out, err = run_cli(capsys, "verify", "--suite", "analytic", *flags)
+        assert code == 2
+        assert out == "" and f"{flags[0]} is not read by --suite analytic" in err
+
+    def test_dyadic_suite_takes_its_default_trials(self, capsys, monkeypatch):
+        seen = []
+
+        def record(**kwargs):
+            seen.append(kwargs)
+            return {"trials": 1, "failures": 0}
+
+        monkeypatch.setattr(cli, "run_parity_trials", record)
+        code, _, _ = run_cli(capsys, "verify", "--suite", "dyadic", "--n", "1", "--L", "2")
+        assert code == 0 and seen[0]["trials"] == 200
+        code, out, _ = run_cli(capsys, "verify", "--help")
+        text = " ".join(out.split())
+        assert "(default 200)" in text and "admits up to 4194304 at n=3" in text
+
     def test_failing_analytic_row_exits_1(self, capsys, monkeypatch):
         real = cli.run_analytic_suite
 
@@ -255,6 +283,28 @@ class TestEvalCommand:
         code, out, err = run_cli(capsys, "eval", *flags)
         assert code == 2
         assert out == "" and f"{unread} is not read by --model {flags[1]}" in err
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (("--spacing", "0.5"), "--spacing is not read by --model dyadic"),
+            (("--spacing", "0.5", "--half-extent", "9"), "is not read by --model dyadic"),
+            (("--half-extent", "9"), "--half-extent is not read by --model dyadic"),
+            (("--base-radius", "2"), "unrecognized arguments: --base-radius 2"),
+        ],
+        ids=["spacing", "spacing-and-half-extent", "half-extent", "base-radius"],
+    )
+    def test_dyadic_eval_refuses_grid_flags_before_any_work(
+        self, capsys, monkeypatch, grid, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated despite an unread flag")
+
+        monkeypatch.setattr(cli, "eval_dyadic_sup", refuse)
+        flags = ("--model", "dyadic", "--n", "2", "--L", "3", "--m", "2")
+        code, out, err = run_cli(capsys, "eval", *flags, *grid)
+        assert code == 2
+        assert out == "" and message in err
 
     def test_engine_validation_maps_to_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -426,6 +476,24 @@ class TestSweepAndFit:
         assert message in err
         assert out == "" and not out_csv.exists()
 
+    def test_fit_combines_continuous_sweeps_given_the_default_grid(self, tmp_path, capsys):
+        # A digest holds the grid settings, not whether a flag was given.
+        parts = []
+        for octaves, grid in (("1..2", ()), ("3..4", ("--spacing", "0.25"))):
+            path = tmp_path / f"o{octaves[0]}.csv"
+            code, _, _ = run_cli(
+                capsys,
+                "sweep", "--model", "continuous", "--n", "1", "--octaves", octaves,
+                "--seeds", "1", "--max-iter", "2", *grid, "--out", str(path),
+            )
+            assert code == 0
+            parts.append(path.read_text().splitlines())
+        combined = tmp_path / "combined.csv"
+        combined.write_text("\n".join(parts[0] + parts[1][1:]) + "\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(combined))
+        assert code == 0 and err == ""
+        assert math.isfinite(json.loads(out)["slope"])
+
     def test_csv_and_json_records_fit_the_same(self, tmp_path, capsys):
         fits = []
         for suffix in (".csv", ".json"):
@@ -483,6 +551,12 @@ class TestSweepAndFit:
              "--octaves"),
             (("--model", "continuous", "--n", "1", "--octaves", "1", "--L", "3"), "--L"),
             (("--model", "continuous", "--n", "1", "--octaves", "1", "--m", "2"), "--m"),
+            (("--model", "dyadic", "--n", "1", "--L", "3", "--m", "1", "--spacing", "0.5"),
+             "--spacing"),
+            (("--model", "dyadic", "--n", "1", "--L", "3", "--m", "1", "--half-extent", "9"),
+             "--half-extent"),
+            (("--model", "dyadic", "--n", "1", "--L", "3", "--m", "1", "--base-radius", "2"),
+             "--base-radius"),
         ],
     )
     def test_sweep_refuses_flag_of_the_other_model(

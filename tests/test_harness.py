@@ -649,8 +649,53 @@ class TestGrowthSweep:
 
         monkeypatch.setattr(harness, "_sweep_form", refuse)
         exps = HoelderExponents.geometric(1)
+        settings = {"side_exponent": 3} if model == "dyadic" else {}
         with pytest.raises(ValueError, match="abscissae must be distinct"):
-            growth_sweep(model, 1, abscissae, exps, seeds=(0,), side_exponent=3)
+            growth_sweep(model, 1, abscissae, exps, seeds=(0,), **settings)
+
+    @pytest.mark.parametrize(
+        "model, settings, unread",
+        [
+            ("dyadic", {"side_exponent": 3, "spacing": 0.5}, "spacing"),
+            ("dyadic", {"side_exponent": 3, "base_radius": 2.0}, "base_radius"),
+            ("continuous", {"side_exponent": 3}, "side_exponent"),
+        ],
+    )
+    def test_setting_of_the_other_model_refused_before_any_form(
+        self, monkeypatch, model, settings, unread
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a form was built")
+
+        monkeypatch.setattr(harness, "_sweep_form", refuse)
+        exps = HoelderExponents.geometric(1)
+        with pytest.raises(ValueError, match=f"{model} sweeps do not read '{unread}'"):
+            growth_sweep(model, 1, [1], exps, seeds=(0,), **settings)
+
+    def test_digest_holds_exactly_the_model_settings(self):
+        exps = HoelderExponents.geometric(1)
+        loop = {"n": 1, "exponents": tuple(exps), "max_iter": 2, "tol": 1e-9, "seeds": [0]}
+        records = growth_sweep(
+            "dyadic", 1, [1], exps, seeds=(0,), max_iter=2, side_exponent=3
+        )
+        assert records[0].digest == settings_digest(dict(loop, model="dyadic", side_exponent=3))
+        grid = {"base_radius": 1.0, "half_extent": 4.0, "spacing": 0.25}
+        records = growth_sweep("continuous", 1, [1.0], exps, seeds=(0,), max_iter=2)
+        assert records[0].digest == settings_digest(dict(loop, model="continuous", **grid))
+
+    def test_continuous_digest_follows_each_grid_setting(self):
+        exps = HoelderExponents.geometric(1)
+
+        def digest(**settings):
+            records = growth_sweep(
+                "continuous", 1, [1.0], exps, seeds=(0,), max_iter=1, **settings
+            )
+            return records[0].digest
+
+        default = digest()
+        assert digest(base_radius=1.0, half_extent=4.0, spacing=0.25) == default
+        changed = [digest(base_radius=2.0), digest(half_extent=2.0), digest(spacing=0.5)]
+        assert len({default, *changed}) == 4
 
     def test_dyadic_needs_side_exponent(self):
         exps = HoelderExponents.geometric(1)
