@@ -27,6 +27,8 @@ import csv
 import hashlib
 import json
 import math
+import numbers
+import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence, get_type_hints
@@ -123,9 +125,29 @@ class MaximizeResult:
 
 
 def settings_digest(settings: Mapping[str, object]) -> str:
-    """16-hex-char digest of a canonical JSON rendering of the settings."""
-    text = json.dumps(dict(settings), sort_keys=True, separators=(",", ":"), default=str)
+    """16-hex-char digest of a canonical JSON rendering of the settings.
+
+    A value JSON cannot render (a numpy integer, say) raises TypeError.
+    """
+    text = json.dumps(dict(settings), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _integer(name: str, value: object) -> int:
+    """value as a Python int; a bool or a non-integer is refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value: object) -> float:
+    """value as a Python float; a bool or a non-real is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 class DyadicSupForm:
@@ -351,7 +373,9 @@ def growth_sweep(
     2**abscissa.  The (abscissa, seed) maximizations run one after another,
     in that order, and each abscissa keeps its best final value; ties go to
     the earliest listed seed.  Records are deterministic given seeds and
-    carry no timestamp.
+    carry no timestamp.  n, max_iter, the seeds and side_exponent must be
+    integers, tol and the continuous settings real numbers, and none of
+    them a bool; the digest reads each as the Python int or float it equals.
     """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
@@ -361,12 +385,15 @@ def growth_sweep(
             raise ValueError(f"{model} sweeps do not read {name!r}")
         if value is None:
             raise ValueError(f"{model} sweeps require {name}")
+    convert = _integer if model == "dyadic" else _real
+    settings = {name: convert(name, value) for name, value in settings.items()}
+    n, max_iter, tol = _integer("n", n), _integer("max_iter", max_iter), _real("tol", tol)
     abscissae = list(abscissae)
     if not abscissae:
         raise ValueError("empty abscissa range")
     if len(set(abscissae)) != len(abscissae):
         raise ValueError("abscissae must be distinct")
-    seeds = list(seeds)
+    seeds = [_integer("seed", seed) for seed in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
     if len(set(seeds)) != len(seeds):

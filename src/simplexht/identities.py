@@ -176,6 +176,17 @@ def check_ftc(
     return abs(lhs - rhs)
 
 
+def _points(x) -> np.ndarray:
+    """x as a 1-d float array: a scalar or a 1-d array of finite values."""
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if arr.ndim > 1:
+        raise ValueError(f"x must be a scalar or a 1-d array, got shape {arr.shape}")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"x[{bad[0]}] is {float(arr[bad[0]])!r}, not finite")
+    return arr
+
+
 def check_domination(x, tol: float = 1e-10):
     """Ratio of |h(x)| to the averaged-Gaussian majorant at x.
 
@@ -187,13 +198,12 @@ def check_domination(x, tol: float = 1e-10):
     for large |x|): int_0^{min(|x|, 8)} v^3 g(v) dv / |x|^4.  The ratio
     stays below DOMINATION_RATIO_BOUND.
 
-    x is a scalar or a 1-d array; an array's integrals all run in one
-    adaptive_simpson_many call, and each ratio is bit for bit the scalar
-    call's, so the answer is a float or an array of x's shape.
+    x is a scalar or a 1-d array of finite values; an array's integrals
+    all run in one adaptive_simpson_many call, and each ratio is bit for
+    bit the scalar call's, so the answer is a float or an array of x's
+    shape.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if arr.ndim > 1:
-        raise ValueError(f"x must be a scalar or a 1-d array, got shape {arr.shape}")
+    arr = _points(x)
     ax = np.abs(arr)
     inner = ax <= 1.0
     # Inside, g's argument is |x| u; outside it is v itself.
@@ -215,20 +225,24 @@ def check_domination(x, tol: float = 1e-10):
     return ratios
 
 
-def check_convolution(x) -> float:
+def check_convolution(x):
     """Absolute error in the self-convolution identity for h.
 
     h equals sqrt(2) times the convolution of the 2^{-1/2}-dilates of h
     and g; the convolution is computed by midpoint quadrature on [-20, 20]
-    with step 1e-3.
+    with step 1e-3.  x is a scalar or a 1-d array of finite values, and
+    the quadrature runs one x at a time over one row of 40,000 nodes, so
+    its memory does not grow with len(x).
     """
+    arr = _points(x)
     step = 1e-3
     ys = np.arange(-20.0, 20.0, step) + step / 2.0
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     h_part = gaussian_deriv(ys / _SQRT_HALF) / _SQRT_HALF
-    g_part = gaussian((arr[:, None] - ys[None, :]) / _SQRT_HALF) / _SQRT_HALF
-    # A row sum, not a matrix product: BLAS kernels round by CPU type.
-    conv = np.sum(g_part * h_part, axis=1) * step
+    conv = np.empty(arr.size)
+    for i, point in enumerate(arr.tolist()):
+        g_row = gaussian((point - ys) / _SQRT_HALF) / _SQRT_HALF
+        # A pairwise sum, not a dot product: BLAS kernels round by CPU type.
+        conv[i] = np.sum(g_row * h_part) * step
     errors = np.abs(gaussian_deriv(arr) - math.sqrt(2.0) * conv)
     if np.ndim(x) == 0:
         return float(errors[0])

@@ -107,6 +107,12 @@ class TestSettingsDigest:
     def test_sensitive_to_values(self):
         assert settings_digest({"a": 1}) != settings_digest({"a": 2})
 
+    def test_unrenderable_value_raises(self):
+        # Turning a numpy integer into the string "3" would give a digest
+        # that no equal sweep of Python ints shares.
+        with pytest.raises(TypeError):
+            settings_digest({"side_exponent": np.int64(3)})
+
 
 class TestDyadicSupForm:
     def test_initial_shapes(self):
@@ -696,6 +702,54 @@ class TestGrowthSweep:
         assert digest(base_radius=1.0, half_extent=4.0, spacing=0.25) == default
         changed = [digest(base_radius=2.0), digest(half_extent=2.0), digest(spacing=0.5)]
         assert len({default, *changed}) == 4
+
+    @pytest.mark.parametrize(
+        "model, plain, typed",
+        [
+            ("dyadic", {"seeds": (0, 1)}, {"seeds": np.arange(2)}),
+            ("dyadic", {"side_exponent": 3}, {"side_exponent": np.int64(3)}),
+            ("dyadic", {"max_iter": 2}, {"max_iter": np.int32(2)}),
+            ("dyadic", {"tol": 1.0}, {"tol": 1}),
+            ("continuous", {"base_radius": 2.0}, {"base_radius": 2}),
+            ("continuous", {"spacing": 0.25}, {"spacing": np.float32(0.25)}),
+        ],
+    )
+    def test_digest_reads_values_not_types(self, model, plain, typed):
+        exps = HoelderExponents.geometric(1)
+        base = {"seeds": (0, 1), "max_iter": 2}
+        if model == "dyadic":
+            base["side_exponent"] = 3
+        abscissae = [1] if model == "dyadic" else [1.0]
+        first = growth_sweep(model, 1, abscissae, exps, **{**base, **plain})
+        second = growth_sweep(model, 1, abscissae, exps, **{**base, **typed})
+        assert first == second
+        assert type(second[0].seed) is int
+
+    def test_numpy_seeds_round_trip_through_json(self, tmp_path):
+        exps = HoelderExponents.geometric(1)
+        records = growth_sweep(
+            "dyadic", 1, [1, 2], exps, seeds=np.arange(2), max_iter=2, side_exponent=3
+        )
+        path = tmp_path / "r.json"
+        save_records(records, path)
+        assert load_records(path) == records
+
+    @pytest.mark.parametrize(
+        "model, given, name",
+        [
+            ("dyadic", {"side_exponent": True}, "side_exponent"),
+            ("dyadic", {"side_exponent": 3.0}, "side_exponent"),
+            ("dyadic", {"side_exponent": 3, "seeds": (False, True)}, "seed"),
+            ("dyadic", {"side_exponent": 3, "max_iter": True}, "max_iter"),
+            ("dyadic", {"side_exponent": 3, "tol": True}, "tol"),
+            ("continuous", {"spacing": True}, "spacing"),
+            ("continuous", {"base_radius": "1"}, "base_radius"),
+        ],
+    )
+    def test_bool_and_non_numeric_settings_refused(self, model, given, name):
+        exps = HoelderExponents.geometric(1)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            growth_sweep(model, 1, [1], exps, **given)
 
     def test_dyadic_needs_side_exponent(self):
         exps = HoelderExponents.geometric(1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from simplexht.identities import (
     _combined_integrand,
 )
 
-from simplexht import identities
+from simplexht import continuous, identities
 
 from helpers import brute_adaptive_simpson, brute_single_scale
 
@@ -302,6 +303,35 @@ class TestDomination:
         with pytest.raises(ValueError, match="1-d array"):
             check_domination(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match=rf"^x\[2\] is {bad!r}, not finite"):
+            check_domination([0.5, 1.5, bad, bad])
+        with pytest.raises(ValueError, match=rf"^x\[0\] is {bad!r}, not finite"):
+            check_domination(bad)
+
+    def test_peak_fits_the_simpson_budget(self, monkeypatch):
+        # Each bisection level charges _SIMPSON_DOUBLES doubles per interval
+        # to the cell budget, so the traced peak of the suite's grid, over
+        # the widest level's intervals, must not exceed it.
+        widths = []
+        charge = continuous.check_cells
+
+        def counted(cells, what):
+            widths.append(cells // continuous._SIMPSON_DOUBLES)
+            charge(cells, what)
+
+        monkeypatch.setattr(continuous, "check_cells", counted)
+        xs = np.arange(-10.0, 10.0 + 1e-9, 0.1)
+        check_domination(xs)
+        tracemalloc.start()
+        try:
+            check_domination(xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 8 <= continuous._SIMPSON_DOUBLES * max(widths)
+
     def test_regression_baseline(self):
         xs = np.arange(-2.0, 2.0 + 1e-9, 0.01)
         worst = max(check_domination(float(x)) for x in xs)
@@ -343,6 +373,45 @@ class TestConvolution:
 
     def test_zero_at_origin(self):
         assert check_convolution(0.0) < 1e-15
+
+    def test_matches_the_two_dimensional_formula(self):
+        # The whole (points x nodes) matrix and its row sums, as the check
+        # once took them: streaming over x keeps every bit.
+        xs = np.linspace(-10.0, 10.0, 21)
+        step = 1e-3
+        ys = np.arange(-20.0, 20.0, step) + step / 2.0
+        root = 2.0**-0.5
+        h_part = gaussian_deriv(ys / root) / root
+        g_part = gaussian((xs[:, None] - ys[None, :]) / root) / root
+        conv = np.sum(g_part * h_part, axis=1) * step
+        expected = np.abs(gaussian_deriv(xs) - math.sqrt(2.0) * conv)
+        assert [e.hex() for e in check_convolution(xs).tolist()] == [
+            e.hex() for e in expected.tolist()
+        ]
+        assert check_convolution(float(xs[3])).hex() == float(expected[3]).hex()
+
+    def test_working_set_does_not_grow_with_the_points(self):
+        # One row of 40,000 nodes is 320 kB; a (points x nodes) matrix
+        # would be 6.7 MB at 21 points and 640 MB at 2,001.
+        for count in (21, 2001):
+            tracemalloc.start()
+            try:
+                check_convolution(np.linspace(-10.0, 10.0, count))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5e6, (count, peak)
+
+    def test_rejects_a_two_dimensional_array(self):
+        with pytest.raises(ValueError, match="1-d array"):
+            check_convolution(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match=rf"^x\[2\] is {bad!r}, not finite"):
+            check_convolution([0.5, 1.5, bad, bad])
+        with pytest.raises(ValueError, match=rf"^x\[0\] is {bad!r}, not finite"):
+            check_convolution(bad)
 
 
 class TestFourierPair:
