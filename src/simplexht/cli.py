@@ -33,8 +33,9 @@ from . import core, harness
 from .continuous import eval_simplex_truncated
 from .core import HoelderExponents, TruncationRange, lp_norm, normalize_tuple
 from .core import MAX_VERIFY_DEGREE
-from .dyadic import PARITY_TRIALS, eval_dyadic_sup, parity_cells, run_parity_trials
-from .dyadic import run_telescoping_suite, telescoping_cells
+from .dyadic import PARITY_TRIALS, SUITE_DEGREES, SUITE_SIDES, admitted_sides, admitted_trials
+from .dyadic import check_grid, check_suite, eval_dyadic_sup, run_parity_trials
+from .dyadic import run_telescoping_suite
 from .harness import (
     ContinuousTruncatedForm,
     DyadicSupForm,
@@ -189,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials",
         type=int,
         help=f"parity trials per degree (default {PARITY_TRIALS}); the budget admits up to "
-        f"{core.MAX_CELLS // parity_cells(1, MAX_VERIFY_DEGREE)} at n={MAX_VERIFY_DEGREE}",
+        f"{admitted_trials(MAX_VERIFY_DEGREE)} at n={MAX_VERIFY_DEGREE}",
     )
     verify.add_argument("--seed", type=int, default=0)
     _add_config_flag(verify)
@@ -272,44 +273,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _verify_sides(n: int) -> range:
-    """Side exponents `verify` admits at degree n: L from 2 while the grid fits the budget.
-
-    A telescoping grid is largest at k = 1, l = 2, so that case decides
-    for every (k, l) of the same (n, L).
-    """
-    top = 1
-    while telescoping_cells(n, 1, 2, top + 1) <= core.MAX_CELLS:
-        top += 1
-    return range(2, top + 1)
-
-
 def _verify_side_table() -> str:
     return ", ".join(
-        f"n={n}: --L 2..{_verify_sides(n).stop - 1}"
-        for n in range(1, MAX_VERIFY_DEGREE + 1)
+        f"n={n}: --L 2..{admitted_sides(n).stop - 1}" for n in range(1, MAX_VERIFY_DEGREE + 1)
     )
 
 
 def _check_verify_sizes(ns: Sequence[int], sides: Sequence[int], trials: int) -> None:
     """Refuse, before any check runs, an L below 2 or a size over the budget."""
-    refused = [(n, L) for n in ns for L in sides if L not in _verify_sides(n)]
-    if refused:
-        n, L = refused[0]
-        reason = (
-            f"telescoping n={n} k=1 l=2 L={L} needs {telescoping_cells(n, 1, 2, L)} "
-            f"cells, over the limit of {core.MAX_CELLS}"
-            if L >= 2
-            else f"--L {L} is below 2"
-        )
-        raise CliError(f"{reason}; verify admits {_verify_side_table()}")
-    n = max(ns)
-    if parity_cells(trials, n) > core.MAX_CELLS:
+    admitted = f"verify admits {_verify_side_table()}"
+    if min(sides) < 2:
+        raise CliError(f"--L {min(sides)} is below 2; {admitted}")
+    try:
+        check_suite(ns, sides, trials)
+    except ValueError as exc:
+        n = max(ns)
         raise CliError(
-            f"parity trials={trials} n={n} needs {parity_cells(trials, n)} cells, "
-            f"over the limit of {core.MAX_CELLS}; --trials admits at most "
-            f"{core.MAX_CELLS // parity_cells(1, n)} at n={n}"
-        )
+            f"{exc}; {admitted}; --trials admits at most {admitted_trials(n)} at n={n}"
+        ) from None
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -325,8 +306,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         trials = PARITY_TRIALS if args.trials is None else args.trials
         if trials < 1:
             raise CliError("--trials must be >= 1")
-        ns = (args.n,) if args.n is not None else (1, 2, 3)
-        sides = (args.L,) if args.L is not None else (2, 3, 4)
+        ns = (args.n,) if args.n is not None else SUITE_DEGREES
+        sides = (args.L,) if args.L is not None else SUITE_SIDES
         _check_verify_sizes(ns, sides, trials)
         for row in run_telescoping_suite(ns=ns, side_exponents=sides):
             checks += 1
@@ -386,15 +367,12 @@ def _model_settings(args: argparse.Namespace) -> dict:
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise CliError(f"--seed must be >= 0, got {args.seed}")
-    exps = _exponents_for(args, args.n)
-    rng = np.random.default_rng(args.seed)
+    # Each form checks its sizes before the exponent ladder is built.
     if args.model == "dyadic":
         if args.L is None or args.m is None:
             raise CliError("dyadic eval needs --L and --m")
         _model_settings(args)
         form = DyadicSupForm(args.n, args.L, args.m)
-        functions = normalize_tuple([form.wrap(v) for v in form.initial(rng)], exps)
-        value = eval_dyadic_sup(list(functions), args.m)
         bound = float(args.m)
         settings = {"L": args.L, "m": args.m, "seed": args.seed}
     else:
@@ -402,8 +380,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             raise CliError("continuous eval needs --r and --R")
         trunc = TruncationRange(args.r, args.R)
         form = ContinuousTruncatedForm(args.n, trunc, **_model_settings(args))
-        functions = normalize_tuple([form.wrap(v) for v in form.initial(rng)], exps)
-        value = eval_simplex_truncated(list(functions), trunc)
         bound = 2.0 * trunc.log_ratio
         settings = {
             "r": args.r,
@@ -412,6 +388,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             "spacing": form.spacing,
             "seed": args.seed,
         }
+    exps = _exponents_for(args, args.n)
+    rng = np.random.default_rng(args.seed)
+    functions = list(normalize_tuple([form.wrap(v) for v in form.initial(rng)], exps))
+    if args.model == "dyadic":
+        value = eval_dyadic_sup(functions, args.m)
+    else:
+        value = eval_simplex_truncated(functions, trunc)
     payload = {
         "model": args.model,
         "n": args.n,
@@ -439,7 +422,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     records_format(args.out)
     if not Path(args.out).parent.is_dir():
         raise CliError(f"--out {args.out}: its directory does not exist")
-    exps = _exponents_for(args, args.n)
     if args.seeds < 1:
         raise CliError("--seeds must be >= 1")
     top = core.MAX_CELLS // core.SEED_CELLS
@@ -451,7 +433,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.L is None:
             raise CliError("dyadic sweeps need --L")
         settings = dict(_model_settings(args), side_exponent=args.L)
-        # Scale counts run 1..L.
+        # Scale counts run 1..L, so L is checked before the range is expanded.
+        check_grid(args.n, args.L)
         abscissae = parse_range(args.m, integer=True, bounds=(1, args.L))
     else:
         if args.octaves is None:
@@ -459,6 +442,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         settings = _model_settings(args)
         bounds = _octave_bounds({**_GRID, **settings}["base_radius"])
         abscissae = parse_range(args.octaves, integer=False, bounds=bounds)
+    exps = _exponents_for(args, args.n)
     records = growth_sweep(
         args.model,
         args.n,

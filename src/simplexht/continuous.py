@@ -126,8 +126,9 @@ def adaptive_simpson_many(
     bit for bit the recursive one.  A zero-length integral is 0.0 and f
     never sees it.  Each level's doubles, counted over the intervals of all
     integrals, are charged to core.check_cells before its arrays are built,
-    so an integrand that never settles is refused with a ValueError instead
-    of filling memory.
+    together with the levels kept for that sum (one float and one bool an
+    interval), so an integrand that never settles is refused with a
+    ValueError instead of filling memory.
 
     A level is one (8, count) array, a column per open interval: its ends
     lo, mid and hi, f at those three, its Simpson sum and its integral's
@@ -164,6 +165,7 @@ def adaptive_simpson_many(
     state = np.concatenate([ends, [fa, fm, fb, whole, owner]])
     eps, depth = tol, 48
     levels = []  # (each interval's accepted value, which intervals split)
+    held = 0  # intervals in levels
     while True:
         quarter = 0.5 * (state[0:2] + state[1:3])
         fquarter = values(quarter, state[7])
@@ -177,10 +179,13 @@ def adaptive_simpson_many(
         if depth <= 0:
             split[:] = False
         levels.append((both + delta / 15.0, split))
+        held += split.size
         count = 2 * np.count_nonzero(split)
         if count == 0:
             break
-        check_cells(_SIMPSON_DOUBLES * count, f"adaptive Simpson level {49 - depth}")
+        # A held interval's float and bool are 9/8 of a double.
+        cells = _SIMPSON_DOUBLES * count + (9 * held + 7) // 8
+        check_cells(cells, f"adaptive Simpson level {49 - depth}")
         # Only the state, the quarters and the halves feed the next level.
         del both, delta
         # Each split interval's left then right half, in interval order:

@@ -9,6 +9,7 @@ after construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -212,9 +213,12 @@ class HoelderExponents:
 
     @classmethod
     def geometric(cls, n: int) -> "HoelderExponents":
-        """The halving ladder (2^n, 2^n, 2^{n-1}, ..., 2) used by the growth bounds."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        """The halving ladder (2^n, 2^n, 2^{n-1}, ..., 2) used by the growth bounds.
+
+        Its degree runs 1..1023: past that, 2^n is no finite double.
+        """
+        if not 1 <= n < sys.float_info.max_exp:
+            raise ValueError(f"the geometric ladder needs 1 <= n <= 1023, got n={n}")
         return cls((float(2**n), float(2**n)) + tuple(float(2 ** (n - i + 1)) for i in range(2, n + 1)))
 
     @property

@@ -45,6 +45,11 @@ plans, the telescoping check and the parity rule take index rows (the rule
 checks every row under every selector code in one call), and a
 CoefficientMap holds its keys, which must be integral, in the order given
 as rows of the scale and the indices, beside an array of their values.
+
+Every dyadic size is count << bits cells, and _check_size alone refuses
+one past core.MAX_CELLS, before it is formed: check_grid for a request's
+grids at every entry point, and admitted_sides and admitted_trials in
+closed form for the suites.
 """
 
 from __future__ import annotations
@@ -60,7 +65,22 @@ from . import core
 from .core import CellFunction, check_cells
 
 
-def _check_inputs(functions: Sequence[CellFunction], scale_count: int) -> tuple[int, int]:
+def _check_size(count: int, bits: int, what: str) -> None:
+    """Refuse count << bits cells past core.MAX_CELLS, testing bits before any shift:
+    a size of 64 bits or more is named as count * 2^bits and never formed."""
+    if count > 0 and bits >= max(64, core.MAX_CELLS.bit_length()):
+        raise ValueError(f"{what} needs {count} * 2^{bits} cells, over the limit of {core.MAX_CELLS}")
+    check_cells(count << bits, what)
+
+
+def check_grid(n: int, side_exponent: int, what: str = "dyadic slots at n={n}, L={L}") -> None:
+    """Refuse n < 1, or n+1 grids of 2^{Ln} cells (slot_cells) past core.MAX_CELLS."""
+    if n < 1 or side_exponent < 0:
+        raise ValueError(f"need n >= 1 and L >= 0, got n={n}, L={side_exponent}")
+    _check_size(n + 1, side_exponent * n, what.format(n=n, L=side_exponent))
+
+
+def _check_inputs(functions: Sequence[CellFunction], scale_count: int, *what: str) -> tuple[int, int]:
     if not functions:
         raise ValueError("need at least two functions")
     n = functions[0].dimension
@@ -76,6 +96,7 @@ def _check_inputs(functions: Sequence[CellFunction], scale_count: int) -> tuple[
             raise ValueError("all functions must share dimension and side exponent")
     if not (1 <= scale_count <= L):
         raise ValueError(f"scale count {scale_count} outside [1, side exponent {L}]")
+    check_grid(n, L, *what)  # what, if given, names the request
     return n, L
 
 
@@ -249,18 +270,16 @@ _plans: dict[tuple, _SlotPlan] = {}
 def _slot_plan(n: int, side_exponent: int, scale: int, slot: int) -> _SlotPlan:
     """The plan of one slot at one scale, built once and kept while the budget allows.
 
-    A plan's slot_cells index cells are charged to core.check_cells before
-    it is built.  The cache drops its least recently used plans until the
-    indices of every plan it keeps fit core.MAX_CELLS together, the most
-    one plan may hold, so a sweep over many scales of a large grid
-    rebuilds plans instead of keeping one grid per function and scale.
+    Its slot_cells index cells were charged by check_grid on entry.  The
+    cache drops its least recently used plans until the indices of every
+    plan it keeps fit core.MAX_CELLS together, the most one plan may hold,
+    so a sweep over many scales of a large grid rebuilds plans instead of
+    keeping one grid per function and scale.
     """
     key = (n, side_exponent, scale, slot)
     plan = _plans.pop(key, None)
     if plan is None:
-        cells = slot_cells(n, side_exponent)
-        check_cells(cells, f"dyadic plan n={n} L={side_exponent} l={scale} slot={slot}")
-        room = core.MAX_CELLS - cells
+        room = core.MAX_CELLS - slot_cells(n, side_exponent)
         while _plans and sum(slot_cells(*k[:2]) for k in _plans) > room:
             del _plans[next(iter(_plans))]
         plan = _build_slot_plan(*key)
@@ -477,19 +496,16 @@ def eval_dyadic_aux(
     homogeneous of degree 2^{n-k} in each F_i with i <= k and does not read
     F_{k+1}..F_n, so for k < n neither it nor the sup bounds the other.
     """
-    n, L = _check_inputs(functions, scale_count)
+    # Its k+1 gathers are charged with the grids, as one dyadic plan, so the
+    # aux form admits every (n, L) whose plans the sup admits.
+    what = f"aux form n={{n}} k={k} L={{L}} m={scale_count}"
+    n, L = _check_inputs(functions, scale_count, what)
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     # Scale l holds 2^{(L-l)n} tuples of (2^l)^{2(n-k)} doubled-variable
-    # cells.  Its k+1 gathers are charged as one dyadic plan, so the aux
-    # form admits every (n, L) whose plans the sup admits.
-    check_cells(
-        max(
-            slot_cells(n, L),
-            *(1 << ((L - l) * n + 2 * l * (n - k)) for l in range(1, scale_count + 1)),
-        ),
-        f"aux form n={n} k={k} L={L} m={scale_count}",
-    )
+    # cells, 2^{Ln + l(n-2k)}: the most at l = 1 or at l = scale_count.
+    bits = L * n + max(n - 2 * k, scale_count * (n - 2 * k))
+    _check_size(1, bits, what.format(n=n, L=L))
     # einsum axes: 0 is the tuple, 1 + j the single variable x_j, and
     # k + 2 + 2j + r the doubled variable x_{k+1+j}^{(r)}.  Factors run over
     # i, then over the code of r, both ascending: the operand order fixes
@@ -554,15 +570,6 @@ def verify_parity_rule(indices: np.ndarray, selectors: np.ndarray) -> np.ndarray
     return children == 0
 
 
-def telescoping_cells(n: int, k: int, l: int, L: int) -> int:
-    """Cells of the integer grid verify_dyadic_telescoping checks at (n, k, l, L).
-
-    2n-k+2 axes of 2^{L-l+1} scale-(l-1) blocks; the largest case of a
-    given (n, L) is k = 1, l = 2.
-    """
-    return (1 << (L - l + 1)) ** (2 * n - k + 2)
-
-
 def _telescoping_dtype(n: int, k: int) -> np.dtype:
     """Narrowest signed integer type that holds 2^{n-k+3}.
 
@@ -617,10 +624,10 @@ def verify_dyadic_telescoping(n: int, k: int, l: int, L: int) -> int:
     if l > L:
         raise ValueError(f"scale l={l} exceeds side exponent L={L}")
 
+    n_axes = 2 * n - k + 2
+    _check_size(1, (L - l + 1) * n_axes, f"telescoping n={n} k={k} l={l} L={L}")
     nb = 1 << (L - l)          # scale-l blocks per axis
     B = 1 << (L - l + 1)       # scale-(l-1) blocks per axis
-    n_axes = 2 * n - k + 2
-    check_cells(telescoping_cells(n, k, l, L), f"telescoping n={n} k={k} l={l} L={L}")
     dtype = _telescoping_dtype(n, k)
     # The variable of each axis: x_i for i < k, x_i^{(0)} and x_i^{(1)} after.
     owner = [i for i in range(n + 1) for _ in range(1 if i < k else 2)]
@@ -653,8 +660,36 @@ def verify_dyadic_telescoping(n: int, k: int, l: int, L: int) -> int:
     return max(int(lhs.max()), -int(lhs.min()))
 
 
+PARITY_TRIALS = 200  # per degree, when none are asked for
+# Degrees and side exponents the suites check when none are asked for.
+SUITE_DEGREES = (1, 2, 3)
+SUITE_SIDES = (2, 3, 4)
+
+
+def admitted_sides(n: int) -> range:
+    """Side exponents the telescoping suite admits at degree n: its largest case,
+    k = 1 and l = 2, holds 2^{(L-1)(2n+1)} cells, at most core.MAX_CELLS."""
+    return range(2, 2 + (core.MAX_CELLS.bit_length() - 1) // (2 * n + 1))
+
+
+def admitted_trials(n: int) -> int:
+    """Most parity trials the budget admits at degree n, each under 2^{n+1} codes."""
+    return core.MAX_CELLS >> (n + 1)
+
+
+def check_suite(ns: Sequence[int], side_exponents: Sequence[int], trials: int) -> None:
+    """Refuse, before any check runs, a telescoping or parity case past core.MAX_CELLS:
+    the largest of each (n, L >= 2) is k = 1, l = 2, and of the trials the largest n."""
+    for n, L in itertools.product(ns, side_exponents):
+        if L >= 2:
+            _check_size(1, (L - 1) * (2 * n + 1), f"telescoping n={n} k=1 l=2 L={L}")
+    if ns:
+        n = max(ns)
+        _check_size(trials, n + 1, f"parity trials={trials} n={n}")
+
+
 def run_telescoping_suite(
-    ns: Sequence[int] = (1, 2, 3), side_exponents: Sequence[int] = (2, 3, 4)
+    ns: Sequence[int] = SUITE_DEGREES, side_exponents: Sequence[int] = SUITE_SIDES
 ) -> list[dict]:
     """Telescoping discrepancies for every (n, k, l, L) case in the given ranges."""
     cases = [
@@ -671,19 +706,8 @@ def run_telescoping_suite(
     ]
 
 
-def parity_cells(trials: int, n: int) -> int:
-    """Cells of run_parity_trials' membership array at degree n.
-
-    Every trial is checked under each of the 2^{n+1} selector codes.
-    """
-    return trials << (n + 1)
-
-
-PARITY_TRIALS = 200  # per degree, when none are asked for
-
-
 def run_parity_trials(
-    trials: int = PARITY_TRIALS, ns: Sequence[int] = (1, 2, 3), seed: int = 0
+    trials: int = PARITY_TRIALS, ns: Sequence[int] = SUITE_DEGREES, seed: int = 0
 ) -> dict:
     """Random child-selector sweeps of the parity rule; returns failure count.
 
@@ -691,8 +715,7 @@ def run_parity_trials(
     per axis; one verify_parity_rule call checks every row of a degree
     under every selector code against the even count of right children.
     """
-    for n in ns:
-        check_cells(parity_cells(trials, n), f"parity trials={trials} n={n}")
+    check_suite(ns, (), trials)
     rng = np.random.default_rng(seed)
     failures = 0
     checked = 0

@@ -35,6 +35,7 @@ from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
+from . import dyadic
 from .continuous import check_grid, truncated_form_gradient
 from .core import (
     MAX_CONTINUOUS_SWEEP_DEGREE,
@@ -43,10 +44,9 @@ from .core import (
     HoelderExponents,
     TruncationRange,
     array_lp_norm,
-    check_cells,
     grid_cells_per_axis,
 )
-from .dyadic import slot_cells, sup_gradient
+from .dyadic import sup_gradient
 
 # Each model's settings besides n and its abscissa, with defaults (None: no default).
 MODEL_SETTINGS = {
@@ -160,16 +160,12 @@ class DyadicSupForm:
     cell_measure = 1.0
 
     def __init__(self, n: int, side_exponent: int, scale_count: int) -> None:
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        dyadic.check_grid(n, side_exponent)
         if not (1 <= scale_count <= side_exponent):
             raise ValueError(
                 f"scale_count must lie in 1..side_exponent={side_exponent}, "
                 f"got {scale_count}"
             )
-        check_cells(
-            slot_cells(n, side_exponent), f"dyadic slots at n={n}, L={side_exponent}"
-        )
         self.n = n
         self.side_exponent = side_exponent
         self.scale_count = scale_count

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simplexht import cli, core, harness
+from simplexht import cli, core, dyadic, harness
 from simplexht.cli import CliError, main, parse_exponents, parse_range
 from simplexht.core import lp_norm
 from simplexht.dyadic import eval_dyadic_sup
@@ -196,6 +196,17 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--help")
         text = " ".join(out.split())
         assert "(default 200)" in text and "admits up to 4194304 at n=3" in text
+
+    def test_dyadic_suite_checks_the_library_defaults(self, capsys):
+        # verify reads its default degrees, sides and trials from dyadic, so
+        # it checks what run_telescoping_suite and run_parity_trials check.
+        code, out, _ = run_cli(capsys, "verify", "--suite", "dyadic")
+        assert code == 0
+        rows = ["telescoping n={n} k={k} l={l} L={L} discrepancy={discrepancy}".format(**row)
+                for row in dyadic.run_telescoping_suite()]
+        parity = dyadic.run_parity_trials()
+        rows.append(f"parity trials={parity['trials']} failures={parity['failures']}")
+        assert out.splitlines()[:-1] == rows
 
     def test_failing_analytic_row_exits_1(self, capsys, monkeypatch):
         real = cli.run_analytic_suite
@@ -748,6 +759,95 @@ class TestCellBudget:
         assert code == 2
         assert "needs 274877906944 cells" in err
         assert not out_csv.exists()
+
+
+# Requests whose size or degree no budget admits, each with the words its
+# refusal must hold.  Every one ran out of memory, overflowed a float or
+# printed a number of over 4,300 digits before it was refused by name.
+_OVERSIZED = [
+    (
+        ["eval", "--model", "dyadic", "--n", "1", "--L", "1000000000000", "--m", "1"],
+        "dyadic slots at n=1, L=1000000000000 needs 2 * 2^1000000000000 cells, "
+        "over the limit of 67108864",
+    ),
+    (
+        ["sweep", "--model", "dyadic", "--n", "1", "--L", "1000000000000", "--m", "1"],
+        "dyadic slots at n=1, L=1000000000000 needs 2 * 2^1000000000000 cells",
+    ),
+    (
+        ["verify", "--suite", "dyadic", "--n", "1", "--L", "1000000000000"],
+        "telescoping n=1 k=1 l=2 L=1000000000000 needs 1 * 2^2999999999997 cells, "
+        "over the limit of 67108864; verify admits n=1: --L 2..9",
+    ),
+    (
+        ["sweep", "--model", "dyadic", "--n", "1", "--L", "100000000",
+         "--m", "1..100000000", "--seeds", "1"],
+        "dyadic slots at n=1, L=100000000 needs 2 * 2^100000000 cells",
+    ),
+    (
+        ["eval", "--model", "dyadic", "--n", "1", "--L", "100000", "--m", "1"],
+        "dyadic slots at n=1, L=100000 needs 2 * 2^100000 cells",
+    ),
+    (
+        ["verify", "--suite", "dyadic", "--n", "1", "--L", "100000"],
+        "telescoping n=1 k=1 l=2 L=100000 needs 1 * 2^299997 cells",
+    ),
+    (
+        ["eval", "--model", "continuous", "--n", "3000", "--r", "1", "--R", "2"],
+        "continuous evaluation capped at degree 3",
+    ),
+    (
+        ["sweep", "--model", "continuous", "--n", "3000", "--octaves", "1"],
+        "the geometric ladder needs 1 <= n <= 1023, got n=3000",
+    ),
+    (
+        ["sweep", "--model", "dyadic", "--n", "3000", "--L", "3", "--m", "1"],
+        "dyadic slots at n=3000, L=3 needs 3001 * 2^9000 cells",
+    ),
+]
+
+# Runs each argv of a JSON list through main in one process whose address
+# space is capped at 2 GB, and prints [code, stdout, stderr] for each.
+_CAPPED_RUNS = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
+from simplexht.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def oversized_runs(tmp_path_factory):
+    never = str(tmp_path_factory.mktemp("oversized") / "never.csv")
+    argvs = [argv + ["--out", never] * (argv[0] == "sweep") for argv, _ in _OVERSIZED]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_RUNS, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout), never
+
+
+class TestOversizedRequests:
+    """Sizes and degrees past every budget exit 2 at once under a 2 GB cap,
+    naming the request and the limit, with no traceback."""
+
+    @pytest.mark.parametrize("i", range(len(_OVERSIZED)), ids=lambda i: " ".join(_OVERSIZED[i][0]))
+    def test_refused_by_name(self, oversized_runs, i):
+        results, never = oversized_runs
+        code, out, err = results[i]
+        assert code == 2 and out == ""
+        assert _OVERSIZED[i][1] in err
+        for word in ("Exceeds the limit", "MemoryError", "OverflowError", "Traceback"):
+            assert word not in err
+        assert not Path(never).exists()
 
 
 _EVAL_CONTINUOUS = ["eval", "--model", "continuous", "--r", "1", "--R", "2"]

@@ -225,6 +225,8 @@ class TestAdaptiveSimpson:
     def test_cell_budget_refuses_a_level_before_building_it(self, monkeypatch):
         # NaN never passes the stopping test, so every level doubles until
         # the budget refuses one; the levels admitted fit the budget's bytes.
+        # Level 15 alone fills the budget, and the levels kept beside it
+        # tip it over.
         monkeypatch.setattr(core, "MAX_CELLS", 2**20)
         widest = []
 
@@ -234,12 +236,12 @@ class TestAdaptiveSimpson:
 
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="adaptive Simpson level 16 needs"):
+            with pytest.raises(ValueError, match="adaptive Simpson level 15 needs"):
                 adaptive_simpson(never_settles, 0.0, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert max(widest) == 2**16
+        assert max(widest) == 2**15
         assert peak <= 8 * core.MAX_CELLS
 
 
@@ -307,7 +309,7 @@ class TestAdaptiveSimpsonMany:
             adaptive_simpson_many(lambda x, w: x, [0.0, 1.0], [1.0, math.inf])
 
     def test_cell_budget_counts_the_intervals_of_all_integrals(self, monkeypatch):
-        # Alone, a never-settling integral is refused at level 16 under this
+        # Alone, a never-settling integral is refused at level 15 under this
         # budget (see TestAdaptiveSimpson); four at once hold four times as
         # many intervals per level and are refused two levels sooner.
         monkeypatch.setattr(core, "MAX_CELLS", 2**20)
@@ -317,9 +319,24 @@ class TestAdaptiveSimpsonMany:
             widest.append(x.shape[1])
             return np.full(x.shape, np.nan)
 
-        with pytest.raises(ValueError, match="adaptive Simpson level 14 needs"):
+        with pytest.raises(ValueError, match="adaptive Simpson level 13 needs"):
             adaptive_simpson_many(never_settles, [0.0] * 4, [1.0] * 4)
-        assert max(widest) == 4 * 2**13
+        assert max(widest) == 4 * 2**12
+
+    def test_cell_budget_charges_the_levels_kept_for_the_sum(self, monkeypatch):
+        # A step at 1/3 splits one interval a level, so each of levels 1..48
+        # holds 2 intervals and passes 2 * _SIMPSON_DOUBLES = 64 cells alone.
+        # The levels kept for the final sum grow by 2 intervals a level, a
+        # float and a bool each: before level 48 they hold 95, 107 cells.
+        def step(x, which):
+            return np.where(x < 1.0 / 3.0, 0.0, 1.0)
+
+        expected = adaptive_simpson_many(step, [0.0], [1.0])
+        monkeypatch.setattr(core, "MAX_CELLS", 170)
+        with pytest.raises(ValueError, match="adaptive Simpson level 48 needs 171 cells"):
+            adaptive_simpson_many(step, [0.0], [1.0])
+        monkeypatch.setattr(core, "MAX_CELLS", 171)
+        assert adaptive_simpson_many(step, [0.0], [1.0]).tolist() == expected.tolist()
 
     def test_cell_budget_refuses_the_roots_before_calling_f(self, monkeypatch):
         monkeypatch.setattr(core, "MAX_CELLS", 3 * continuous._SIMPSON_DOUBLES - 1)

@@ -234,6 +234,14 @@ class TestHoelderExponents:
         assert HoelderExponents.geometric(2).values == (4.0, 4.0, 2.0)
         assert HoelderExponents.geometric(3).values == (8.0, 8.0, 4.0, 2.0)
 
+    def test_geometric_ladder_stays_within_double_range(self):
+        # 2^1023 is the largest power of two a double holds.
+        top = HoelderExponents.geometric(1023)
+        assert top.values[0] == 2.0**1023 and top.degree == 1023
+        for n in (0, 1024, 3000):
+            with pytest.raises(ValueError, match=f"1 <= n <= 1023, got n={n}$"):
+                HoelderExponents.geometric(n)
+
     def test_reciprocal_sum_enforced(self):
         with pytest.raises(ValueError):
             HoelderExponents((3.0, 3.0))

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import itertools
 import math
 import re
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,6 +462,36 @@ class TestSymmetries:
         assert np.max(moved / np.abs(expected)) > 1e-3
 
 
+    @pytest.mark.parametrize("n,L", [(1, 6), (2, 5), (3, 3)])
+    def test_xor_translation_of_a_coefficient_map(self, n, L):
+        # The form reads the same value when each scale-l key's indices m_j
+        # move to m_j XOR (a_j >> l) with the functions, and its scale-1
+        # values change sign when the shifts XOR to 1: scale 1 is the one
+        # scale whose Haar signs that shift flips.  On these random full maps
+        # both sides agreed within 2.5e-15 relative; a map whose scale-1
+        # values keep their sign under an XOR-1 shift moved the form by 13%
+        # to 540%.
+        fs = self._normal_functions(n, L)
+        rng = np.random.default_rng(n)
+        keys = [(t.scale, t.indices) for l in range(1, L + 1) for t in enumerate_tuples(l, L, n)]
+        values = rng.uniform(-1.0, 1.0, len(keys))
+        expected = eval_dyadic_form(fs, CoefficientMap(dict(zip(keys, values))), L)
+
+        def moved(shifts, flip):
+            return CoefficientMap({
+                (l, tuple(m ^ (a >> l) for m, a in zip(indices, shifts))): -v if flip and l == 1 else v
+                for (l, indices), v in zip(keys, values)
+            })
+
+        for total in (0, 0, 1, 1):
+            shifts = self._shifts_with_xor(rng, n, L, total)
+            shifted = eval_dyadic_form(self._xor_shifted(fs, shifts), moved(shifts, total), L)
+            assert shifted == pytest.approx(expected, rel=1e-13), shifts
+        shifts = self._shifts_with_xor(rng, n, L, 1)
+        control = eval_dyadic_form(self._xor_shifted(fs, shifts), moved(shifts, 0), L)
+        assert abs(control - expected) > 1e-3 * abs(expected)
+
+
 class TestEvalDyadicAux:
     def test_collapses_to_sup_at_full_split(self):
         rng = np.random.default_rng(3)
@@ -691,17 +723,17 @@ class TestScalePlan:
             assert np.array_equal(plan.own, blocks.reshape((nb**n,) + (cell,) * n))
 
     def test_index_budget_refused_before_allocation(self, monkeypatch):
-        # n=2, L=3: three gather indices of 2^6 cells each.
+        # n=2, L=3: three gather indices of 2^6 cells each, charged with
+        # the grids when the engine is entered.
         def refuse(*args, **kwargs):
             raise AssertionError("allocated before the budget check")
 
+        fs = random_cell_functions(np.random.default_rng(0), 2, 3)
         monkeypatch.setattr(dyadic, "_plans", {})
         monkeypatch.setattr(core, "MAX_CELLS", 3 * 2**6 - 1)
         monkeypatch.setattr(np, "indices", refuse)
-        with pytest.raises(
-            ValueError, match="dyadic plan n=2 L=3 l=1 slot=0 needs 192 cells"
-        ):
-            dyadic._slot_plan(2, 3, 1, 0)
+        with pytest.raises(ValueError, match="dyadic slots at n=2, L=3 needs 192 cells"):
+            sup_gradient(fs, 1, 0)
 
     def test_index_budget_admits_its_own_size(self, monkeypatch):
         monkeypatch.setattr(dyadic, "_plans", {})
@@ -779,6 +811,108 @@ class TestScalePlan:
 
 def _digest(array: np.ndarray) -> str:
     return hashlib.sha256(array.tobytes()).hexdigest()[:16]
+
+
+class TestSizeRule:
+    """One rule admits every dyadic size, count << bits, before it is formed."""
+
+    @pytest.mark.parametrize("n, L", [(1, 10**12), (1, 100000), (1, 64), (3000, 3)])
+    def test_huge_grids_are_refused_without_being_formed(self, monkeypatch, n, L):
+        formed = []
+        monkeypatch.setattr(dyadic, "check_cells", lambda cells, what: formed.append(cells))
+        with pytest.raises(
+            ValueError,
+            match=rf"^dyadic slots at n={n}, L={L} needs {n + 1} \* 2\^{n * L} cells, "
+            "over the limit of 67108864$",
+        ):
+            dyadic.check_grid(n, L)
+        assert formed == []
+
+    def test_sizes_below_64_bits_are_named_in_digits(self):
+        with pytest.raises(ValueError, match="n=1, L=63 needs 18446744073709551616 cells"):
+            dyadic.check_grid(1, 63)
+
+    def test_grid_admits_its_own_size(self, monkeypatch):
+        # n=2, L=3: three grids of 2^6 cells.
+        monkeypatch.setattr(core, "MAX_CELLS", 3 * 2**6 - 1)
+        with pytest.raises(ValueError, match="^dyadic slots at n=2, L=3 needs 192 cells"):
+            dyadic.check_grid(2, 3)
+        monkeypatch.setattr(core, "MAX_CELLS", 3 * 2**6)
+        dyadic.check_grid(2, 3)
+
+    @pytest.mark.parametrize("n, L", [(0, 3), (-1, 3), (2, -1)])
+    def test_grid_refuses_a_degree_below_one_or_a_negative_side(self, n, L):
+        with pytest.raises(ValueError, match=f"need n >= 1 and L >= 0, got n={n}, L={L}"):
+            dyadic.check_grid(n, L)
+
+    @pytest.mark.parametrize("budget", [2**26, 2**26 - 1, 2**20 + 1, 1000, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
+    def test_admitted_sides_close_the_telescoping_rule(self, monkeypatch, budget, n):
+        monkeypatch.setattr(core, "MAX_CELLS", budget)
+
+        def fits(L):
+            try:
+                dyadic.check_suite((n,), (L,), 1)
+            except ValueError:
+                return False
+            return True
+
+        assert list(dyadic.admitted_sides(n)) == [L for L in range(2, 40) if fits(L)]
+
+    def test_admitted_sides_at_the_default_budget(self):
+        assert [dyadic.admitted_sides(n).stop - 1 for n in (1, 2, 3)] == [9, 6, 4]
+
+    @pytest.mark.parametrize("budget", [2**26, 1000, 16])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_admitted_trials_close_the_parity_rule(self, monkeypatch, budget, n):
+        monkeypatch.setattr(core, "MAX_CELLS", budget)
+        top = dyadic.admitted_trials(n)
+        dyadic.check_suite((n,), (), top)
+        with pytest.raises(ValueError, match=f"parity trials={top + 1} n={n} needs"):
+            dyadic.check_suite((n,), (), top + 1)
+
+    def test_suite_refused_at_its_largest_case(self):
+        dyadic.check_suite((1, 2, 3), dyadic.SUITE_SIDES, dyadic.admitted_trials(3))
+        dyadic.check_suite((1,), (1, 0), 1)  # sides below 2 have no case
+        with pytest.raises(ValueError, match="^telescoping n=1 k=1 l=2 L=10 needs 134217728"):
+            dyadic.check_suite((1,), (9, 10), 1)
+        with pytest.raises(ValueError, match="^parity trials=4194305 n=3 needs 67108880"):
+            dyadic.check_suite((3, 1), (2,), dyadic.admitted_trials(3) + 1)
+
+    @pytest.mark.parametrize(
+        "n, k, L, m", [(1, 1, 4, 2), (2, 1, 3, 3), (2, 2, 4, 1), (3, 1, 3, 2), (3, 2, 3, 3)]
+    )
+    def test_aux_charge_is_its_largest_scale_or_its_grids(self, monkeypatch, n, k, L, m):
+        # Scale l holds 2^{(L-l)n} tuples of (2^l)^{2(n-k)} cells.
+        fs = random_cell_functions(np.random.default_rng(0), n, L)
+        needed = max(
+            dyadic.slot_cells(n, L),
+            *(1 << ((L - l) * n + 2 * l * (n - k)) for l in range(1, m + 1)),
+        )
+
+        def admitted(*args, **kwargs):
+            raise LookupError("admitted")
+
+        monkeypatch.setattr(np, "einsum_path", admitted)
+        monkeypatch.setattr(dyadic, "_aux_paths", {})
+        monkeypatch.setattr(core, "MAX_CELLS", needed - 1)
+        with pytest.raises(ValueError, match=f"n={n} k={k} L={L} m={m} needs {needed} cells"):
+            eval_dyadic_aux(fs, k, m)
+        monkeypatch.setattr(core, "MAX_CELLS", needed)
+        with pytest.raises(LookupError, match="admitted"):
+            eval_dyadic_aux(fs, k, m)
+
+    def test_harness_and_cli_leave_dyadic_sizes_to_dyadic(self):
+        src = Path(dyadic.__file__).parent
+        sizes = {"check_cells", "slot_cells"}
+        for name in ("harness.py", "cli.py"):
+            tree = ast.parse((src / name).read_text(encoding="utf-8"))
+            imported = {
+                a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names
+            }
+            defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+            assert not imported & sizes and "_verify_sides" not in defined, name
 
 
 class TestGoldenBits:
@@ -944,7 +1078,7 @@ class TestTelescoping:
             (n, k)
             for n in range(1, 40)
             for k in range(1, n + 1)
-            if dyadic.telescoping_cells(n, k, 2, 2) <= core.MAX_CELLS
+            if 1 << (2 * n - k + 2) <= core.MAX_CELLS  # 2n-k+2 axes of 2 blocks
         ]
         widths = set()
         for n, k in admitted:
@@ -1039,7 +1173,7 @@ class TestParityRule:
         monkeypatch.setattr(np.random, "default_rng", refuse)
         with pytest.raises(ValueError, match="parity trials=50 n=3 needs 800 cells"):
             run_parity_trials(trials=50, ns=(1, 3))
-        assert dyadic.parity_cells(50, 3) == 800
+        assert dyadic.admitted_trials(3) == 49
 
     def test_random_trials_all_pass(self):
         report = run_parity_trials(trials=50, ns=(1, 2, 3), seed=1)
