@@ -412,10 +412,7 @@ def _octave_bounds(base_radius: float) -> tuple:
     R = base_radius * 2**octave is finite.  Octave 0 (R = r) is refused later."""
     if not 0.0 < base_radius < math.inf:
         raise CliError(f"--base-radius must be positive and finite, got {base_radius!r}")
-    top = min(1023, math.floor(math.log2(sys.float_info.max) - math.log2(base_radius)))
-    while math.isinf(base_radius * 2.0**top):
-        top -= 1
-    return (0, top)
+    return (0, harness.top_octave(base_radius))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

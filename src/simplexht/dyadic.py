@@ -43,8 +43,9 @@ order, so evaluations are deterministic.
 Tuples exist here only as rows of integer indices, never as objects: the
 plans, the telescoping check and the parity rule take index rows (the rule
 checks every row under every selector code in one call), and a
-CoefficientMap holds its keys, which must be integral, in the order given
-as rows of the scale and the indices, beside an array of their values.
+CoefficientMap holds each key, in the order given, as an exact int64 row of
+the scale and the indices, beside an array of their values: a key past
+int64 is refused, as no grid check_grid admits has a scale or index that large.
 
 Every dyadic size is count << bits cells, and _check_size alone refuses
 one past core.MAX_CELLS, before it is formed: check_grid for a request's
@@ -346,37 +347,37 @@ class CoefficientMap:
     def __init__(
         self, entries: Mapping[tuple[int, Sequence[int]], float] | None = None
     ) -> None:
-        self._keys = keys = list(entries or {})
+        keys = list(entries or {})
         pairs = list(itertools.chain.from_iterable(keys))
-        self._widths = widths = np.fromiter(map(len, pairs[1::2]), np.intp, len(keys))
-        numbers = np.array(pairs[0::2] + list(itertools.chain.from_iterable(pairs[1::2])))
-        exact = numbers.dtype == np.int64  # else a float, or an integer past int64
-        rows = np.zeros((len(keys), 1 + widths.max(initial=0)), np.int64 if exact else float)
+        widths = np.fromiter(map(len, pairs[1::2]), np.intp, len(keys))
+        flat = pairs[0::2] + list(itertools.chain.from_iterable(pairs[1::2]))
+        numbers = np.array(flat)
+        if numbers.dtype != np.int64:
+            for key in keys:
+                key_numbers = (key[0], *key[1])
+                try:  # exactly, never through a double
+                    integral = all(int(x) == x for x in key_numbers)
+                except (TypeError, ValueError, OverflowError):  # nan, inf, a non-number
+                    integral = False
+                if not integral:
+                    raise ValueError(f"coefficient key {key} is not integral")
+                if not all(-(2**63) <= x < 2**63 for x in key_numbers):
+                    raise ValueError(f"coefficient key {key} lies past int64")
+            numbers = np.array(list(map(int, flat)), np.int64)
+        rows = np.zeros((len(keys), 1 + widths.max(initial=0)), np.int64)
         rows[:, 0] = numbers[: len(keys)]
         rows[:, 1:][np.arange(rows.shape[1] - 1) < widths[:, None]] = numbers[len(keys) :]
-        if not exact:
-            whole = (np.isfinite(rows) & (np.floor(rows) == rows)).all(axis=1)
-            if not whole.all():
-                raise ValueError(f"coefficient key {keys[np.argmin(whole)]} is not integral")
-            rows = rows.clip(-(2**62), 2**62)
-        self._rows = rows.astype(np.int64, copy=False)
-        self._values = values = np.fromiter((entries or {}).values(), float, len(keys))
+        self._hold(rows, widths, np.fromiter((entries or {}).values(), float, len(keys)))
+
+    def _hold(self, rows: np.ndarray, widths: np.ndarray, values: np.ndarray) -> None:
+        self._rows, self._widths, self._values = rows, widths, values
         if not np.abs(values).max(initial=0.0) <= 1.0:
             i = int(np.argmin(np.abs(values) <= 1.0))
-            raise ValueError(f"coefficient {values[i]} at {keys[i]} exceeds magnitude 1")
+            raise ValueError(f"coefficient {values[i]} at {self._key(i)} exceeds magnitude 1")
 
     def _key(self, i: int) -> tuple[int, tuple[int, ...]]:
         scale, *indices = self._rows[i, : 1 + self._widths[i]].tolist()
-        if self._keys is not None:  # rows hold integers past int64 at +-2^62
-            scale, indices = self._keys[i]
-        return (int(scale), tuple(map(int, indices)))
-
-    def value(self, scale: int, indices: Sequence[int]) -> float:
-        query = CoefficientMap({(scale, tuple(indices)): 0.0})
-        k = min(query._rows.shape[1], self._rows.shape[1])
-        same = (self._rows[:, :k] == query._rows[:, :k]).all(axis=1)
-        found = (i for i in np.flatnonzero(same) if self._key(i) == query._key(0))
-        return next((float(self._values[i]) for i in found), 0.0)
+        return (scale, tuple(indices))
 
 
 def sign_optimal_coefficients(
@@ -384,13 +385,11 @@ def sign_optimal_coefficients(
 ) -> CoefficientMap:
     """Coefficients +-1 aligned with each pairing's sign (sign of 0 taken as +1)."""
     n, L, pairings = _pairings(functions, scale_count)
-    cm = CoefficientMap()
-    cm._keys = None  # its keys are named from their exact rows
-    cm._values = np.where(np.concatenate(list(pairings)) >= 0.0, 1.0, -1.0)
+    values = np.where(np.concatenate(list(pairings)) >= 0.0, 1.0, -1.0)
     rows = [np.pad(_tuple_index_array(l, L, n), ((0, 0), (1, 0)), constant_values=l)
             for l in range(1, scale_count + 1)]
-    cm._rows = np.concatenate(rows)
-    cm._widths = np.full(len(cm._rows), n + 1)
+    cm = CoefficientMap.__new__(CoefficientMap)
+    cm._hold(np.concatenate(rows), np.full(len(values), n + 1), values)
     return cm
 
 

@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import numbers
 import operator
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence, get_type_hints
@@ -340,12 +342,26 @@ def alternating_maximize(
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
 
+def top_octave(base_radius: float) -> int:
+    """The last whole octave at which R = base_radius * 2**octave is finite;
+    at most 1023, since 2.0**1024 overflows whatever the base radius."""
+    if not 0.0 < base_radius < math.inf:
+        raise ValueError(f"base_radius must be positive and finite, got {base_radius!r}")
+    top = min(1023, math.floor(math.log2(sys.float_info.max) - math.log2(base_radius)))
+    while math.isinf(base_radius * 2.0**top):
+        top -= 1
+    return top
+
+
 def _sweep_form(model: str, n: int, abscissa: float, settings: Mapping[str, object]):
     if model == "dyadic":
         scale_count = round(abscissa)
         if abs(abscissa - scale_count) > 0:
             raise ValueError(f"dyadic abscissae are scale counts, got {abscissa!r}")
         return DyadicSupForm(n, settings["side_exponent"], scale_count)
+    top = top_octave(settings["base_radius"])
+    if abscissa > top:
+        raise ValueError(f"octave {abscissa!r} is past {top}, the last with a finite R")
     trunc = TruncationRange(settings["base_radius"], settings["base_radius"] * 2.0**abscissa)
     return ContinuousTruncatedForm(n, trunc, settings["half_extent"], settings["spacing"])
 
@@ -366,7 +382,8 @@ def growth_sweep(
     given overrides the model's MODEL_SETTINGS row; any other setting is refused.
     Dyadic sweeps walk the scale count m (requires side_exponent, m <=
     side_exponent); continuous sweeps walk log2(R/r) with R = base_radius *
-    2**abscissa.  The (abscissa, seed) maximizations run one after another,
+    2**abscissa, up to top_octave(base_radius).  The grid is admitted before
+    any abscissa is read.  The (abscissa, seed) maximizations run one after another,
     in that order, and each abscissa keeps its best final value; ties go to
     the earliest listed seed.  Records are deterministic given seeds and
     carry no timestamp.  n, max_iter, the seeds and side_exponent must be
@@ -384,11 +401,6 @@ def growth_sweep(
     convert = _integer if model == "dyadic" else _real
     settings = {name: convert(name, value) for name, value in settings.items()}
     n, max_iter, tol = _integer("n", n), _integer("max_iter", max_iter), _real("tol", tol)
-    abscissae = list(abscissae)
-    if not abscissae:
-        raise ValueError("empty abscissa range")
-    if len(set(abscissae)) != len(abscissae):
-        raise ValueError("abscissae must be distinct")
     seeds = [_integer("seed", seed) for seed in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
@@ -398,10 +410,23 @@ def growth_sweep(
         raise ValueError(
             f"degree-{n} sweeps need {n + 1} exponents, got {len(exponents)}"
         )
-    if model == "continuous" and n > MAX_CONTINUOUS_SWEEP_DEGREE:
+    # The grid is admitted before any abscissa is read.  A dyadic sweep has at
+    # most L distinct valid scale counts, so it reads no more than L + 1: any
+    # more, and one of those is repeated or invalid and refused below.
+    if model == "dyadic":
+        dyadic.check_grid(n, settings["side_exponent"])
+        abscissae = itertools.islice(abscissae, settings["side_exponent"] + 1)
+    elif n > MAX_CONTINUOUS_SWEEP_DEGREE:
         raise ValueError(
             f"continuous sweeps capped at degree {MAX_CONTINUOUS_SWEEP_DEGREE}"
         )
+    else:
+        check_grid(n, grid_cells_per_axis(settings["half_extent"], settings["spacing"]))
+    abscissae = list(abscissae)
+    if not abscissae:
+        raise ValueError("empty abscissa range")
+    if len(set(abscissae)) != len(abscissae):
+        raise ValueError("abscissae must be distinct")
 
     loop = dict(model=model, n=n, exponents=tuple(exponents), max_iter=max_iter, tol=tol)
     digest = settings_digest(dict(loop, seeds=seeds, **settings))

@@ -26,6 +26,7 @@ from .continuous import (
     gaussian,
     gaussian_deriv,
 )
+from .core import HoelderExponents
 
 # Largest observed ratio |h(x)| / int_1^inf g_beta(x) beta^{-4} d(beta),
 # frozen from a dense scan of x in [-100, 100] (attained near |x| = 0.63).
@@ -187,7 +188,7 @@ def _points(x) -> np.ndarray:
     return arr
 
 
-def check_domination(x, tol: float = 1e-10):
+def check_domination(x):
     """Ratio of |h(x)| to the averaged-Gaussian majorant at x.
 
     The majorant int_1^inf g_beta(x) beta^{-4} d(beta) becomes
@@ -215,7 +216,7 @@ def check_domination(x, tol: float = 1e-10):
     def integrand(u: np.ndarray, which: np.ndarray) -> np.ndarray:
         return np.float_power(u, 3) * gaussian(scale[which] * u)
 
-    denominator = adaptive_simpson_many(integrand, np.zeros(arr.size), upper, tol)
+    denominator = adaptive_simpson_many(integrand, np.zeros(arr.size), upper, 1e-10)
     # The same holds for |x|**4, so it is taken per element on Python floats.
     for i in np.flatnonzero(~inner).tolist():
         denominator[i] /= float(ax[i]) ** 4
@@ -392,7 +393,6 @@ def check_single_scale(
     k: int,
     t: float,
     params: DilationParams,
-    tol: float = 1e-6,
 ) -> SingleScaleCheck:
     """Single-scale form against its Hölder norm bound, at one scale t.
 
@@ -441,12 +441,11 @@ def check_single_scale(
         value = _scale_two_value(functions[0], functions[1], t, params)
 
     power = 2 ** (n - k + 1)
-    norm_product = functions[0].lp_norm(float(2**n))
-    for i in range(1, k):
-        norm_product *= functions[i].lp_norm(float(2 ** (n - i + 1)))
+    ladder = HoelderExponents.geometric(n)
+    norm_product = math.prod(f.lp_norm(p) for f, p in zip(functions, ladder))
     bound = norm_product**power
     return SingleScaleCheck(
-        value=value, bound=bound, passed=abs(value) <= bound + tol
+        value=value, bound=bound, passed=abs(value) <= bound + 1e-6
     )
 
 
@@ -536,10 +535,10 @@ def run_analytic_suite(seed: int = 0) -> list[dict]:
     for n, k in ((1, 1), (2, 1), (2, 2)):
         for t in (0.1, 1.0, 10.0):
             for _ in range(2):
-                functions = []
-                for i in range(k):
-                    exponent = float(2**n if i == 0 else 2 ** (n - i + 1))
-                    functions.append(_random_separable(rng, n).normalized(exponent))
+                functions = [
+                    _random_separable(rng, n).normalized(p)
+                    for p in HoelderExponents.geometric(n).values[:k]
+                ]
                 params = _random_params(rng, n - k + 1, _SQRT_HALF, 4.0)
                 result = check_single_scale(functions, k, t, params)
                 scale_excess = max(

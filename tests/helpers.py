@@ -239,13 +239,14 @@ def brute_sup_gradient(functions, scale_count: int, slot: int) -> np.ndarray:
     return grad
 
 
-def brute_form(functions, coefficients, scale_count: int) -> float:
+def brute_form(functions, entries, scale_count: int) -> float:
+    """The form with coefficients read from a plain {(scale, indices): eps} mapping."""
     n = functions[0].dimension
     L = functions[0].side_exponent
     total = 0.0
     for scale in range(1, scale_count + 1):
         for tup in enumerate_tuples(scale, L, n):
-            eps = coefficients.value(scale, tup.indices)
+            eps = entries.get((scale, tup.indices), 0.0)
             total += eps * brute_pairing(functions, tup)
     return total
 

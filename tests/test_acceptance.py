@@ -352,7 +352,7 @@ def test_criterion_11_brute_force_oracle_equivalence():
                 entries[(scale, tup.indices)] = float(rng.uniform(-1.0, 1.0))
         coefficients = CoefficientMap(entries)
         fast = eval_dyadic_form(functions, coefficients, m)
-        slow = brute_form(functions, coefficients, m)
+        slow = brute_form(functions, entries, m)
         worst = max(worst, abs(fast - slow))
     ok = worst <= 1e-12
     report(11, "brute-force oracle equivalence", ok, f"max |difference| {worst:.2e}")

@@ -9,6 +9,7 @@ import math
 import re
 import tracemalloc
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -155,37 +156,115 @@ class TestHaarPairing:
 
 class TestCoefficientMap:
     def test_missing_entries_read_zero(self):
-        cm = CoefficientMap({(1, (0, 0)): 0.5})
-        assert cm.value(1, (0, 0)) == 0.5
-        assert cm.value(1, (1, 1)) == 0.0
-        assert cm.value(2, (0, 0)) == 0.0
-        assert cm.value(1, (0, 0, 0)) == 0.0
-        assert cm.value(1, (0,)) == 0.0
+        # A one-entry map's form is 0.5 times that tuple's pairing: every
+        # other tuple of the grid, at either scale, reads 0.
+        fs = random_cell_functions(np.random.default_rng(3), 1, 2)
+        for scale in (1, 2):
+            for tup in enumerate_tuples(scale, 2, 1):
+                cm = CoefficientMap({(scale, tup.indices): 0.5})
+                assert eval_dyadic_form(fs, cm, 2) == 0.5 * one_hot_pairing(fs, tup)
 
     @pytest.mark.parametrize(
         "key",
-        [(1.9, (0.7, 0.2)), (1.6, (0.3, 0)), (1, (0, 0.5)), (1, (math.nan, 0)), (math.inf, (0, 0))],
-        ids=["scale-and-indices", "value-query", "one-index", "nan-index", "inf-scale"],
+        [
+            (1.9, (0.7, 0.2)),
+            (1.6, (0.3, 0)),
+            (1, (0, 0.5)),
+            (1, (math.nan, 0)),
+            (math.inf, (0, 0)),
+            (1, (Fraction(2**54 + 1, 2), 0)),
+        ],
+        ids=["scale-and-indices", "value-query", "one-index", "nan-index", "inf-scale", "exact-half-past-double"],
     )
     def test_non_integral_keys_refused(self, key):
         # A fraction truncated to an integer would read as the (1, (0, 0)) entry.
         with pytest.raises(ValueError, match=re.escape(f"key {key} is not integral")):
             CoefficientMap({(1, (0, 0)): 0.5, key: 1.0})
-        with pytest.raises(ValueError, match=re.escape(f"key {key} is not integral")):
-            CoefficientMap({(1, (0, 0)): 0.5}).value(*key)
 
     def test_integral_floats_read_as_integers(self):
         fs = random_cell_functions(np.random.default_rng(4), 1, 2)
         ints = CoefficientMap({(1, (0, 0)): 0.5, (1, (1, 1)): -0.25})
         floats = CoefficientMap({(1.0, (0.0, 0.0)): 0.5, (np.int64(1), (1.0, np.int32(1))): -0.25})
-        assert floats.value(1, (1, 1)) == -0.25 and ints.value(1.0, (0.0, 0.0)) == 0.5
         assert eval_dyadic_form(fs, floats, 2) == eval_dyadic_form(fs, ints, 2)
 
-    def test_keys_past_int64_read_exactly(self):
-        cm = CoefficientMap({(1, (2**70, 2**70)): 0.5, (1, (2**71, 2**71)): -0.5})
-        assert cm.value(1, (2**70, 2**70)) == 0.5
-        assert cm.value(1, (2**71, 2**71)) == -0.5
-        assert cm.value(1, (2**72, 2**72)) == 0.0
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (1, (2**70, 2**70, 0)),
+            (2**70, (0, 0, 0)),
+            (2**63, (0, 0)),
+            (1, (0, -(2**63) - 1)),
+            (2.0**63, (0, 0)),
+            (1, (0.0, 2.0**70)),
+            (1, (10**400, 0)),
+            (1, (np.uint64(2**63), 0)),
+        ],
+        ids=[
+            "indices-past-int64",
+            "scale-past-int64",
+            "scale-one-past-int64",
+            "index-one-below-int64",
+            "integral-float-scale",
+            "integral-float-index",
+            "index-past-double",
+            "numpy-unsigned-index",
+        ],
+    )
+    def test_keys_past_int64_refused(self, key):
+        # check_grid admits no grid with a scale or an index past int64, so
+        # no such key names a tuple: it is refused before any row is formed.
+        with pytest.raises(ValueError, match=re.escape(f"key {key} lies past int64")):
+            CoefficientMap({(1, (0, 0)): 0.5, key: 1.0})
+
+    @pytest.mark.parametrize(
+        "key, named",
+        [
+            ((2**63 - 1, (0, 0)), (2**63 - 1, (0, 0))),
+            ((-(2**63), (0, 0)), (-(2**63), (0, 0))),
+            ((1, (-(2**63), 2**63 - 1)), (1, (-(2**63), 2**63 - 1))),
+            ((1.0, (0.0, 2**63 - 1)), (1, (0, 2**63 - 1))),
+        ],
+        ids=["top-scale", "bottom-scale", "both-index-bounds", "beside-floats"],
+    )
+    def test_keys_at_the_int64_bounds_are_named_exactly(self, key, named):
+        # Keys mixed with floats are read one by one, never through a double.
+        fs = random_cell_functions(np.random.default_rng(6), 1, 2)
+        cm = CoefficientMap({(1, (0, 0)): 0.5, key: 1.0})
+        with pytest.raises(ValueError, match=re.escape(f"key {named} names no")):
+            eval_dyadic_form(fs, cm, 2)
+
+    def test_a_map_is_its_rows(self):
+        # No key list and no lookup, whether the map was built from keys or from rows.
+        fs = random_cell_functions(np.random.default_rng(4), 1, 2)
+        for cm in (CoefficientMap({(1, (0, 0)): 0.5}), sign_optimal_coefficients(fs, 2)):
+            assert not hasattr(cm, "value")
+            assert set(vars(cm)) == {"_rows", "_widths", "_values"}
+
+    def test_only_its_own_methods_set_its_fields(self):
+        src = Path(dyadic.__file__).parent
+        trees = {f.name: ast.parse(f.read_text(encoding="utf-8")) for f in src.glob("*.py")}
+        (cls,) = (
+            node for node in ast.walk(trees["dyadic.py"])
+            if isinstance(node, ast.ClassDef) and node.name == "CoefficientMap"
+        )
+
+        def stores(tree):
+            # Attributes any assignment stores to: plain, augmented, annotated or a loop's.
+            return [
+                node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            ]
+
+        own = stores(cls)
+        fields = {leaf.attr for leaf in own}
+        assert fields == {"_rows", "_widths", "_values"}
+        assert all(isinstance(leaf.value, ast.Name) and leaf.value.id == "self" for leaf in own)
+        for name, tree in trees.items():
+            stray = [
+                leaf.lineno for leaf in stores(tree)
+                if leaf.attr in fields and leaf not in own
+            ]
+            assert not stray, f"{name} sets a CoefficientMap field at lines {stray}"
 
     def test_magnitude_bound_enforced(self):
         with pytest.raises(ValueError):
@@ -210,6 +289,17 @@ class TestEvalDyadicForm:
             eps = sign_optimal_coefficients(fs, L)
             assert eval_dyadic_form(fs, eps, L) == eval_dyadic_sup(fs, L)
 
+    def test_sign_optimal_map_read_at_fewer_scales_gives_the_sup_there(self):
+        # The map holds rows for scales 1..m; read at m' <= m, the rows
+        # above m' are truncated away and the rest still attain the sup.
+        rng = np.random.default_rng(7)
+        for n, L in [(1, 16), (2, 8), (3, 4)]:
+            fs = random_cell_functions(rng, n, L)
+            for m in range(1, L + 1):
+                eps = sign_optimal_coefficients(fs, m)
+                for fewer in range(1, m + 1):
+                    assert eval_dyadic_form(fs, eps, fewer) == eval_dyadic_sup(fs, fewer)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
@@ -220,7 +310,7 @@ class TestEvalDyadicForm:
                 entries[(scale, tup.indices)] = float(rng.uniform(-1, 1))
         cm = CoefficientMap(entries)
         assert eval_dyadic_form(fs, cm, 2) == pytest.approx(
-            brute_form(fs, cm, 2), abs=1e-12
+            brute_form(fs, entries, 2), abs=1e-12
         )
 
     def test_form_bounded_by_sup(self):
@@ -252,8 +342,6 @@ class TestEvalDyadicForm:
             (1, (0, 9, 9)),
             (0, (0, 0, 0)),
             (4, (0, 0, 0)),
-            (1, (2**70, 2**70, 0)),
-            (2**70, (0, 0, 0)),
             (1, (-1, -1, 0)),
         ],
         ids=[
@@ -262,8 +350,6 @@ class TestEvalDyadicForm:
             "outside-grid",
             "scale-0",
             "scale-above-L",
-            "indices-past-int64",
-            "scale-past-int64",
             "negative-indices",
         ],
     )

@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -775,6 +776,54 @@ class TestGrowthSweep:
         exps = HoelderExponents.geometric(3)
         with pytest.raises(ValueError, match="degree"):
             growth_sweep("continuous", 3, [1.0], exps)
+
+    @pytest.mark.parametrize(
+        "model, settings, message",
+        [
+            ("dyadic", {"side_exponent": 10**8}, "needs 2 * 2^100000000 cells"),
+            ("continuous", {"spacing": 1e-6}, "cells per axis"),
+        ],
+    )
+    def test_grid_refused_before_any_abscissa_is_read(self, model, settings, message):
+        # A range of 10^8 abscissae would exhaust memory if it were listed.
+        class Unreadable:
+            def __iter__(self):
+                raise AssertionError("an abscissa was read")
+
+        exps = HoelderExponents.geometric(1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            growth_sweep(model, 1, Unreadable(), exps, seeds=(0,), **settings)
+
+    @pytest.mark.parametrize(
+        "head, message",
+        [([1, 2, 3, 4], "scale_count"), ([1, 1, 2, 3], "must be distinct")],
+        ids=["one-past-the-scales", "repeated"],
+    )
+    def test_dyadic_sweep_reads_at_most_one_abscissa_past_its_scales(self, head, message):
+        # At L = 3 three scale counts are valid, so of any four read one is
+        # invalid or repeated, and the rest of the iterable is never read.
+        def abscissae():
+            yield from head
+            raise AssertionError("a fifth abscissa was read")
+
+        exps = HoelderExponents.geometric(1)
+        with pytest.raises(ValueError, match=message):
+            growth_sweep("dyadic", 1, abscissae(), exps, seeds=(0,), side_exponent=3)
+
+    @pytest.mark.parametrize("octave", [1024.0, 1100.0, 1e6])
+    def test_octave_past_the_double_range_refused(self, octave):
+        # 2.0**octave overflows past octave 1023.
+        exps = HoelderExponents.geometric(1)
+        with pytest.raises(ValueError, match=re.escape(f"octave {octave!r} is past 1023")):
+            growth_sweep("continuous", 1, [octave], exps, seeds=(0,), max_iter=1)
+
+    @pytest.mark.parametrize("base_radius", [1.0, 2.0, 0.5, 1e-300, 5e-324, 1e300, 1.7e308])
+    def test_library_refuses_octaves_where_the_cli_range_ends(self, base_radius):
+        # The CLI bounds --octaves by the same top octave (test_cli checks its value).
+        top = harness.top_octave(base_radius)
+        exps = HoelderExponents.geometric(1)
+        with pytest.raises(ValueError, match=re.escape(f"octave {top + 0.5!r} is past {top}")):
+            growth_sweep("continuous", 1, [top + 0.5], exps, base_radius=base_radius)
 
 
 class TestFitExponent:
