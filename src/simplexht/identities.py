@@ -8,6 +8,16 @@ dilated Fourier symbols over scales to an endpoint difference, the
 polynomial identity at its core, and single-scale Hölder inequalities
 that are uniform in the scale.  Each check here recomputes one of these
 facts numerically and reports the discrepancy.
+
+The polynomial identity and its integral over scales (the FTC check) run
+on arrays of cases: the suite's 2,000 polynomial samples in one pass per
+xi count, and its 20 scale integrals in one adaptive_simpson_many call.
+A one-sample call, poly_identity_terms or check_ftc, is the same path on
+one case.  Every symbol product still takes libm's exp per element and
+C pow for each square, because numpy's SIMD exp and power loops round
+some arguments differently on some CPUs, and the suite prints its
+discrepancies to the last bit; the Gaussian at t alpha eta stays
+gaussian (np.exp), whose bits on an array are its bits on one number.
 """
 
 from __future__ import annotations
@@ -21,7 +31,6 @@ import numpy as np
 from .continuous import (
     DilationParams,
     TruncationRange,
-    adaptive_simpson,
     adaptive_simpson_many,
     gaussian,
     gaussian_deriv,
@@ -58,12 +67,74 @@ class FrequencyPoint:
         object.__setattr__(self, "xis", vals)
 
 
-def _check_lengths(point: FrequencyPoint, params: DilationParams) -> None:
-    if len(point.xis) != len(params.alphas):
+class _Cases(NamedTuple):
+    """Cases of one xi count as arrays, one row per case.
+
+    eta and alpha have shape (K,), xis and alphas (K, count): the fields
+    of K frequency points and of their dilation parameters but t.
+    """
+
+    eta: np.ndarray
+    xis: np.ndarray
+    alpha: np.ndarray
+    alphas: np.ndarray
+
+    def take(self, rows: np.ndarray) -> _Cases:
+        return _Cases(*(field[rows] for field in self))
+
+
+def _check_positive(name: str, values: np.ndarray) -> None:
+    bad = ~((values > 0.0) & (values < math.inf))
+    if bad.any():
+        raise ValueError(f"{name} must be positive and finite, got {float(values[bad][0])!r}")
+
+
+def _cases(eta, xis, alpha, alphas) -> _Cases:
+    """Cases as arrays, checked once per array.
+
+    The checks are FrequencyPoint's and DilationParams' (t aside) and the
+    match of the xi and alpha counts.
+    """
+    cases = _Cases(*(np.asarray(v, dtype=np.float64) for v in (eta, xis, alpha, alphas)))
+    if not np.isfinite(cases.eta).all():
+        raise ValueError("eta must be finite")
+    if cases.xis.shape[-1] == 0:
+        raise ValueError("need at least one xi component")
+    if not np.isfinite(cases.xis).all():
+        raise ValueError("all xi components must be finite")
+    _check_positive("alpha", cases.alpha)
+    _check_positive("alphas", cases.alphas)
+    if cases.xis.shape != cases.alphas.shape:
         raise ValueError(
-            f"frequency point carries {len(point.xis)} xi components but the "
-            f"dilation parameters carry {len(params.alphas)}"
+            f"frequency point carries {cases.xis.shape[-1]} xi components but the "
+            f"dilation parameters carry {cases.alphas.shape[-1]}"
         )
+    return cases
+
+
+def _one_case(point: FrequencyPoint, params: DilationParams) -> _Cases:
+    return _cases([point.eta], [point.xis], [params.alpha], [params.alphas])
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """The C library's exp per element, as math.exp takes it.
+
+    np.exp's SIMD loops differ from it in the last bit for some arguments
+    on some CPUs, which would move the printed discrepancies.
+    """
+    return np.array(list(map(math.exp, x.ravel().tolist()))).reshape(x.shape)
+
+
+def _quadratic(cases: _Cases) -> np.ndarray:
+    """The quadratic form Q of GtProduct, per case, summed in the order of j.
+
+    float_power calls the C library's pow, as ** on a Python float does;
+    ** on an array may take a SIMD pow that differs in the last bit.
+    """
+    q = np.float_power(cases.alpha * cases.eta, 2.0)
+    for a, xi in zip(cases.alphas.T, cases.xis.T):
+        q += a * a * (xi * xi + np.float_power(xi + cases.eta, 2.0))
+    return q
 
 
 @dataclass(frozen=True)
@@ -76,11 +147,7 @@ class GtProduct:
     """
 
     def quadratic(self, point: FrequencyPoint, params: DilationParams) -> float:
-        _check_lengths(point, params)
-        q = (params.alpha * point.eta) ** 2
-        for a, xi in zip(params.alphas, point.xis):
-            q += a * a * (xi * xi + (xi + point.eta) ** 2)
-        return q
+        return float(_quadratic(_one_case(point, params))[0])
 
     def __call__(
         self, t: float, point: FrequencyPoint, params: DilationParams
@@ -90,28 +157,38 @@ class GtProduct:
         return math.exp(-math.pi * t * t * self.quadratic(point, params))
 
 
-def _hat_h_pair(a: float, b: float) -> float:
+def _hat_h_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of the derivative symbols at a and b: (2 pi i a g)(2 pi i b g)."""
-    return -4.0 * math.pi**2 * a * b * math.exp(-math.pi * (a * a + b * b))
+    return -4.0 * math.pi**2 * a * b * _exp(-math.pi * (a * a + b * b))
 
 
-def _combined_integrand(
-    t: float, point: FrequencyPoint, alpha: float, alphas: tuple[float, ...]
-) -> float:
-    """Left-hand integrand of the scale-telescoping identity at scale t."""
-    eta = point.eta
+def _combined_integrand(t: np.ndarray, cases: _Cases) -> np.ndarray:
+    """Left-hand integrand of the scale-telescoping identity at scales t.
+
+    The last axis of t runs over the cases.  Every sum and product runs in
+    the order of j, and math.prod starts at 1 and sum at 0, so each case
+    gets the bits of its own evaluation.
+    """
+    eta = cases.eta
     gg = [
-        math.exp(-math.pi * (t * a) ** 2 * (xi * xi + (xi + eta) ** 2))
-        for a, xi in zip(alphas, point.xis)
+        _exp(-math.pi * np.float_power(t * a, 2.0) * (xi * xi + np.float_power(xi + eta, 2.0)))
+        for a, xi in zip(cases.alphas.T, cases.xis.T)
     ]
-    ratio = 1.0 + sum(a * a for a in alphas) / (alpha * alpha)
-    u = t * alpha * eta * _SQRT_HALF
+    ratio = 1.0 + sum(a * a for a in cases.alphas.T) / (cases.alpha * cases.alpha)
+    u = t * cases.alpha * eta * _SQRT_HALF
     total = ratio * _hat_h_pair(u, -u) * math.prod(gg)
-    g_eta = gaussian(t * alpha * eta)
-    for j, (a, xi) in enumerate(zip(alphas, point.xis)):
+    g_eta = gaussian(t * cases.alpha * eta)
+    for j, (a, xi) in enumerate(zip(cases.alphas.T, cases.xis.T)):
         rest = math.prod(gg[i] for i in range(len(gg)) if i != j)
         total += g_eta * _hat_h_pair(t * a * xi, -t * a * (xi + eta)) * rest
     return total
+
+
+def _poly_sides(t: np.ndarray, cases: _Cases) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the polynomial identity at the scale t of each case."""
+    q = _quadratic(cases)
+    rhs = 2.0 * math.pi**2 * t * t * q * _exp(-math.pi * t * t * q)
+    return _combined_integrand(t, cases), rhs
 
 
 def poly_identity_terms(
@@ -125,12 +202,8 @@ def poly_identity_terms(
     """
     if params.t is None:
         raise ValueError("the polynomial identity is checked at a fixed t")
-    _check_lengths(point, params)
-    t = params.t
-    lhs = _combined_integrand(t, point, params.alpha, params.alphas)
-    q = GtProduct().quadratic(point, params)
-    rhs = 2.0 * math.pi**2 * t * t * q * math.exp(-math.pi * t * t * q)
-    return lhs, rhs
+    lhs, rhs = _poly_sides(np.array([params.t]), _one_case(point, params))
+    return float(lhs[0]), float(rhs[0])
 
 
 def check_poly_identity(point: FrequencyPoint, params: DilationParams) -> float:
@@ -139,9 +212,49 @@ def check_poly_identity(point: FrequencyPoint, params: DilationParams) -> float:
     return abs(lhs - rhs)
 
 
-def relative_discrepancy(lhs: float, rhs: float) -> float:
-    """|lhs - rhs| over the larger magnitude, with an underflow floor."""
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _UNDERFLOW_FLOOR)
+def relative_discrepancy(lhs, rhs):
+    """|lhs - rhs| over the larger magnitude, with an underflow floor.
+
+    lhs and rhs are floats or arrays of one shape.
+    """
+    return np.abs(lhs - rhs) / np.maximum(
+        np.maximum(np.abs(lhs), np.abs(rhs)), _UNDERFLOW_FLOOR
+    )
+
+
+def _ftc_discrepancies(
+    groups: Sequence[_Cases], trunc: TruncationRange, tol: float
+) -> list[np.ndarray]:
+    """check_ftc on every case of every group: one array per group.
+
+    The integrals of all cases run in one adaptive_simpson_many call, and
+    each keeps the tree, and so the bits, it would have alone.
+    """
+    sizes = [len(cases.eta) for cases in groups]
+    starts = np.cumsum([0] + sizes)
+    group_of = np.repeat(np.arange(len(groups)), sizes)
+
+    def integrand(v: np.ndarray, which: np.ndarray) -> np.ndarray:
+        t = _exp(v)
+        out = np.empty(v.shape)
+        for g, cases in enumerate(groups):
+            cols = np.flatnonzero(group_of[which] == g)
+            rows = cases.take(which[cols] - starts[g])
+            out[:, cols] = _combined_integrand(t[:, cols], rows)
+        return out
+
+    a = np.full(starts[-1], math.log(trunc.r))
+    b = np.full(starts[-1], math.log(trunc.R))
+    lhs = adaptive_simpson_many(integrand, a, b, tol)
+    discrepancies = []
+    for g, cases in enumerate(groups):
+        # pi times the difference of GtProduct at the endpoint scales.
+        q = _quadratic(cases)
+        rhs = math.pi * (
+            _exp(-math.pi * trunc.r * trunc.r * q) - _exp(-math.pi * trunc.R * trunc.R * q)
+        )
+        discrepancies.append(np.abs(lhs[starts[g] : starts[g + 1]] - rhs))
+    return discrepancies
 
 
 def check_ftc(
@@ -158,23 +271,8 @@ def check_ftc(
     """
     if params.t is not None:
         raise ValueError("the scale is the integration variable; pass t=None")
-    _check_lengths(point, params)
-    g_product = GtProduct()
-    rhs = math.pi * (
-        g_product(trunc.r, point, params) - g_product(trunc.R, point, params)
-    )
-    if trunc.r == trunc.R:
-        return abs(rhs)
-    lhs = adaptive_simpson(
-        lambda s: [
-            _combined_integrand(math.exp(v), point, params.alpha, params.alphas)
-            for v in s.tolist()
-        ],
-        math.log(trunc.r),
-        math.log(trunc.R),
-        tol,
-    )
-    return abs(lhs - rhs)
+    [discrepancy] = _ftc_discrepancies([_one_case(point, params)], trunc, tol)
+    return float(discrepancy[0])
 
 
 def _points(x) -> np.ndarray:
@@ -449,11 +547,37 @@ def check_single_scale(
     )
 
 
-def _random_point(rng, count: int, span: float) -> FrequencyPoint:
-    return FrequencyPoint(
-        eta=float(rng.uniform(-span, span)),
-        xis=tuple(float(v) for v in rng.uniform(-span, span, size=count)),
-    )
+def _random_cases(rng, samples: int, span: float, lo: float, hi: float, t_range=None):
+    """Draw cases one at a time and group them by their xi count 1..3.
+
+    Per case: the count, then eta and the xis in one call, then t if
+    t_range is given, then alpha and the alphas in one call.  A call of
+    size 1 + count draws the values a scalar call and a call of size count
+    would, and leaves the stream where they would.  The draws fill rows of
+    arrays made up front.  Returns one (cases, t or None) pair per count
+    drawn, each checked once.
+    """
+    counts = np.empty(samples, dtype=np.intp)
+    # A row holds 1 + count values, count at most 3.
+    frequencies, dilations = np.empty((samples, 4)), np.empty((samples, 4))
+    scales = np.empty(samples)
+    for i in range(samples):
+        count = int(rng.integers(1, 4))
+        counts[i] = count
+        frequencies[i, : 1 + count] = rng.uniform(-span, span, size=1 + count)
+        if t_range is not None:
+            scales[i] = rng.uniform(*t_range)
+        dilations[i, : 1 + count] = rng.uniform(lo, hi, size=1 + count)
+    groups = []
+    for count in sorted(set(counts.tolist())):
+        rows = counts == count
+        freq, dil = frequencies[rows, : 1 + count], dilations[rows, : 1 + count]
+        t = None
+        if t_range is not None:
+            t = scales[rows]
+            _check_positive("t", t)
+        groups.append((_cases(freq[:, 0], freq[:, 1:], dil[:, 0], dil[:, 1:]), t))
+    return groups
 
 
 def _random_params(rng, count: int, lo: float, hi: float, t=None) -> DilationParams:
@@ -507,28 +631,22 @@ def run_analytic_suite(seed: int = 0) -> list[dict]:
     dom_excess = max(0.0, float(np.max(ratios)) - DOMINATION_RATIO_BOUND)
     report.append(_report("domination", len(dom_xs), dom_excess, 1e-6))
 
-    poly_worst = 0.0
     poly_samples = 2000
-    for _ in range(poly_samples):
-        count = int(rng.integers(1, 4))
-        point = _random_point(rng, count, span=10.0)
-        params = _random_params(
-            rng, count, 0.5, 10.0, t=float(rng.uniform(0.1, 10.0))
-        )
-        poly_worst = max(
-            poly_worst, relative_discrepancy(*poly_identity_terms(point, params))
-        )
+    poly_worst = max(
+        float(np.max(relative_discrepancy(*_poly_sides(t, cases))))
+        for cases, t in _random_cases(rng, poly_samples, 10.0, 0.5, 10.0, (0.1, 10.0))
+    )
     report.append(_report("poly_identity", poly_samples, poly_worst, 1e-12))
 
-    trunc = TruncationRange(0.5, 8.0)
-    ftc_cases = []
-    for _ in range(20):
-        count = int(rng.integers(1, 4))
-        point = _random_point(rng, count, span=2.0)
-        params = _random_params(rng, count, _SQRT_HALF, 4.0)
-        ftc_cases.append((point, params))
-    ftc_worst = max(check_ftc(point, params, trunc) for point, params in ftc_cases)
-    report.append(_report("ftc", len(ftc_cases), ftc_worst, 1e-8))
+    ftc_samples = 20
+    ftc_groups = [
+        cases for cases, _ in _random_cases(rng, ftc_samples, 2.0, _SQRT_HALF, 4.0)
+    ]
+    ftc_worst = max(
+        float(np.max(d))
+        for d in _ftc_discrepancies(ftc_groups, TruncationRange(0.5, 8.0), 1e-10)
+    )
+    report.append(_report("ftc", ftc_samples, ftc_worst, 1e-8))
 
     scale_excess = 0.0
     scale_samples = 0

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written in plain nested-loop Python over
 unit cells and pointwise haar_eval calls, as a plain recursion over
-scalars, or as discrete convolutions of sampled Gaussians on one fine
-grid, so it shares no code path with the engines it checks.
+scalars, as scalar formulas evaluated one sample at a time, or as
+discrete convolutions of sampled Gaussians on one fine grid, so it shares
+no code path with the engines it checks.
 The engines hold each XOR-zero tuple as a row of integer indices; the
 oracles hold it as an IntervalTuple of DyadicInterval objects, a model of
 its own that imports nothing from simplexht but the CellFunction value type.
@@ -333,6 +334,44 @@ def brute_telescoping_discrepancy(n: int, k: int, l: int, L: int, rows) -> int:
     return worst
 
 
+def endpoint_kernel(m: int, signs) -> np.ndarray:
+    """The n=2 endpoint kernel K_eps on one x_0 row, at m scales.
+
+    K_eps(x_1, x_2) sums 2^{-l} eps_{l,b} s_l(x_1) s_l(x_2) over the scales
+    l = 1..m at which x_1 and x_2 lie in one scale-l block b, where
+    s_l(x) is +1 on the block's left half and -1 on its right.  signs[l-1]
+    holds eps_{l,b} for the 2^{m-l} blocks b of scale l.  Every entry is a
+    sum of at most m signed powers of two, so it is exact.
+    """
+    x = np.arange(1 << m)
+    kernel = np.zeros((1 << m, 1 << m))
+    for l in range(1, m + 1):
+        same = (x[:, None] >> l) == (x[None, :] >> l)
+        half = 1 - 2 * ((x >> (l - 1)) & 1)
+        eps = np.asarray(signs[l - 1], dtype=np.float64)[x >> l]
+        kernel += np.where(same, 2.0**-l * eps[:, None] * half[:, None] * half[None, :], 0.0)
+    return kernel
+
+
+def alternating_signs(m: int) -> list[np.ndarray]:
+    """eps_{l,b} = (-1)^l on every block of every scale l = 1..m."""
+    return [np.full(1 << (m - l), (-1.0) ** l) for l in range(1, m + 1)]
+
+
+def endpoint_tuple(m: int) -> list[CellFunction]:
+    """The explicit n=2 tuple at p = (inf, 2, 2) with L = m.
+
+    F_0(x_1, x_2) is the sign of K_eps for eps_{l,b} = (-1)^l, so its sup
+    norm is 1; F_1(x_0, x_2) and F_2(x_0, x_1) are the constant 2^{-m/2} on
+    the row x_0 = 0 and zero elsewhere, so each has unit l^2 norm.
+    """
+    side = 1 << m
+    row = np.zeros((side, side))
+    row[0] = 2.0 ** (-m / 2.0)
+    f0 = np.sign(endpoint_kernel(m, alternating_signs(m)))
+    return [CellFunction(2, m, f0), CellFunction(2, m, row), CellFunction(2, m, row)]
+
+
 def random_cell_functions(rng, n: int, L: int, count: int | None = None):
     side = 1 << L
     count = n + 1 if count is None else count
@@ -489,6 +528,50 @@ def brute_adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
     fa, fm, fb = f(a), f(mid), f(b)
     whole = simpson(a, mid, b, fa, fm, fb)
     return float(recurse(a, mid, b, fa, fm, fb, whole, tol, 48))
+
+
+def scalar_quadratic(eta: float, xis, alpha: float, alphas) -> float:
+    """The quadratic form alpha^2 eta^2 + sum_j alpha_j^2 (xi_j^2 + (xi_j+eta)^2)."""
+    q = (alpha * eta) ** 2
+    for a, xi in zip(alphas, xis):
+        q += a * a * (xi * xi + (xi + eta) ** 2)
+    return q
+
+
+def scalar_hat_h_pair(a: float, b: float) -> float:
+    """Product of the derivative symbols at a and b: (2 pi i a g)(2 pi i b g)."""
+    return -4.0 * math.pi**2 * a * b * math.exp(-math.pi * (a * a + b * b))
+
+
+def scalar_combined_integrand(t: float, eta: float, xis, alpha: float, alphas) -> float:
+    """Left-hand integrand of the scale-telescoping identity at one scale t.
+
+    One scalar at a time, with math.exp for every symbol product but the
+    Gaussian at t alpha eta, which is e^{-pi x^2} through np.exp.
+    """
+    gg = [
+        math.exp(-math.pi * (t * a) ** 2 * (xi * xi + (xi + eta) ** 2))
+        for a, xi in zip(alphas, xis)
+    ]
+    ratio = 1.0 + sum(a * a for a in alphas) / (alpha * alpha)
+    u = t * alpha * eta * 2.0**-0.5
+    total = ratio * scalar_hat_h_pair(u, -u) * math.prod(gg)
+    g_eta = np.exp(-np.pi * np.square(t * alpha * eta))
+    for j, (a, xi) in enumerate(zip(alphas, xis)):
+        rest = math.prod(gg[i] for i in range(len(gg)) if i != j)
+        total += g_eta * scalar_hat_h_pair(t * a * xi, -t * a * (xi + eta)) * rest
+    return total
+
+
+def scalar_poly_sides(t: float, eta: float, xis, alpha: float, alphas) -> tuple[float, float]:
+    """Both sides of the polynomial identity at one sample.
+
+    Left: the combined integrand.  Right: 2 pi^2 t^2 Q exp(-pi t^2 Q).
+    """
+    lhs = scalar_combined_integrand(t, eta, xis, alpha, alphas)
+    q = scalar_quadratic(eta, xis, alpha, alphas)
+    rhs = 2.0 * math.pi**2 * t * t * q * math.exp(-math.pi * t * t * q)
+    return float(lhs), float(rhs)
 
 
 def brute_phi_l1(r: float, R: float, tol: float = 1e-10) -> float:

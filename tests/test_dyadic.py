@@ -41,6 +41,9 @@ from helpers import (
     brute_sup,
     brute_sup_gradient,
     brute_telescoping_discrepancy,
+    alternating_signs,
+    endpoint_kernel,
+    endpoint_tuple,
     enumerate_tuples,
     random_cell_functions,
 )
@@ -447,6 +450,41 @@ class TestEvalDyadicSup:
             )
             for contribution in scale_contributions(list(fs), L):
                 assert contribution <= 2.0 + 1e-9
+
+
+def endpoint_value(m: int) -> Fraction:
+    """(6m + 2 - 2(-1/2)^m) / 9, the explicit endpoint tuple's value."""
+    return (6 * m + 2 - 2 * Fraction(-1, 2) ** m) / 9
+
+
+class TestEndpointAnchor:
+    """An exact n=2 anchor at p = (inf, 2, 2): a tuple whose value grows linearly in m."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_sup_of_the_explicit_tuple(self, m):
+        value = eval_dyadic_sup(endpoint_tuple(m), m)
+        assert value == pytest.approx(float(endpoint_value(m)), rel=1e-13)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_every_row_sum_is_the_closed_form(self, m):
+        # Each |K| entry is a dyadic rational, so the row sums are exact.
+        sums = np.abs(endpoint_kernel(m, alternating_signs(m))).sum(axis=1)
+        assert {Fraction(s) for s in sums.tolist()} == {endpoint_value(m)}
+
+    @pytest.mark.parametrize("m, best", [(1, 1.0), (2, 1.5), (3, 2.25)])
+    def test_enumerated_signs_reach_the_closed_form(self, m, best):
+        # Every block-sign pattern with eps_{1,0} = +1 (a global sign flip
+        # leaves |K| unchanged): 1, 4 and 64 patterns.
+        blocks = [1 << (m - l) for l in range(1, m + 1)]
+        largest = []
+        for free in itertools.product((1.0, -1.0), repeat=sum(blocks) - 1):
+            flat = (1.0,) + free
+            starts = np.cumsum([0] + blocks)
+            signs = [flat[a:b] for a, b in zip(starts, starts[1:])]
+            largest.append(np.linalg.eigvalsh(np.abs(endpoint_kernel(m, signs)))[-1])
+        assert len(largest) == 2 ** (2**m - 2)
+        assert max(largest) == pytest.approx(best, abs=1e-12)
+        assert float(endpoint_value(m)) == best
 
 
 class TestSymmetries:

@@ -30,12 +30,17 @@ from simplexht.identities import (
     poly_identity_terms,
     relative_discrepancy,
     run_analytic_suite,
-    _combined_integrand,
 )
 
 from simplexht import continuous, identities
 
-from helpers import brute_adaptive_simpson, brute_single_scale
+from helpers import (
+    brute_adaptive_simpson,
+    brute_single_scale,
+    scalar_combined_integrand,
+    scalar_poly_sides,
+    scalar_quadratic,
+)
 
 
 def random_point_and_params(rng, span=10.0, lo=0.5, hi=10.0, with_t=True):
@@ -155,6 +160,45 @@ class TestPolyIdentity:
             )
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_sides_match_scalar_oracle(self, count):
+        # 7,000 draws over the suite's ranges, then eta = 0, all-zero
+        # frequencies, and a t alpha at which both sides underflow.
+        rng = np.random.default_rng(100 + count)
+        size = 7000
+        eta = rng.uniform(-10.0, 10.0, size)
+        xis = rng.uniform(-10.0, 10.0, (size, count))
+        t = rng.uniform(0.1, 10.0, size)
+        alpha = rng.uniform(0.5, 10.0, size)
+        alphas = rng.uniform(0.5, 10.0, (size, count))
+        for e, x, scale in ((0.0, 1.5, 1.0), (0.0, 0.0, 1.0), (10.0, 10.0, 10.0)):
+            eta = np.append(eta, e)
+            xis = np.vstack([xis, np.full(count, x)])
+            t = np.append(t, scale)
+            alpha = np.append(alpha, scale)
+            alphas = np.vstack([alphas, np.full(count, scale)])
+        lhs, rhs = identities._poly_sides(
+            t, identities._cases(eta, xis, alpha, alphas)
+        )
+        expected = [
+            scalar_poly_sides(*sample)
+            for sample in zip(
+                t.tolist(), eta.tolist(), xis.tolist(), alpha.tolist(), alphas.tolist()
+            )
+        ]
+        assert [(a.hex(), b.hex()) for a, b in zip(lhs.tolist(), rhs.tolist())] == [
+            (a.hex(), b.hex()) for a, b in expected
+        ]
+        assert max(abs(lhs[-1]), abs(rhs[-1])) < identities._UNDERFLOW_FLOOR
+        # The one-sample call is the same path.
+        for i in (0, 1, size, size + 1, size + 2):
+            point = FrequencyPoint(eta=float(eta[i]), xis=tuple(xis[i].tolist()))
+            params = DilationParams(
+                t=float(t[i]), alpha=float(alpha[i]), alphas=tuple(alphas[i].tolist())
+            )
+            got = poly_identity_terms(point, params)
+            assert [v.hex() for v in got] == [v.hex() for v in expected[i]]
+
     def test_all_zero_frequencies(self):
         point = FrequencyPoint(eta=0.0, xis=(0.0, 0.0))
         params = DilationParams(t=1.0, alpha=1.0, alphas=(1.0, 1.0))
@@ -210,15 +254,16 @@ class TestFtc:
         point, params = random_point_and_params(rng, span=2.0, with_t=False)
         trunc = TruncationRange(0.5, 8.0)
         lhs = brute_adaptive_simpson(
-            lambda s: _combined_integrand(
-                math.exp(s), point, params.alpha, params.alphas
+            lambda s: scalar_combined_integrand(
+                math.exp(s), point.eta, point.xis, params.alpha, params.alphas
             ),
             math.log(trunc.r),
             math.log(trunc.R),
         )
-        g_product = GtProduct()
+        q = scalar_quadratic(point.eta, point.xis, params.alpha, params.alphas)
         rhs = math.pi * (
-            g_product(trunc.r, point, params) - g_product(trunc.R, point, params)
+            math.exp(-math.pi * trunc.r * trunc.r * q)
+            - math.exp(-math.pi * trunc.R * trunc.R * q)
         )
         assert check_ftc(point, params, trunc).hex() == abs(lhs - rhs).hex()
 
@@ -682,6 +727,44 @@ class TestAnalyticSuite:
         # the largest of its 201 ratios, captured with the report above.
         xs = np.arange(-10.0, 10.0 + 1e-9, 0.1)
         assert float(np.max(check_domination(xs))).hex() == "0x1.3eea7496dc218p+3"
+
+    def test_ftc_is_one_quadrature_per_pass(self, monkeypatch):
+        sizes = []
+        original = identities.adaptive_simpson_many
+
+        def counted(f, a, b, *args, **kwargs):
+            sizes.append(np.size(a))
+            return original(f, a, b, *args, **kwargs)
+
+        monkeypatch.setattr(identities, "adaptive_simpson_many", counted)
+        run_analytic_suite(0)
+        # The domination grid's 201 integrals, then the 20 FTC cases.
+        assert sizes == [201, 20]
+
+    def test_ftc_cases_match_one_case_calls(self, monkeypatch):
+        batches = []
+        original = identities._ftc_discrepancies
+
+        def recorded(groups, trunc, tol):
+            result = original(groups, trunc, tol)
+            batches.append((groups, trunc, tol, result))
+            return result
+
+        monkeypatch.setattr(identities, "_ftc_discrepancies", recorded)
+        run_analytic_suite(0)
+        groups, trunc, tol, result = batches[0]
+        assert sum(len(cases.eta) for cases in groups) == 20
+        for cases, batched in zip(groups, result):
+            for i, entry in enumerate(batched.tolist()):
+                point = FrequencyPoint(
+                    eta=float(cases.eta[i]), xis=tuple(cases.xis[i].tolist())
+                )
+                params = DilationParams(
+                    t=None,
+                    alpha=float(cases.alpha[i]),
+                    alphas=tuple(cases.alphas[i].tolist()),
+                )
+                assert check_ftc(point, params, trunc, tol).hex() == entry.hex()
 
     def test_domination_is_one_call_per_pass(self, monkeypatch):
         calls = []
