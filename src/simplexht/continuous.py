@@ -267,36 +267,27 @@ def phi_l1(trunc: TruncationRange, tol: float = 1e-10) -> float:
 class QuadratureSpec:
     """Quadrature controls for the continuous evaluations.
 
-    spacing replaces the functions' own as the smooth form's x-spacing (at
-    most r/8) on |x| <= (n+1)A, the profile's support; nodes_per_octave
-    controls the log-uniform t and annulus nodes.
+    nodes_per_octave controls the log-uniform t and annulus nodes.
     """
 
-    spacing: float | None = None
     nodes_per_octave: int = 32
 
     def __post_init__(self) -> None:
-        if self.spacing is not None and not self.spacing > 0.0:
-            raise ValueError("spacing must be positive when given")
         if self.nodes_per_octave < 1:
             raise ValueError("nodes_per_octave must be >= 1")
 
 
 @dataclass(frozen=True)
 class DilationParams:
-    """Dilation parameters (t, alpha, alpha_k..alpha_n) of the Gaussian factors.
+    """Dilation factors (alpha, alpha_k..alpha_n) of the Gaussian factors.
 
-    t may be None for uses where t is an integration variable rather than
-    a fixed dilation.
+    The scale t is an argument of each call that takes one.
     """
 
-    t: float | None
     alpha: float
     alphas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.t is not None and not 0.0 < self.t < math.inf:
-            raise ValueError(f"t must be positive and finite or None, got {self.t!r}")
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
         vals = tuple(float(a) for a in self.alphas)
@@ -605,14 +596,15 @@ def eval_smooth_form(
     Pairs the profile with the mollified kernel (g(x/R) - g(x/r))/x, which
     equals minus the log-uniform t-average of the dilated Gaussian
     derivative over [r, R]; the t-integral uses log-uniform midpoint nodes
-    and the x-integral a uniform midpoint grid fine enough to resolve the
-    narrowest kernel.
+    and the x-integral a uniform midpoint grid on |x| <= (n+1)A, the
+    profile's support, at the functions' spacing or r/8, whichever is
+    finer, so it resolves the narrowest kernel.
     """
     n, A, delta, _ = _common_grid(functions)
     if trunc.r == trunc.R:
         return 0.0
     half = (n + 1) * A
-    dx = min(quad.spacing if quad.spacing is not None else delta, trunc.r / 8.0)
+    dx = min(delta, trunc.r / 8.0)
     count = math.ceil(2.0 * half / dx)
     check_cells(
         count * _node_count(trunc, quad.nodes_per_octave),

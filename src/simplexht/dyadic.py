@@ -574,14 +574,10 @@ def _telescoping_dtype(n: int, k: int) -> np.dtype:
 
     One tuple owns each block, so |lhs| and |rhs| are at most 2^{n-k+2}
     on every cell of verify_dyadic_telescoping, and their difference at
-    most 2^{n-k+3}.  That is int8 for every size `verify` admits.
+    most 2^{n-k+3}.  That is int8 for every size `verify` admits.  A
+    signed type holds 2^e exactly when it holds -2^e - 1.
     """
-    bound = 1 << (n - k + 3)
-    return next(
-        np.dtype(t)
-        for t in (np.int8, np.int16, np.int32, np.int64)
-        if np.iinfo(t).max >= bound
-    )
+    return np.min_scalar_type(-(1 << (n - k + 3)) - 1)
 
 
 def verify_dyadic_telescoping(n: int, k: int, l: int, L: int) -> int:

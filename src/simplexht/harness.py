@@ -1,8 +1,9 @@
 """Alternating maximization, norm-growth sweeps, exponent fits, and records.
 
-The growth experiments drive both evaluation engines through one loop: seed
-random functions, normalize each slot, then cycle Hoelder-extremal slot
-updates until the objective stalls.  Freezing the optimal signs makes the
+The growth experiments drive both evaluation engines through one loop: draw
+one random tuple from the seed (a zero slot is refused), normalize each
+slot, then cycle Hoelder-extremal slot updates until the relative step of
+the value falls to tol or the cycle cap is reached.  Freezing the optimal signs makes the
 objective linear in any single slot, so each update solves its slot
 subproblem exactly and the value trace is nondecreasing after the first
 full cycle.  Trace values are read off the slot-0 kernel as
@@ -56,7 +57,6 @@ MODEL_SETTINGS = {
     "continuous": {"base_radius": 1.0, "half_extent": 4.0, "spacing": 0.25},
 }
 MODELS = tuple(MODEL_SETTINGS)
-_RESEED_ATTEMPTS = 5
 _BUMPS_PER_SLOT = 3
 
 
@@ -264,15 +264,17 @@ def alternating_maximize(
 ) -> MaximizeResult:
     """Maximize a multilinear objective by exact slot-wise updates.
 
-    The loop holds each slot's plain array and its wrap.  Starting from
-    seeded random arrays scaled to unit L^{p_i} norm, each cycle replaces
-    every slot in turn by the Hoelder-extremal array of its frozen-sign
-    kernel.  The per-cycle value trace (including the initial value) is
-    nondecreasing after the first full cycle; each value is
-    sum(kernel_0 * F_0), the objective's slot-0 linear form.  Slots whose
-    kernel vanishes identically are kept and the result is flagged
-    stagnated; an all-zero initial slot triggers a reseed.  The result's
-    functions are the last wraps themselves.
+    The loop holds each slot's plain array and its wrap.  It starts from
+    one draw, form.initial(default_rng(seed)), each slot scaled to unit
+    L^{p_i} norm; a zero slot is refused.  Each cycle replaces every slot
+    in turn by the Hoelder-extremal array of its frozen-sign kernel and
+    appends one value, sum(kernel_0 * F_0), to the trace, which opens with
+    the initial value; so iterations == len(trace) - 1, and the trace is
+    nondecreasing after the first full cycle.  The one early exit is the
+    relative step |S_new - S_old| <= tol * max(1, |S_new|); otherwise the
+    loop runs max_iter cycles.  Slots whose kernel vanishes identically
+    are kept and the result is flagged stagnated.  The result's functions
+    are the last wraps themselves.
 
     form supplies slot_count, cell_measure (the measure of one array cell
     in the L^p norms), initial(rng) -> arrays, wrap(array) -> one typed
@@ -289,17 +291,10 @@ def alternating_maximize(
             f"form pairs {form.slot_count} functions but got "
             f"{len(exponents)} exponents"
         )
-    rng = np.random.default_rng(seed)
-    values = None
-    for _ in range(_RESEED_ATTEMPTS):
-        candidate = form.initial(rng)
-        if all(np.any(v) for v in candidate):
-            values = candidate
-            break
-    if values is None:
-        raise ValueError(
-            f"seeding produced a zero slot {_RESEED_ATTEMPTS} times in a row"
-        )
+    values = form.initial(np.random.default_rng(seed))
+    for slot, v in enumerate(values):
+        if not np.any(v):
+            raise ValueError(f"the initial draw for seed {seed} has a zero slot {slot}")
     values = [
         v / array_lp_norm(v, p, form.cell_measure) for v, p in zip(values, exponents)
     ]
@@ -310,9 +305,7 @@ def alternating_maximize(
     kern = form.kernel(functions, 0)
     trace = [float(np.sum(kern * values[0]))]
     stagnated = False
-    cycles = 0
     for _ in range(max_iter):
-        updated_any = False
         for slot in range(form.slot_count):
             if slot:
                 kern = form.kernel(functions, slot)
@@ -323,18 +316,14 @@ def alternating_maximize(
             norm = array_lp_norm(candidate, exponents[slot], form.cell_measure)
             values[slot] = candidate / norm
             functions[slot] = form.wrap(values[slot])
-            updated_any = True
-        cycles += 1
         kern = form.kernel(functions, 0)
         trace.append(float(np.sum(kern * values[0])))
-        if not updated_any:
-            break
         if abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
             break
     return MaximizeResult(
         functions=tuple(functions),
         trace=tuple(trace),
-        iterations=cycles,
+        iterations=len(trace) - 1,
         stagnated=stagnated,
     )
 

@@ -71,7 +71,7 @@ class _Cases(NamedTuple):
     """Cases of one xi count as arrays, one row per case.
 
     eta and alpha have shape (K,), xis and alphas (K, count): the fields
-    of K frequency points and of their dilation parameters but t.
+    of K frequency points and of their dilation parameters.
     """
 
     eta: np.ndarray
@@ -83,7 +83,9 @@ class _Cases(NamedTuple):
         return _Cases(*(field[rows] for field in self))
 
 
-def _check_positive(name: str, values: np.ndarray) -> None:
+def _check_positive(name: str, values) -> None:
+    """Refuse a value, or any entry of an array, that is not positive and finite."""
+    values = np.asarray(values, dtype=np.float64)
     bad = ~((values > 0.0) & (values < math.inf))
     if bad.any():
         raise ValueError(f"{name} must be positive and finite, got {float(values[bad][0])!r}")
@@ -92,8 +94,8 @@ def _check_positive(name: str, values: np.ndarray) -> None:
 def _cases(eta, xis, alpha, alphas) -> _Cases:
     """Cases as arrays, checked once per array.
 
-    The checks are FrequencyPoint's and DilationParams' (t aside) and the
-    match of the xi and alpha counts.
+    The checks are FrequencyPoint's and DilationParams' and the match of
+    the xi and alpha counts.
     """
     cases = _Cases(*(np.asarray(v, dtype=np.float64) for v in (eta, xis, alpha, alphas)))
     if not np.isfinite(cases.eta).all():
@@ -152,8 +154,7 @@ class GtProduct:
     def __call__(
         self, t: float, point: FrequencyPoint, params: DilationParams
     ) -> float:
-        if not t > 0.0:
-            raise ValueError(f"scale must be positive, got {t!r}")
+        _check_positive("scale t", t)
         return math.exp(-math.pi * t * t * self.quadratic(point, params))
 
 
@@ -192,23 +193,24 @@ def _poly_sides(t: np.ndarray, cases: _Cases) -> tuple[np.ndarray, np.ndarray]:
 
 
 def poly_identity_terms(
-    point: FrequencyPoint, params: DilationParams
+    t: float, point: FrequencyPoint, params: DilationParams
 ) -> tuple[float, float]:
     """Both sides of the polynomial core of the telescoping identity.
 
     Left: the combined integrand assembled from the individual Fourier
     symbols.  Right: -pi t (d/dt) of the Gaussian symbol product, i.e.
-    2 pi^2 t^2 Q exp(-pi t^2 Q).
+    2 pi^2 t^2 Q exp(-pi t^2 Q), at the scale t.
     """
-    if params.t is None:
-        raise ValueError("the polynomial identity is checked at a fixed t")
-    lhs, rhs = _poly_sides(np.array([params.t]), _one_case(point, params))
+    _check_positive("scale t", t)
+    lhs, rhs = _poly_sides(np.array([t], dtype=np.float64), _one_case(point, params))
     return float(lhs[0]), float(rhs[0])
 
 
-def check_poly_identity(point: FrequencyPoint, params: DilationParams) -> float:
+def check_poly_identity(
+    t: float, point: FrequencyPoint, params: DilationParams
+) -> float:
     """Absolute discrepancy between the two sides of the polynomial identity."""
-    lhs, rhs = poly_identity_terms(point, params)
+    lhs, rhs = poly_identity_terms(t, point, params)
     return abs(lhs - rhs)
 
 
@@ -269,8 +271,6 @@ def check_ftc(
     adaptive quadrature) and compares against pi times the difference of
     the Gaussian symbol products at the two endpoint scales.
     """
-    if params.t is not None:
-        raise ValueError("the scale is the integration variable; pass t=None")
     [discrepancy] = _ftc_discrepancies([_one_case(point, params)], trunc, tol)
     return float(discrepancy[0])
 
@@ -521,8 +521,7 @@ def check_single_scale(
             f"the split-at-{k} form pairs exactly {k} functions, "
             f"got {len(functions)}"
         )
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"scale t must be positive and finite, got {t!r}")
+    _check_positive("scale t", t)
     if len(params.alphas) != n - k + 1:
         raise ValueError(
             f"expected {n - k + 1} trailing dilation factors, "
@@ -575,14 +574,13 @@ def _random_cases(rng, samples: int, span: float, lo: float, hi: float, t_range=
         t = None
         if t_range is not None:
             t = scales[rows]
-            _check_positive("t", t)
+            _check_positive("scale t", t)
         groups.append((_cases(freq[:, 0], freq[:, 1:], dil[:, 0], dil[:, 1:]), t))
     return groups
 
 
-def _random_params(rng, count: int, lo: float, hi: float, t=None) -> DilationParams:
+def _random_params(rng, count: int, lo: float, hi: float) -> DilationParams:
     return DilationParams(
-        t=t,
         alpha=float(rng.uniform(lo, hi)),
         alphas=tuple(float(v) for v in rng.uniform(lo, hi, size=count)),
     )

@@ -73,12 +73,12 @@ def random_frequency_sample(rng, span, lo, hi, with_t):
         eta=float(rng.uniform(-span, span)),
         xis=tuple(float(v) for v in rng.uniform(-span, span, size=count)),
     )
+    t = float(rng.uniform(0.1, 10.0)) if with_t else None
     params = DilationParams(
-        t=float(rng.uniform(0.1, 10.0)) if with_t else None,
         alpha=float(rng.uniform(lo, hi)),
         alphas=tuple(float(v) for v in rng.uniform(lo, hi, size=count)),
     )
-    return point, params
+    return t, point, params
 
 
 def gaussian_bump_tuple(rng, n=2, half_extent=4.0, spacing=0.125):
@@ -127,10 +127,10 @@ def test_criterion_03_polynomial_identity():
     start = time.monotonic()
     worst = 0.0
     for _ in range(10_000):
-        point, params = random_frequency_sample(
+        t, point, params = random_frequency_sample(
             rng, span=10.0, lo=0.5, hi=10.0, with_t=True
         )
-        worst = max(worst, relative_discrepancy(*poly_identity_terms(point, params)))
+        worst = max(worst, relative_discrepancy(*poly_identity_terms(t, point, params)))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-12 and elapsed < 5.0
     report(
@@ -147,7 +147,7 @@ def test_criterion_04_scale_integral_identity():
     start = time.monotonic()
     worst = 0.0
     for _ in range(100):
-        point, params = random_frequency_sample(
+        _, point, params = random_frequency_sample(
             rng, span=2.0, lo=2.0**-0.5, hi=4.0, with_t=False
         )
         worst = max(worst, check_ftc(point, params, trunc))
@@ -241,7 +241,6 @@ def test_criterion_08_single_scale_uniformity():
                 )
                 functions.append(SeparableGaussian(factors).normalized(exponent))
             params = DilationParams(
-                t=None,
                 alpha=float(rng.uniform(2.0**-0.5, 4.0)),
                 alphas=tuple(
                     float(v) for v in rng.uniform(2.0**-0.5, 4.0, size=n - k + 1)

@@ -439,58 +439,43 @@ class TestPhiL1:
 class TestQuadratureSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
-        assert spec.spacing is None
         assert spec.nodes_per_octave == 32
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"spacing": -1.0},
-            {"nodes_per_octave": 0},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"nodes_per_octave": 0}])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
 
 
 class TestDilationParams:
-    def test_t_may_be_none(self):
-        params = DilationParams(t=None, alpha=1.0, alphas=(1.0, 2.0))
-        assert params.t is None
-
-    def test_rejects_nonpositive_t(self):
-        with pytest.raises(ValueError):
-            DilationParams(t=0.0, alpha=1.0, alphas=(1.0,))
-
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
-            DilationParams(t=1.0, alpha=-2.0, alphas=(1.0,))
+            DilationParams(alpha=-2.0, alphas=(1.0,))
         with pytest.raises(ValueError):
-            DilationParams(t=1.0, alpha=1.0, alphas=(1.0, 0.0))
+            DilationParams(alpha=1.0, alphas=(1.0, 0.0))
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
-    @pytest.mark.parametrize("field", ["t", "alpha", "alphas"])
+    @pytest.mark.parametrize("field", ["alpha", "alphas"])
     def test_rejects_non_finite(self, field, value):
-        fields = {"t": 1.0, "alpha": 1.0, "alphas": (1.0, 2.0)}
+        fields = {"alpha": 1.0, "alphas": (1.0, 2.0)}
         fields[field] = (1.0, value) if field == "alphas" else value
         with pytest.raises(ValueError, match=f"^{field} must"):
             DilationParams(**fields)
 
     def test_in_proof_range_threshold(self):
         # two trailing factors (n=2, k=1): threshold 2^{-1} = 0.5
-        good = DilationParams(t=None, alpha=0.6, alphas=(0.5, 0.7))
+        good = DilationParams(alpha=0.6, alphas=(0.5, 0.7))
         assert good.in_proof_range(2, 1)
-        bad = DilationParams(t=None, alpha=0.6, alphas=(0.49, 0.7))
+        bad = DilationParams(alpha=0.6, alphas=(0.49, 0.7))
         assert not bad.in_proof_range(2, 1)
 
     def test_in_proof_range_checks_count(self):
-        params = DilationParams(t=None, alpha=1.0, alphas=(1.0,))
+        params = DilationParams(alpha=1.0, alphas=(1.0,))
         with pytest.raises(ValueError):
             params.in_proof_range(2, 1)
 
     def test_in_proof_range_checks_split(self):
-        params = DilationParams(t=None, alpha=1.0, alphas=(1.0,))
+        params = DilationParams(alpha=1.0, alphas=(1.0,))
         with pytest.raises(ValueError):
             params.in_proof_range(1, 2)
 
@@ -599,11 +584,11 @@ class TestSmoothForm:
         rng = np.random.default_rng(5)
         fs = random_bump_tuple(rng, 1, spacing=0.25)
         trunc = TruncationRange(0.5, 4.0)
-        quad = QuadratureSpec(nodes_per_octave=256, spacing=trunc.r / 16.0)
-        value = eval_smooth_form(fs, trunc, quad)
+        value = eval_smooth_form(fs, trunc, QuadratureSpec(nodes_per_octave=256))
 
+        # The form's own x-grid: the functions' spacing or r/8, the finer.
         half = 2 * 4.0
-        dx = trunc.r / 16.0
+        dx = min(0.25, trunc.r / 8.0)
         count = math.ceil(2 * half / dx)
         dx = 2 * half / count
         xs = -half + (np.arange(count) + 0.5) * dx

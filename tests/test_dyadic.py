@@ -486,6 +486,44 @@ class TestEndpointAnchor:
         assert max(largest) == pytest.approx(best, abs=1e-12)
         assert float(endpoint_value(m)) == best
 
+    @pytest.mark.parametrize("L, m", [(L, m) for L in range(1, 5) for m in range(1, L + 1)])
+    def test_one_row_bounds_the_sup(self, L, m):
+        """S(F) <= |F_1|_2 |F_2|_2 max over x_0 of S(F_0, u, v) on random tuples.
+
+        u and v are F_1 and F_2 kept on the row x_0 only and normalized
+        there; rows where either is zero are skipped.  It is a theorem:
+        - F_1(x_0, x_2) and F_2(x_0, x_1) read x_0 on their first axis and
+          F_0 does not read it, so each pairing is the sum over x_0 of its
+          row terms, the pairing with F_1 and F_2 kept on the row x_0;
+        - the triangle inequality bounds S(F) by the sum over x_0 of the
+          row sups S(F_0, F_1|x_0, F_2|x_0);
+        - S is homogeneous in each slot, so a row sup is a b S(F_0, u, v),
+          with a and b the l^2 norms of the two rows (0 if either is 0);
+        - by Cauchy-Schwarz the sum over x_0 of a b is at most
+          |F_1|_2 |F_2|_2, since the squared row norms of F_i sum to
+          |F_i|_2^2.
+        So the test cannot flake; the 1e-12 covers rounding only.
+        """
+        rng = np.random.default_rng(10 * L + m)
+        side = 1 << L
+        for trial in range(40):
+            fs = [rng.standard_normal((side, side)) for _ in range(3)]
+            if trial % 3:
+                fs[trial % 3][rng.integers(side)] = 0.0
+            whole = eval_dyadic_sup([CellFunction(2, L, f) for f in fs], m)
+            largest = 0.0
+            for x0 in range(side):
+                norms = [np.linalg.norm(f[x0]) for f in fs[1:]]
+                if min(norms) == 0.0:
+                    continue
+                rows = [np.zeros((side, side)) for _ in range(2)]
+                for row, f, norm in zip(rows, fs[1:], norms):
+                    row[x0] = f[x0] / norm
+                tuple_ = [CellFunction(2, L, f) for f in [fs[0]] + rows]
+                largest = max(largest, eval_dyadic_sup(tuple_, m))
+            bound = np.linalg.norm(fs[1]) * np.linalg.norm(fs[2]) * largest
+            assert whole <= (1.0 + 1e-12) * bound
+
 
 class TestSymmetries:
     """Exact symmetries of the dyadic sup, checked on scale_contributions.

@@ -239,20 +239,20 @@ class StagnantForm(DyadicSupForm):
         return np.zeros(functions[slot].values.shape)
 
 
-class ZeroSeedingForm(DyadicSupForm):
-    """Dyadic form whose first seeding attempts come back identically zero."""
+class ZeroSlotForm(DyadicSupForm):
+    """Dyadic form whose draws come back identically zero in the given slots."""
 
-    def __init__(self, n, side_exponent, scale_count, zero_draws):
+    def __init__(self, n, side_exponent, scale_count, zero_slots):
         super().__init__(n, side_exponent, scale_count)
-        self.zero_draws = zero_draws
+        self.zero_slots = zero_slots
         self.draws = 0
 
     def initial(self, rng):
         self.draws += 1
-        if self.draws <= self.zero_draws:
-            shape = (2**self.side_exponent,) * self.n
-            return [np.zeros(shape) for _ in range(self.slot_count)]
-        return super().initial(rng)
+        values = super().initial(rng)
+        for slot in self.zero_slots:
+            values[slot] = np.zeros_like(values[slot])
+        return values
 
 
 class WarmStartForm(DyadicSupForm):
@@ -379,19 +379,44 @@ class TestAlternatingMaximize:
         assert res.iterations == 1
         assert res.trace == (res.trace[0],) * 2
 
-    def test_zero_initial_functions_trigger_reseed(self):
-        form = ZeroSeedingForm(1, 2, 1, zero_draws=2)
-        exps = HoelderExponents.geometric(1)
-        res = alternating_maximize(form, exps, max_iter=10, seed=0)
-        assert form.draws == 3
-        assert res.trace[-1] > 0
-        assert not res.stagnated
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_zero_slot_refused_on_the_first_draw(self, slot):
+        form = ZeroSlotForm(2, 2, 1, zero_slots=(slot,))
+        exps = HoelderExponents.geometric(2)
+        with pytest.raises(ValueError, match=f"seed 3 has a zero slot {slot}$"):
+            alternating_maximize(form, exps, seed=3)
+        assert form.draws == 1
 
     def test_hopeless_seeding_raises(self):
-        form = ZeroSeedingForm(1, 2, 1, zero_draws=100)
+        form = ZeroSlotForm(1, 2, 1, zero_slots=(0, 1))
         exps = HoelderExponents.geometric(1)
         with pytest.raises(ValueError, match="zero slot"):
             alternating_maximize(form, exps, seed=0)
+
+    @pytest.mark.parametrize(
+        "form",
+        [DyadicSupForm(2, 3, 3), ContinuousTruncatedForm(1, TruncationRange(0.5, 4.0))],
+        ids=["dyadic", "continuous"],
+    )
+    def test_stops_on_the_relative_step_or_at_the_cap(self, form):
+        exps = HoelderExponents.geometric(form.n)
+        ends = set()
+        for seed, max_iter, tol in itertools.product(range(3), (3, 30), (1e-3, 1e-9)):
+            res = alternating_maximize(form, exps, max_iter=max_iter, tol=tol, seed=seed)
+            assert res.iterations == len(res.trace) - 1
+            met = [
+                abs(new - old) <= tol * max(1.0, abs(new))
+                for old, new in zip(res.trace, res.trace[1:])
+            ]
+            # The loop leaves on the first step that meets the rule, or at the cap.
+            assert not any(met[:-1])
+            if res.iterations < max_iter:
+                assert met[-1]
+                ends.add("tol")
+            else:
+                assert res.iterations == max_iter
+                ends.add("cap")
+        assert ends == {"tol", "cap"}
 
     def test_exponent_count_must_match_slots(self):
         form = DyadicSupForm(2, 2, 1)

@@ -44,17 +44,18 @@ from helpers import (
 
 
 def random_point_and_params(rng, span=10.0, lo=0.5, hi=10.0, with_t=True):
+    """(t, point, params): t is drawn after the point, or is None without with_t."""
     count = int(rng.integers(1, 4))
     point = FrequencyPoint(
         eta=float(rng.uniform(-span, span)),
         xis=tuple(float(v) for v in rng.uniform(-span, span, size=count)),
     )
+    t = float(rng.uniform(0.1, 10.0)) if with_t else None
     params = DilationParams(
-        t=float(rng.uniform(0.1, 10.0)) if with_t else None,
         alpha=float(rng.uniform(lo, hi)),
         alphas=tuple(float(v) for v in rng.uniform(lo, hi, size=count)),
     )
-    return point, params
+    return t, point, params
 
 
 def single_scale_draws(n, k):
@@ -75,7 +76,6 @@ def single_scale_draws(n, k):
             )
             functions.append(SeparableGaussian(factors).normalized(exponent))
         params = DilationParams(
-            t=None,
             alpha=float(rng.uniform(2.0**-0.5, 4.0)),
             alphas=tuple(
                 float(v) for v in rng.uniform(2.0**-0.5, 4.0, size=n - k + 1)
@@ -108,7 +108,7 @@ class TestGtProduct:
         rng = np.random.default_rng(0)
         g_product = GtProduct()
         for _ in range(100):
-            point, params = random_point_and_params(
+            _, point, params = random_point_and_params(
                 rng, span=2.0, lo=0.5, hi=2.0, with_t=False
             )
             assert g_product(float(rng.uniform(0.05, 0.5)), point, params) > 0.0
@@ -116,7 +116,7 @@ class TestGtProduct:
     def test_decays_in_t_for_nonzero_point(self):
         g_product = GtProduct()
         point = FrequencyPoint(eta=1.0, xis=(0.5,))
-        params = DilationParams(t=None, alpha=1.0, alphas=(1.0,))
+        params = DilationParams(alpha=1.0, alphas=(1.0,))
         values = [g_product(t, point, params) for t in (0.5, 1.0, 2.0, 8.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-10
@@ -126,7 +126,7 @@ class TestGtProduct:
         rng = np.random.default_rng(1)
         g_product = GtProduct()
         for _ in range(200):
-            point, params = random_point_and_params(rng, span=4.0, with_t=False)
+            _, point, params = random_point_and_params(rng, span=4.0, with_t=False)
             j = int(rng.integers(0, len(point.xis)))
             xis = list(point.xis)
             xis[j] = -xis[j] - point.eta
@@ -138,13 +138,13 @@ class TestGtProduct:
 
     def test_rejects_nonpositive_t(self):
         point = FrequencyPoint(eta=1.0, xis=(1.0,))
-        params = DilationParams(t=None, alpha=1.0, alphas=(1.0,))
+        params = DilationParams(alpha=1.0, alphas=(1.0,))
         with pytest.raises(ValueError):
             GtProduct()(0.0, point, params)
 
     def test_rejects_length_mismatch(self):
         point = FrequencyPoint(eta=1.0, xis=(1.0, 2.0))
-        params = DilationParams(t=None, alpha=1.0, alphas=(1.0,))
+        params = DilationParams(alpha=1.0, alphas=(1.0,))
         with pytest.raises(ValueError):
             GtProduct().quadratic(point, params)
 
@@ -154,9 +154,9 @@ class TestPolyIdentity:
         rng = np.random.default_rng(2)
         worst = 0.0
         for _ in range(10_000):
-            point, params = random_point_and_params(rng)
+            t, point, params = random_point_and_params(rng)
             worst = max(
-                worst, relative_discrepancy(*poly_identity_terms(point, params))
+                worst, relative_discrepancy(*poly_identity_terms(t, point, params))
             )
         assert worst <= 1e-12
 
@@ -194,25 +194,25 @@ class TestPolyIdentity:
         for i in (0, 1, size, size + 1, size + 2):
             point = FrequencyPoint(eta=float(eta[i]), xis=tuple(xis[i].tolist()))
             params = DilationParams(
-                t=float(t[i]), alpha=float(alpha[i]), alphas=tuple(alphas[i].tolist())
+                alpha=float(alpha[i]), alphas=tuple(alphas[i].tolist())
             )
-            got = poly_identity_terms(point, params)
+            got = poly_identity_terms(float(t[i]), point, params)
             assert [v.hex() for v in got] == [v.hex() for v in expected[i]]
 
     def test_all_zero_frequencies(self):
         point = FrequencyPoint(eta=0.0, xis=(0.0, 0.0))
-        params = DilationParams(t=1.0, alpha=1.0, alphas=(1.0, 1.0))
-        lhs, rhs = poly_identity_terms(point, params)
+        params = DilationParams(alpha=1.0, alphas=(1.0, 1.0))
+        lhs, rhs = poly_identity_terms(1.0, point, params)
         assert lhs == 0.0
         assert rhs == 0.0
-        assert check_poly_identity(point, params) == 0.0
+        assert check_poly_identity(1.0, point, params) == 0.0
 
     def test_zero_eta_collapse(self):
         # with eta = 0 both sides reduce to the same weighted sum of squares
         point = FrequencyPoint(eta=0.0, xis=(0.7, -1.3))
-        params = DilationParams(t=0.8, alpha=2.0, alphas=(1.5, 0.6))
-        lhs, rhs = poly_identity_terms(point, params)
-        t = params.t
+        t = 0.8
+        params = DilationParams(alpha=2.0, alphas=(1.5, 0.6))
+        lhs, rhs = poly_identity_terms(t, point, params)
         weight = math.exp(
             -2.0
             * math.pi
@@ -229,11 +229,13 @@ class TestPolyIdentity:
         assert math.isclose(lhs, expected, rel_tol=1e-13)
         assert math.isclose(rhs, expected, rel_tol=1e-13)
 
-    def test_requires_t(self):
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    def test_one_check_of_the_scale(self, t):
         point = FrequencyPoint(eta=1.0, xis=(1.0,))
-        params = DilationParams(t=None, alpha=1.0, alphas=(1.0,))
-        with pytest.raises(ValueError):
-            check_poly_identity(point, params)
+        params = DilationParams(alpha=1.0, alphas=(1.0,))
+        for call in (poly_identity_terms, check_poly_identity, GtProduct()):
+            with pytest.raises(ValueError, match="^scale t must be positive"):
+                call(t, point, params)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -244,14 +246,14 @@ class TestPolyIdentity:
     )
     def test_exact_property(self, eta, xi, alpha, t):
         point = FrequencyPoint(eta=eta, xis=(xi,))
-        params = DilationParams(t=t, alpha=alpha, alphas=(alpha,))
-        assert relative_discrepancy(*poly_identity_terms(point, params)) <= 1e-12
+        params = DilationParams(alpha=alpha, alphas=(alpha,))
+        assert relative_discrepancy(*poly_identity_terms(t, point, params)) <= 1e-12
 
 
 class TestFtc:
     def test_matches_scalar_recursion(self):
         rng = np.random.default_rng(5)
-        point, params = random_point_and_params(rng, span=2.0, with_t=False)
+        _, point, params = random_point_and_params(rng, span=2.0, with_t=False)
         trunc = TruncationRange(0.5, 8.0)
         lhs = brute_adaptive_simpson(
             lambda s: scalar_combined_integrand(
@@ -271,24 +273,24 @@ class TestFtc:
         rng = np.random.default_rng(3)
         trunc = TruncationRange(0.5, 8.0)
         for _ in range(20):
-            point, params = random_point_and_params(
+            _, point, params = random_point_and_params(
                 rng, span=2.0, lo=2.0**-0.5, hi=4.0, with_t=False
             )
             assert check_ftc(point, params, trunc) <= 1e-8
 
     def test_equal_radii(self):
         point = FrequencyPoint(eta=1.0, xis=(0.5,))
-        params = DilationParams(t=None, alpha=1.0, alphas=(1.0,))
+        params = DilationParams(alpha=1.0, alphas=(1.0,))
         assert check_ftc(point, params, TruncationRange(2.0, 2.0)) == 0.0
 
     def test_zero_frequencies(self):
         point = FrequencyPoint(eta=0.0, xis=(0.0,))
-        params = DilationParams(t=None, alpha=1.0, alphas=(1.0,))
+        params = DilationParams(alpha=1.0, alphas=(1.0,))
         assert check_ftc(point, params, TruncationRange(0.5, 8.0)) < 1e-15
 
     def test_refinement_reduces_discrepancy(self):
         point = FrequencyPoint(eta=1.2, xis=(-0.4, 0.9))
-        params = DilationParams(t=None, alpha=1.0, alphas=(0.8, 1.4))
+        params = DilationParams(alpha=1.0, alphas=(0.8, 1.4))
         trunc = TruncationRange(0.1, 50.0)
         floor = 1e-12
         discrepancies = [
@@ -297,12 +299,6 @@ class TestFtc:
         ]
         for coarse, fine in zip(discrepancies, discrepancies[1:]):
             assert max(fine, floor) <= max(coarse / 2.0, floor)
-
-    def test_rejects_fixed_t(self):
-        point = FrequencyPoint(eta=1.0, xis=(1.0,))
-        params = DilationParams(t=1.0, alpha=1.0, alphas=(1.0,))
-        with pytest.raises(ValueError):
-            check_ftc(point, params, TruncationRange(0.5, 8.0))
 
 
 def scalar_domination(x: float) -> float:
@@ -544,7 +540,7 @@ class TestSingleScale:
         amp, center, width = 1.3, 0.4, 0.9
         f = SeparableGaussian((Gaussian1D(amp, center, width),))
         t, a1 = 0.7, 1.1
-        params = DilationParams(t=None, alpha=1.0, alphas=(a1,))
+        params = DilationParams(alpha=1.0, alphas=(a1,))
         result = check_single_scale([f], 1, t, params)
         s = t * a1
         expected = amp**2 * width**2 / (math.sqrt(2.0) * math.hypot(width, s))
@@ -575,13 +571,13 @@ class TestSingleScale:
 
     def test_bound_nearly_attained_at_small_scale(self):
         f = SeparableGaussian((Gaussian1D(1.0, 0.0, 1.0),))
-        params = DilationParams(t=None, alpha=1.0, alphas=(1.0,))
+        params = DilationParams(alpha=1.0, alphas=(1.0,))
         result = check_single_scale([f], 1, 0.01, params)
         assert result.value / result.bound > 0.99
 
     def test_zero_amplitude(self):
         f = SeparableGaussian((Gaussian1D(0.0, 0.0, 1.0),))
-        params = DilationParams(t=None, alpha=1.0, alphas=(1.0,))
+        params = DilationParams(alpha=1.0, alphas=(1.0,))
         result = check_single_scale([f], 1, 1.0, params)
         assert result.value == 0.0
         assert result.bound == 0.0
@@ -602,9 +598,7 @@ class TestSingleScale:
                 for _ in range(n)
             )
             functions.append(SeparableGaussian(factors))
-        params = DilationParams(
-            t=None, alpha=1.0, alphas=(1.0,) * (n - k + 1)
-        )
+        params = DilationParams(alpha=1.0, alphas=(1.0,) * (n - k + 1))
         base = check_single_scale(functions, k, 1.0, params)
         scaled_first = SeparableGaussian(
             (
@@ -624,38 +618,38 @@ class TestSingleScale:
         assert math.isclose(scaled.bound, factor * base.bound, rel_tol=1e-9)
 
     def test_rejects_non_separable(self):
-        params = DilationParams(t=None, alpha=1.0, alphas=(1.0,))
+        params = DilationParams(alpha=1.0, alphas=(1.0,))
         with pytest.raises(TypeError):
             check_single_scale([lambda x: x], 1, 1.0, params)
 
     def test_rejects_high_dimension(self):
         f = SeparableGaussian((Gaussian1D(1.0, 0.0, 1.0),) * 3)
-        params = DilationParams(t=None, alpha=1.0, alphas=(1.0,))
+        params = DilationParams(alpha=1.0, alphas=(1.0,))
         with pytest.raises(ValueError):
             check_single_scale([f, f, f], 3, 1.0, params)
 
     def test_rejects_wrong_function_count(self):
         f = SeparableGaussian((Gaussian1D(1.0, 0.0, 1.0),) * 2)
-        params = DilationParams(t=None, alpha=1.0, alphas=(1.0,))
+        params = DilationParams(alpha=1.0, alphas=(1.0,))
         with pytest.raises(ValueError):
             check_single_scale([f], 2, 1.0, params)
 
     def test_rejects_wrong_alpha_count(self):
         f = SeparableGaussian((Gaussian1D(1.0, 0.0, 1.0),) * 2)
-        params = DilationParams(t=None, alpha=1.0, alphas=(1.0, 1.0))
+        params = DilationParams(alpha=1.0, alphas=(1.0, 1.0))
         with pytest.raises(ValueError):
             check_single_scale([f, f], 2, 1.0, params)
 
     def test_rejects_nonpositive_scale(self):
         f = SeparableGaussian((Gaussian1D(1.0, 0.0, 1.0),))
-        params = DilationParams(t=None, alpha=1.0, alphas=(1.0,))
+        params = DilationParams(alpha=1.0, alphas=(1.0,))
         with pytest.raises(ValueError):
             check_single_scale([f], 1, 0.0, params)
 
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_rejects_non_finite_scale(self, t):
         f = SeparableGaussian((Gaussian1D(1.0, 0.0, 1.0),))
-        params = DilationParams(t=None, alpha=1.0, alphas=(1.0,))
+        params = DilationParams(alpha=1.0, alphas=(1.0,))
         with pytest.raises(ValueError, match="scale t must"):
             check_single_scale([f], 1, t, params)
 
@@ -760,7 +754,6 @@ class TestAnalyticSuite:
                     eta=float(cases.eta[i]), xis=tuple(cases.xis[i].tolist())
                 )
                 params = DilationParams(
-                    t=None,
                     alpha=float(cases.alpha[i]),
                     alphas=tuple(cases.alphas[i].tolist()),
                 )
