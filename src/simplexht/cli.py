@@ -36,6 +36,7 @@ from .core import MAX_VERIFY_DEGREE
 from .dyadic import PARITY_TRIALS, SUITE_DEGREES, SUITE_SIDES, admitted_sides, admitted_trials
 from .dyadic import check_grid, check_suite, eval_dyadic_sup, run_parity_trials
 from .dyadic import run_telescoping_suite
+from .harness import DEFAULT_MAX_ITER, DEFAULT_SEEDS, DEFAULT_TOL
 from .harness import (
     ContinuousTruncatedForm,
     DyadicSupForm,
@@ -89,16 +90,13 @@ def parse_range(text: str, integer: bool, bounds: Union[tuple, None] = None) -> 
 
 
 def parse_exponents(text: str) -> HoelderExponents:
-    parts = [p.strip() for p in text.split(",")]
+    """A comma list of exponents; float() reads inf in any case and spelling."""
     values = []
-    for p in parts:
-        if p.lower() in ("inf", "infinity"):
-            values.append(math.inf)
-        else:
-            try:
-                values.append(float(p))
-            except ValueError:
-                raise CliError(f"could not parse exponent {p!r}") from None
+    for p in text.split(","):
+        try:
+            values.append(float(p))
+        except ValueError:
+            raise CliError(f"could not parse exponent {p.strip()!r}") from None
     return HoelderExponents(tuple(values))
 
 
@@ -236,11 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--L", type=int, default=None, help="dyadic side exponent")
     top = core.MAX_CELLS // core.SEED_CELLS
-    sweep.add_argument("--seeds", type=int, default=5, help=f"seed count, 0..k-1, k <= {top}")
+    sweep.add_argument(
+        "--seeds", type=int, default=len(DEFAULT_SEEDS),
+        help=f"seed count k, seeds 0..k-1, k <= {top}; default %(default)s",
+    )
     sweep.add_argument("--out", required=True, help="output .csv or .json")
     sweep.add_argument("--exponents", default=None, help="comma list, inf allowed")
-    sweep.add_argument("--max-iter", type=int, default=40)
-    sweep.add_argument("--tol", type=float, default=1e-9)
+    sweep.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="default %(default)s")
+    sweep.add_argument("--tol", type=float, default=DEFAULT_TOL, help="default %(default)s")
     sweep.add_argument("--base-radius", type=float, help=f"default {_GRID['base_radius']}")
     sweep.add_argument("--half-extent", type=float, help=f"default {_GRID['half_extent']}")
     sweep.add_argument("--spacing", type=float, help=f"default {_GRID['spacing']}")
@@ -415,10 +416,17 @@ def _octave_bounds(base_radius: float) -> tuple:
     return (0, harness.top_octave(base_radius))
 
 
+def _check_out(path: Union[str, None]) -> None:
+    """Refuse, before any work, an --out in a missing directory or that is one."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise CliError(f"--out {path}: its directory does not exist")
+    if path is not None and Path(path).is_dir():
+        raise CliError(f"--out {path}: is a directory")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     records_format(args.out)
-    if not Path(args.out).parent.is_dir():
-        raise CliError(f"--out {args.out}: its directory does not exist")
+    _check_out(args.out)
     if args.seeds < 1:
         raise CliError("--seeds must be >= 1")
     top = core.MAX_CELLS // core.SEED_CELLS
@@ -458,8 +466,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    if args.out is not None and not Path(args.out).parent.is_dir():
-        raise CliError(f"--out {args.out}: its directory does not exist")
+    _check_out(args.out)
     text = json.dumps(asdict(fit_exponent(load_records(args.input))), sort_keys=True)
     print(text)
     if args.out is not None:
@@ -468,6 +475,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     records = load_records(args.input)
     try:
         fit = fit_exponent(records)

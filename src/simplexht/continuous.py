@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import GridSampledFunction, TruncationRange, check_cells
+from .core import GridSampledFunction, TruncationRange, cell_centers, check_cells
 from .core import MAX_CELLS_PER_AXIS, MAX_CONTINUOUS_DEGREE
 
 # Cells per slab of the lower-row axis (see _slabs): of 2**13 .. 2**20,
@@ -275,41 +275,6 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if self.nodes_per_octave < 1:
             raise ValueError("nodes_per_octave must be >= 1")
-
-
-@dataclass(frozen=True)
-class DilationParams:
-    """Dilation factors (alpha, alpha_k..alpha_n) of the Gaussian factors.
-
-    The scale t is an argument of each call that takes one.
-    """
-
-    alpha: float
-    alphas: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
-        vals = tuple(float(a) for a in self.alphas)
-        if any(not 0.0 < a < math.inf for a in vals):
-            raise ValueError(f"alphas must all be positive and finite, got {vals!r}")
-        object.__setattr__(self, "alphas", vals)
-
-    def in_proof_range(self, n: int, k: int) -> bool:
-        """Whether every factor meets the lower bound 2^{-(n-k+1)/2}.
-
-        The inductive estimates are stated for dilation factors at or above
-        this threshold; the count of trailing factors must be n - k + 1.
-        """
-        if not (1 <= k <= n):
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        if len(self.alphas) != n - k + 1:
-            raise ValueError(
-                f"expected {n - k + 1} trailing factors for n={n}, k={k}, "
-                f"got {len(self.alphas)}"
-            )
-        threshold = 2.0 ** (-(n - k + 1) / 2.0)
-        return self.alpha >= threshold and all(a >= threshold for a in self.alphas)
 
 
 def check_grid(n: int, cells_per_axis: int) -> None:
@@ -613,7 +578,7 @@ def eval_smooth_form(
     s, t_step = _log_midpoint_nodes(trunc, quad.nodes_per_octave)
     ts = np.exp(s)
     dx = 2.0 * half / count
-    x = -half + (np.arange(count) + 0.5) * dx
+    x = cell_centers(half, dx, count)
     profile = simplex_profile(functions, x)
     kernel = gaussian_deriv(x[:, None] / ts[None, :]) / ts[None, :]
     return -float(t_step * dx * np.sum(profile * kernel.sum(axis=1)))

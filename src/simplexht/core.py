@@ -132,8 +132,7 @@ class GridSampledFunction:
 
     def coordinates(self) -> np.ndarray:
         """Cell-center coordinates along one axis."""
-        j = np.arange(self.cells_per_axis, dtype=np.float64)
-        return -self.half_extent + (j + 0.5) * self.spacing
+        return cell_centers(self.half_extent, self.spacing, self.cells_per_axis)
 
     def with_samples(
         self, samples: np.ndarray, tail_threshold: Union[float, None, str] = "keep"
@@ -156,6 +155,11 @@ def grid_cells_per_axis(half_extent: float, spacing: float) -> int:
     if abs(count - cells) > 1e-9 or cells < 2:
         raise ValueError("spacing must divide 2 * half_extent into >= 2 cells")
     return cells
+
+
+def cell_centers(half_extent: float, spacing: float, cells: int) -> np.ndarray:
+    """Centres of the cells of width spacing that tile [-half_extent, half_extent]."""
+    return -half_extent + (np.arange(cells) + 0.5) * spacing
 
 
 def _boundary_max(arr: np.ndarray) -> float:

@@ -47,6 +47,7 @@ from .core import (
     HoelderExponents,
     TruncationRange,
     array_lp_norm,
+    cell_centers,
     grid_cells_per_axis,
 )
 from .dyadic import sup_gradient
@@ -57,6 +58,10 @@ MODEL_SETTINGS = {
     "continuous": {"base_radius": 1.0, "half_extent": 4.0, "spacing": 0.25},
 }
 MODELS = tuple(MODEL_SETTINGS)
+# The maximizer's cycle cap and step tolerance, and a sweep's seeds, unless given.
+DEFAULT_MAX_ITER = 40
+DEFAULT_TOL = 1e-9
+DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 _BUMPS_PER_SLOT = 3
 
 
@@ -162,15 +167,20 @@ class DyadicSupForm:
     cell_measure = 1.0
 
     def __init__(self, n: int, side_exponent: int, scale_count: int) -> None:
+        """scale_count is a whole number, an int or a float; a refusal names it as given."""
         dyadic.check_grid(n, side_exponent)
+        if isinstance(scale_count, bool) or not (
+            isinstance(scale_count, numbers.Real) and scale_count % 1 == 0
+        ):
+            raise ValueError(f"dyadic abscissae are scale counts, got {scale_count!r}")
         if not (1 <= scale_count <= side_exponent):
             raise ValueError(
                 f"scale_count must lie in 1..side_exponent={side_exponent}, "
-                f"got {scale_count}"
+                f"got {scale_count!r}"
             )
         self.n = n
         self.side_exponent = side_exponent
-        self.scale_count = scale_count
+        self.scale_count = int(scale_count)
 
     @property
     def slot_count(self) -> int:
@@ -219,8 +229,7 @@ class ContinuousTruncatedForm:
         return self.n + 1
 
     def initial(self, rng: np.random.Generator) -> list:
-        # GridSampledFunction.coordinates(), before any function exists.
-        coords = -self.half_extent + (np.arange(self.cells_per_axis) + 0.5) * self.spacing
+        coords = cell_centers(self.half_extent, self.spacing, self.cells_per_axis)
         mesh = np.meshgrid(*([coords] * self.n), indexing="ij")
         out = []
         for _ in range(self.slot_count):
@@ -258,8 +267,8 @@ def _holder_update(kernel: np.ndarray, p: float) -> np.ndarray:
 def alternating_maximize(
     form,
     exponents: HoelderExponents,
-    max_iter: int = 40,
-    tol: float = 1e-9,
+    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> MaximizeResult:
     """Maximize a multilinear objective by exact slot-wise updates.
@@ -328,8 +337,6 @@ def alternating_maximize(
     )
 
 
-DEFAULT_SEEDS = (0, 1, 2, 3, 4)
-
 
 def top_octave(base_radius: float) -> int:
     """The last whole octave at which R = base_radius * 2**octave is finite;
@@ -344,10 +351,7 @@ def top_octave(base_radius: float) -> int:
 
 def _sweep_form(model: str, n: int, abscissa: float, settings: Mapping[str, object]):
     if model == "dyadic":
-        scale_count = round(abscissa)
-        if abs(abscissa - scale_count) > 0:
-            raise ValueError(f"dyadic abscissae are scale counts, got {abscissa!r}")
-        return DyadicSupForm(n, settings["side_exponent"], scale_count)
+        return DyadicSupForm(n, settings["side_exponent"], abscissa)
     top = top_octave(settings["base_radius"])
     if abscissa > top:
         raise ValueError(f"octave {abscissa!r} is past {top}, the last with a finite R")
@@ -362,8 +366,8 @@ def growth_sweep(
     exponents: HoelderExponents,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     *,
-    max_iter: int = 40,
-    tol: float = 1e-9,
+    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float = DEFAULT_TOL,
     **given: object,
 ) -> list:
     """Best-of-seeds norm estimates across a range of problem sizes.

@@ -9,15 +9,16 @@ polynomial identity at its core, and single-scale Hölder inequalities
 that are uniform in the scale.  Each check here recomputes one of these
 facts numerically and reports the discrepancy.
 
-The polynomial identity and its integral over scales (the FTC check) run
-on arrays of cases: the suite's 2,000 polynomial samples in one pass per
-xi count, and its 20 scale integrals in one adaptive_simpson_many call.
-A one-sample call, poly_identity_terms or check_ftc, is the same path on
-one case.  Every symbol product still takes libm's exp per element and
-C pow for each square, because numpy's SIMD exp and power loops round
-some arguments differently on some CPUs, and the suite prints its
-discrepancies to the last bit; the Gaussian at t alpha eta stays
-gaussian (np.exp), whose bits on an array are its bits on one number.
+FrequencyPoint and DilationParams hold one case or K cases as read-only
+float arrays; GtProduct, the polynomial identity and its integral over
+scales (check_ftc) take either and answer with a float or an array.  The
+suite's 2,000 polynomial samples run in one pass per xi count, and its 20
+scale integrals in one adaptive_simpson_many call.  Every symbol product
+takes libm's exp per element and C pow for each square, because numpy's
+SIMD exp and power loops round some arguments differently on some CPUs,
+and the suite prints its discrepancies to the last bit; the Gaussian at
+t alpha eta stays gaussian (np.exp), whose bits on an array are its bits
+on one number.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .continuous import (
-    DilationParams,
-    TruncationRange,
-    adaptive_simpson_many,
-    gaussian,
-    gaussian_deriv,
-)
+from .continuous import TruncationRange, adaptive_simpson_many, gaussian, gaussian_deriv
 from .core import HoelderExponents
 
 # Largest observed ratio |h(x)| / int_1^inf g_beta(x) beta^{-4} d(beta),
@@ -49,73 +44,104 @@ _UNDERFLOW_FLOOR = 1e-250
 _SQRT_HALF = 2.0 ** -0.5
 
 
-@dataclass(frozen=True)
+def _floats(name: str, values, positive: bool = False) -> np.ndarray:
+    """values as a new read-only float array, each entry finite (and positive)."""
+    arr = np.array(values, dtype=np.float64)
+    bad = ~np.isfinite(arr) | (positive & ~(arr > 0.0))
+    if bad.any():
+        rule = "positive and finite" if positive else "finite"
+        raise ValueError(f"{name} must be {rule}, got {float(arr[bad][0])!r}")
+    arr.setflags(write=False)
+    return arr
+
+
+def _check_rows(number: str, row: str, first: np.ndarray, rest: np.ndarray) -> None:
+    """One case is a number and a 1-d row; K cases are shapes (K,) and (K, count)."""
+    if first.ndim > 1 or rest.ndim != first.ndim + 1 or rest.shape[:-1] != first.shape:
+        raise ValueError(
+            f"{number} must be a number or a 1-d array and {row} one row per case, "
+            f"got shapes {first.shape} and {rest.shape}"
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class FrequencyPoint:
-    """One point (eta, xi_k, ..., xi_n) of the paired frequency variables."""
-
-    eta: float
-    xis: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.eta):
-            raise ValueError(f"eta must be finite, got {self.eta!r}")
-        vals = tuple(float(x) for x in self.xis)
-        if not vals:
-            raise ValueError("need at least one xi component")
-        if any(not math.isfinite(x) for x in vals):
-            raise ValueError("all xi components must be finite")
-        object.__setattr__(self, "xis", vals)
-
-
-class _Cases(NamedTuple):
-    """Cases of one xi count as arrays, one row per case.
-
-    eta and alpha have shape (K,), xis and alphas (K, count): the fields
-    of K frequency points and of their dilation parameters.
-    """
+    """Points (eta, xi_k, ..., xi_n) of the paired frequency variables, one or K."""
 
     eta: np.ndarray
     xis: np.ndarray
+
+    def __post_init__(self) -> None:
+        eta, xis = _floats("eta", self.eta), _floats("xis", self.xis)
+        _check_rows("eta", "xis", eta, xis)
+        if xis.shape[-1] == 0:
+            raise ValueError("need at least one xi component")
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "xis", xis)
+
+
+@dataclass(frozen=True, eq=False)
+class DilationParams:
+    """Dilation factors (alpha, alpha_k..alpha_n) of the Gaussian factors, one or K.
+
+    The scale t is an argument of each call that takes one.
+    """
+
     alpha: np.ndarray
     alphas: np.ndarray
 
-    def take(self, rows: np.ndarray) -> _Cases:
-        return _Cases(*(field[rows] for field in self))
+    def __post_init__(self) -> None:
+        alpha, alphas = _floats("alpha", self.alpha, True), _floats("alphas", self.alphas, True)
+        _check_rows("alpha", "alphas", alpha, alphas)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alphas", alphas)
+
+    def in_proof_range(self, n: int, k: int) -> bool:
+        """Whether every factor of one case meets the lower bound 2^{-(n-k+1)/2}.
+
+        The inductive estimates are stated for dilation factors at or above
+        this threshold; the count of trailing factors must be n - k + 1.
+        """
+        alpha, alphas = _single(self, "in_proof_range")
+        if not (1 <= k <= n):
+            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        if len(alphas) != n - k + 1:
+            raise ValueError(
+                f"expected {n - k + 1} trailing factors for n={n}, k={k}, "
+                f"got {len(alphas)}"
+            )
+        threshold = 2.0 ** (-(n - k + 1) / 2.0)
+        return alpha >= threshold and all(a >= threshold for a in alphas)
 
 
-def _check_positive(name: str, values) -> None:
-    """Refuse a value, or any entry of an array, that is not positive and finite."""
-    values = np.asarray(values, dtype=np.float64)
-    bad = ~((values > 0.0) & (values < math.inf))
-    if bad.any():
-        raise ValueError(f"{name} must be positive and finite, got {float(values[bad][0])!r}")
+def _single(params: DilationParams, caller: str) -> tuple[float, list]:
+    """The one case params holds, as (alpha, alphas) floats; K cases are refused."""
+    if params.alpha.ndim:
+        raise ValueError(f"{caller} takes one case of dilation parameters, got {params.alpha.size}")
+    return float(params.alpha), params.alphas.tolist()
 
 
-def _cases(eta, xis, alpha, alphas) -> _Cases:
-    """Cases as arrays, checked once per array.
-
-    The checks are FrequencyPoint's and DilationParams' and the match of
-    the xi and alpha counts.
-    """
-    cases = _Cases(*(np.asarray(v, dtype=np.float64) for v in (eta, xis, alpha, alphas)))
-    if not np.isfinite(cases.eta).all():
-        raise ValueError("eta must be finite")
-    if cases.xis.shape[-1] == 0:
-        raise ValueError("need at least one xi component")
-    if not np.isfinite(cases.xis).all():
-        raise ValueError("all xi components must be finite")
-    _check_positive("alpha", cases.alpha)
-    _check_positive("alphas", cases.alphas)
-    if cases.xis.shape != cases.alphas.shape:
+def _paired(point: FrequencyPoint, params: DilationParams) -> tuple[np.ndarray, ...]:
+    """The case arrays (eta, xis, alpha, alphas) of points and their dilations."""
+    if point.xis.shape != params.alphas.shape:
         raise ValueError(
-            f"frequency point carries {cases.xis.shape[-1]} xi components but the "
-            f"dilation parameters carry {cases.alphas.shape[-1]}"
+            f"the frequency point's xis have shape {point.xis.shape} but the "
+            f"dilation parameters' alphas have shape {params.alphas.shape}"
         )
-    return cases
+    return point.eta, point.xis, params.alpha, params.alphas
 
 
-def _one_case(point: FrequencyPoint, params: DilationParams) -> _Cases:
-    return _cases([point.eta], [point.xis], [params.alpha], [params.alphas])
+def _scale(t, point: FrequencyPoint) -> np.ndarray:
+    """The scale t: positive and finite, a number or one per case."""
+    t = _floats("scale t", t, positive=True)
+    if t.ndim and t.shape != point.eta.shape:
+        raise ValueError(f"scale t must be a number or one per case, got shape {t.shape}")
+    return t
+
+
+def _per_case(values, point: FrequencyPoint):
+    """A float for one case, the array for K."""
+    return float(values) if point.eta.ndim == 0 else values
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -127,16 +153,21 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return np.array(list(map(math.exp, x.ravel().tolist()))).reshape(x.shape)
 
 
-def _quadratic(cases: _Cases) -> np.ndarray:
+def _quadratic(eta, xis, alpha, alphas):
     """The quadratic form Q of GtProduct, per case, summed in the order of j.
 
     float_power calls the C library's pow, as ** on a Python float does;
     ** on an array may take a SIMD pow that differs in the last bit.
     """
-    q = np.float_power(cases.alpha * cases.eta, 2.0)
-    for a, xi in zip(cases.alphas.T, cases.xis.T):
-        q += a * a * (xi * xi + np.float_power(xi + cases.eta, 2.0))
+    q = np.float_power(alpha * eta, 2.0)
+    for a, xi in zip(alphas.T, xis.T):
+        q += a * a * (xi * xi + np.float_power(xi + eta, 2.0))
     return q
+
+
+def _symbol_product(t, q):
+    """The Gaussian symbol product exp(-pi t^2 Q) at the scale t."""
+    return _exp(-math.pi * t * t * q)
 
 
 @dataclass(frozen=True)
@@ -148,14 +179,12 @@ class GtProduct:
     it is positive everywhere and decays in t whenever Q > 0.
     """
 
-    def quadratic(self, point: FrequencyPoint, params: DilationParams) -> float:
-        return float(_quadratic(_one_case(point, params))[0])
+    def quadratic(self, point: FrequencyPoint, params: DilationParams):
+        return _per_case(_quadratic(*_paired(point, params)), point)
 
-    def __call__(
-        self, t: float, point: FrequencyPoint, params: DilationParams
-    ) -> float:
-        _check_positive("scale t", t)
-        return math.exp(-math.pi * t * t * self.quadratic(point, params))
+    def __call__(self, t, point: FrequencyPoint, params: DilationParams):
+        t = _scale(t, point)
+        return _per_case(_symbol_product(t, _quadratic(*_paired(point, params))), point)
 
 
 def _hat_h_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,55 +192,40 @@ def _hat_h_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return -4.0 * math.pi**2 * a * b * _exp(-math.pi * (a * a + b * b))
 
 
-def _combined_integrand(t: np.ndarray, cases: _Cases) -> np.ndarray:
+def _combined_integrand(t, eta, xis, alpha, alphas) -> np.ndarray:
     """Left-hand integrand of the scale-telescoping identity at scales t.
 
     The last axis of t runs over the cases.  Every sum and product runs in
     the order of j, and math.prod starts at 1 and sum at 0, so each case
     gets the bits of its own evaluation.
     """
-    eta = cases.eta
     gg = [
         _exp(-math.pi * np.float_power(t * a, 2.0) * (xi * xi + np.float_power(xi + eta, 2.0)))
-        for a, xi in zip(cases.alphas.T, cases.xis.T)
+        for a, xi in zip(alphas.T, xis.T)
     ]
-    ratio = 1.0 + sum(a * a for a in cases.alphas.T) / (cases.alpha * cases.alpha)
-    u = t * cases.alpha * eta * _SQRT_HALF
+    ratio = 1.0 + sum(a * a for a in alphas.T) / (alpha * alpha)
+    u = t * alpha * eta * _SQRT_HALF
     total = ratio * _hat_h_pair(u, -u) * math.prod(gg)
-    g_eta = gaussian(t * cases.alpha * eta)
-    for j, (a, xi) in enumerate(zip(cases.alphas.T, cases.xis.T)):
+    g_eta = gaussian(t * alpha * eta)
+    for j, (a, xi) in enumerate(zip(alphas.T, xis.T)):
         rest = math.prod(gg[i] for i in range(len(gg)) if i != j)
         total += g_eta * _hat_h_pair(t * a * xi, -t * a * (xi + eta)) * rest
     return total
 
 
-def _poly_sides(t: np.ndarray, cases: _Cases) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the polynomial identity at the scale t of each case."""
-    q = _quadratic(cases)
-    rhs = 2.0 * math.pi**2 * t * t * q * _exp(-math.pi * t * t * q)
-    return _combined_integrand(t, cases), rhs
-
-
-def poly_identity_terms(
-    t: float, point: FrequencyPoint, params: DilationParams
-) -> tuple[float, float]:
+def poly_identity_terms(t, point: FrequencyPoint, params: DilationParams):
     """Both sides of the polynomial core of the telescoping identity.
 
     Left: the combined integrand assembled from the individual Fourier
     symbols.  Right: -pi t (d/dt) of the Gaussian symbol product, i.e.
-    2 pi^2 t^2 Q exp(-pi t^2 Q), at the scale t.
+    2 pi^2 t^2 Q exp(-pi t^2 Q), at the scale t, a number or one per
+    case.  Each side is a float for one case and an array for K.
     """
-    _check_positive("scale t", t)
-    lhs, rhs = _poly_sides(np.array([t], dtype=np.float64), _one_case(point, params))
-    return float(lhs[0]), float(rhs[0])
-
-
-def check_poly_identity(
-    t: float, point: FrequencyPoint, params: DilationParams
-) -> float:
-    """Absolute discrepancy between the two sides of the polynomial identity."""
-    lhs, rhs = poly_identity_terms(t, point, params)
-    return abs(lhs - rhs)
+    t = _scale(t, point)
+    cases = _paired(point, params)
+    q = _quadratic(*cases)
+    rhs = 2.0 * math.pi**2 * t * t * q * _symbol_product(t, q)
+    return _per_case(_combined_integrand(t, *cases), point), _per_case(rhs, point)
 
 
 def relative_discrepancy(lhs, rhs):
@@ -225,36 +239,39 @@ def relative_discrepancy(lhs, rhs):
 
 
 def _ftc_discrepancies(
-    groups: Sequence[_Cases], trunc: TruncationRange, tol: float
+    pairs: Sequence[tuple[FrequencyPoint, DilationParams]],
+    trunc: TruncationRange,
+    tol: float,
 ) -> list[np.ndarray]:
-    """check_ftc on every case of every group: one array per group.
+    """check_ftc on every case of every (point, params) pair: a 1-d array per pair.
 
     The integrals of all cases run in one adaptive_simpson_many call, and
     each keeps the tree, and so the bits, it would have alone.
     """
-    sizes = [len(cases.eta) for cases in groups]
+    # One case becomes a row of its own.
+    groups = [_paired(point, params) for point, params in pairs]
+    groups = [tuple(f[None] for f in group) if group[0].ndim == 0 else group for group in groups]
+    sizes = [len(group[0]) for group in groups]
     starts = np.cumsum([0] + sizes)
     group_of = np.repeat(np.arange(len(groups)), sizes)
 
     def integrand(v: np.ndarray, which: np.ndarray) -> np.ndarray:
         t = _exp(v)
         out = np.empty(v.shape)
-        for g, cases in enumerate(groups):
+        for g, group in enumerate(groups):
             cols = np.flatnonzero(group_of[which] == g)
-            rows = cases.take(which[cols] - starts[g])
-            out[:, cols] = _combined_integrand(t[:, cols], rows)
+            rows = which[cols] - starts[g]
+            out[:, cols] = _combined_integrand(t[:, cols], *(field[rows] for field in group))
         return out
 
     a = np.full(starts[-1], math.log(trunc.r))
     b = np.full(starts[-1], math.log(trunc.R))
     lhs = adaptive_simpson_many(integrand, a, b, tol)
     discrepancies = []
-    for g, cases in enumerate(groups):
+    for g, group in enumerate(groups):
         # pi times the difference of GtProduct at the endpoint scales.
-        q = _quadratic(cases)
-        rhs = math.pi * (
-            _exp(-math.pi * trunc.r * trunc.r * q) - _exp(-math.pi * trunc.R * trunc.R * q)
-        )
+        q = _quadratic(*group)
+        rhs = math.pi * (_symbol_product(trunc.r, q) - _symbol_product(trunc.R, q))
         discrepancies.append(np.abs(lhs[starts[g] : starts[g + 1]] - rhs))
     return discrepancies
 
@@ -264,15 +281,16 @@ def check_ftc(
     params: DilationParams,
     trunc: TruncationRange,
     tol: float = 1e-10,
-) -> float:
+):
     """Discrepancy of the scale-telescoping identity over [r, R].
 
     Integrates the combined symbol product over scales (log-uniform
     adaptive quadrature) and compares against pi times the difference of
-    the Gaussian symbol products at the two endpoint scales.
+    the Gaussian symbol products at the two endpoint scales: a float for
+    one case, an array for K, whose integrals run in one quadrature call.
     """
-    [discrepancy] = _ftc_discrepancies([_one_case(point, params)], trunc, tol)
-    return float(discrepancy[0])
+    [discrepancy] = _ftc_discrepancies([(point, params)], trunc, tol)
+    return _per_case(discrepancy.reshape(point.eta.shape), point)
 
 
 def _points(x) -> np.ndarray:
@@ -445,13 +463,14 @@ def _pair_energy(f: Gaussian1D, s: float) -> float:
 
 
 def _scale_two_value(
-    f0: SeparableGaussian, f1: SeparableGaussian, t: float, params: DilationParams
+    f0: SeparableGaussian, f1: SeparableGaussian, wide_scale: float, narrow_scale: float
 ) -> float:
     """Closed-form value of the split-at-two single-scale form (two variables).
 
     The first-axis factors enter squared through a double convolution
     against the wide kernel; the second-axis factors pair through the
-    narrow kernel and enter the integral squared.  Writing a bump as
+    narrow kernel and enter the integral squared; the kernels' widths are
+    t alpha and t alpha_1, the two scales given.  Writing a bump as
     A g((x - c)/w) = A w g_w(x - c), with g_w the L^1-normalized dilate,
     convolutions add centres and add widths in quadrature, a product of
     two bumps is one bump, and each integral is a convolution at a point.
@@ -462,7 +481,7 @@ def _scale_two_value(
     # With P_i, u_i the amplitude and width of a_i:
     # (a0 * a1 * g_{t alpha})(-p) = P0 P1 u0 u1 g_W(p + C)
     sum_center = a0.center + a1.center
-    wide = math.sqrt(a0.width**2 + a1.width**2 + (t * params.alpha) ** 2)
+    wide = math.sqrt(a0.width**2 + a1.width**2 + wide_scale**2)
     # b0 b1 = K g_omega(. - mu), which g_{t alpha_1} smooths to K g_M(. - mu)
     spread = math.hypot(b0.width, b1.width)
     prod_width = b0.width * b1.width / spread
@@ -475,7 +494,7 @@ def _scale_two_value(
         * prod_width
         * float(gaussian((b0.center - b1.center) / spread))
     )
-    narrow = math.hypot(prod_width, t * params.alphas[0])
+    narrow = math.hypot(prod_width, narrow_scale)
     # (K g_M)^2 = K^2 / (sqrt(2) M) g_{M / sqrt 2}, and the p-integral of
     # g_W(p + C) g_{M / sqrt 2}(p - mu) is g_Z(C + mu), Z^2 = W^2 + M^2 / 2.
     z_width = math.sqrt(wide**2 + 0.5 * narrow**2)
@@ -499,7 +518,7 @@ def check_single_scale(
     the form exactly, since each of its integrals is a Gaussian integral
     with a closed form, and compares |value| with the norm product raised
     to the doubling power.  The bound holds for every t > 0 and all
-    positive dilation factors.
+    positive dilation factors.  params holds one case.
     """
     for i, f in enumerate(functions):
         if not isinstance(f, SeparableGaussian):
@@ -521,21 +540,21 @@ def check_single_scale(
             f"the split-at-{k} form pairs exactly {k} functions, "
             f"got {len(functions)}"
         )
-    _check_positive("scale t", t)
-    if len(params.alphas) != n - k + 1:
+    t = float(_floats("scale t", t, positive=True))
+    alpha, alphas = _single(params, "check_single_scale")
+    if len(alphas) != n - k + 1:
         raise ValueError(
-            f"expected {n - k + 1} trailing dilation factors, "
-            f"got {len(params.alphas)}"
+            f"expected {n - k + 1} trailing dilation factors, got {len(alphas)}"
         )
 
     if n == 1:
-        value = _pair_energy(functions[0].factors[0], t * params.alphas[0])
+        value = _pair_energy(functions[0].factors[0], t * alphas[0])
     elif k == 1:
         value = _pair_energy(
-            functions[0].factors[0].squared(), t * params.alphas[0]
-        ) * _pair_energy(functions[0].factors[1].squared(), t * params.alphas[1])
+            functions[0].factors[0].squared(), t * alphas[0]
+        ) * _pair_energy(functions[0].factors[1].squared(), t * alphas[1])
     else:
-        value = _scale_two_value(functions[0], functions[1], t, params)
+        value = _scale_two_value(functions[0], functions[1], t * alpha, t * alphas[0])
 
     power = 2 ** (n - k + 1)
     ladder = HoelderExponents.geometric(n)
@@ -546,15 +565,15 @@ def check_single_scale(
     )
 
 
-def _random_cases(rng, samples: int, span: float, lo: float, hi: float, t_range=None):
+def _random_groups(rng, samples: int, span: float, lo: float, hi: float, t_range=None):
     """Draw cases one at a time and group them by their xi count 1..3.
 
     Per case: the count, then eta and the xis in one call, then t if
     t_range is given, then alpha and the alphas in one call.  A call of
     size 1 + count draws the values a scalar call and a call of size count
     would, and leaves the stream where they would.  The draws fill rows of
-    arrays made up front.  Returns one (cases, t or None) pair per count
-    drawn, each checked once.
+    arrays made up front.  Returns one (point, params, t or None) triple
+    per count drawn, the point and params holding that count's cases.
     """
     counts = np.empty(samples, dtype=np.intp)
     # A row holds 1 + count values, count at most 3.
@@ -571,19 +590,15 @@ def _random_cases(rng, samples: int, span: float, lo: float, hi: float, t_range=
     for count in sorted(set(counts.tolist())):
         rows = counts == count
         freq, dil = frequencies[rows, : 1 + count], dilations[rows, : 1 + count]
-        t = None
-        if t_range is not None:
-            t = scales[rows]
-            _check_positive("scale t", t)
-        groups.append((_cases(freq[:, 0], freq[:, 1:], dil[:, 0], dil[:, 1:]), t))
+        t = None if t_range is None else scales[rows]
+        groups.append(
+            (FrequencyPoint(freq[:, 0], freq[:, 1:]), DilationParams(dil[:, 0], dil[:, 1:]), t)
+        )
     return groups
 
 
 def _random_params(rng, count: int, lo: float, hi: float) -> DilationParams:
-    return DilationParams(
-        alpha=float(rng.uniform(lo, hi)),
-        alphas=tuple(float(v) for v in rng.uniform(lo, hi, size=count)),
-    )
+    return DilationParams(rng.uniform(lo, hi), rng.uniform(lo, hi, size=count))
 
 
 def _random_separable(rng, n: int) -> SeparableGaussian:
@@ -631,18 +646,19 @@ def run_analytic_suite(seed: int = 0) -> list[dict]:
 
     poly_samples = 2000
     poly_worst = max(
-        float(np.max(relative_discrepancy(*_poly_sides(t, cases))))
-        for cases, t in _random_cases(rng, poly_samples, 10.0, 0.5, 10.0, (0.1, 10.0))
+        float(np.max(relative_discrepancy(*poly_identity_terms(t, point, params))))
+        for point, params, t in _random_groups(rng, poly_samples, 10.0, 0.5, 10.0, (0.1, 10.0))
     )
     report.append(_report("poly_identity", poly_samples, poly_worst, 1e-12))
 
     ftc_samples = 20
-    ftc_groups = [
-        cases for cases, _ in _random_cases(rng, ftc_samples, 2.0, _SQRT_HALF, 4.0)
+    ftc_pairs = [
+        (point, params)
+        for point, params, _ in _random_groups(rng, ftc_samples, 2.0, _SQRT_HALF, 4.0)
     ]
     ftc_worst = max(
         float(np.max(d))
-        for d in _ftc_discrepancies(ftc_groups, TruncationRange(0.5, 8.0), 1e-10)
+        for d in _ftc_discrepancies(ftc_pairs, TruncationRange(0.5, 8.0), 1e-10)
     )
     report.append(_report("ftc", ftc_samples, ftc_worst, 1e-8))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -86,6 +87,14 @@ class TestParseExponents:
     def test_invalid_ladder_rejected(self):
         with pytest.raises(ValueError, match="reciprocals"):
             parse_exponents("2,2,2")
+
+    @pytest.mark.parametrize("spelling", ["inf", "INF", "Infinity", "iNfInItY", "+inf", " inf "])
+    def test_inf_spellings(self, spelling):
+        assert tuple(parse_exponents(f"{spelling},2,2")) == (math.inf, 2.0, 2.0)
+
+    def test_unparsable_exponent_named(self):
+        with pytest.raises(CliError, match="could not parse exponent 'fast'"):
+            parse_exponents("inf, fast ,2")
 
 
 class TestVerifyCommand:
@@ -544,6 +553,42 @@ class TestSweepAndFit:
         assert out == "" and reason in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_directory_sweep_out_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "growth_sweep", refuse)
+        out_dir = tmp_path / "r.csv"
+        out_dir.mkdir()
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--model", "dyadic", "--n", "2", "--L", "5", "--m", "1..5",
+            "--seeds", "2", "--out", str(out_dir),
+        )
+        assert code == 2
+        assert out == "" and "is a directory" in err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fit", "plot"])
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("missing/out", "its directory does not exist"), ("taken", "is a directory")],
+    )
+    def test_bad_fit_and_plot_out_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, name, reason
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the records were read")
+
+        monkeypatch.setattr(cli, "load_records", refuse)
+        (tmp_path / "taken").mkdir()
+        code, out, err = run_cli(
+            capsys, command, "--input", str(tmp_path / "r.csv"), "--out", str(tmp_path / name)
+        )
+        assert code == 2
+        assert out == "" and reason in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
     def test_bad_fit_out_refused_before_any_output(self, tmp_path, capsys):
         records = tmp_path / "r.csv"
         save_records(sample_records(), records)
@@ -636,6 +681,19 @@ class TestUsageErrors:
         assert code == 3
         assert "Traceback" in err
         assert "RuntimeError: internal fault" in err
+
+
+class TestLoopDefaults:
+    def test_parser_defaults_are_the_harness_defaults(self):
+        args = cli._PARSER.parse_args(["sweep", "--model", "dyadic", "--n", "1", "--out", "r.csv"])
+        assert (args.max_iter, args.tol) == (harness.DEFAULT_MAX_ITER, harness.DEFAULT_TOL)
+        assert tuple(range(args.seeds)) == harness.DEFAULT_SEEDS
+        for function in (harness.growth_sweep, harness.alternating_maximize):
+            parameters = inspect.signature(function).parameters
+            assert parameters["max_iter"].default == harness.DEFAULT_MAX_ITER
+            assert parameters["tol"].default == harness.DEFAULT_TOL
+        seeds = inspect.signature(harness.growth_sweep).parameters["seeds"]
+        assert seeds.default == harness.DEFAULT_SEEDS
 
 
 class TestRepeatedCalls:

@@ -16,7 +16,6 @@ from scipy.special import exp1
 
 from simplexht import continuous, core, harness, identities
 from simplexht.continuous import (
-    DilationParams,
     QuadratureSpec,
     adaptive_simpson,
     adaptive_simpson_many,
@@ -445,39 +444,6 @@ class TestQuadratureSpec:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
-
-
-class TestDilationParams:
-    def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(ValueError):
-            DilationParams(alpha=-2.0, alphas=(1.0,))
-        with pytest.raises(ValueError):
-            DilationParams(alpha=1.0, alphas=(1.0, 0.0))
-
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
-    @pytest.mark.parametrize("field", ["alpha", "alphas"])
-    def test_rejects_non_finite(self, field, value):
-        fields = {"alpha": 1.0, "alphas": (1.0, 2.0)}
-        fields[field] = (1.0, value) if field == "alphas" else value
-        with pytest.raises(ValueError, match=f"^{field} must"):
-            DilationParams(**fields)
-
-    def test_in_proof_range_threshold(self):
-        # two trailing factors (n=2, k=1): threshold 2^{-1} = 0.5
-        good = DilationParams(alpha=0.6, alphas=(0.5, 0.7))
-        assert good.in_proof_range(2, 1)
-        bad = DilationParams(alpha=0.6, alphas=(0.49, 0.7))
-        assert not bad.in_proof_range(2, 1)
-
-    def test_in_proof_range_checks_count(self):
-        params = DilationParams(alpha=1.0, alphas=(1.0,))
-        with pytest.raises(ValueError):
-            params.in_proof_range(2, 1)
-
-    def test_in_proof_range_checks_split(self):
-        params = DilationParams(alpha=1.0, alphas=(1.0,))
-        with pytest.raises(ValueError):
-            params.in_proof_range(1, 2)
 
 
 class TestSimplexProfile:

@@ -17,6 +17,7 @@ from simplexht.core import (
     GridSampledFunction,
     HoelderExponents,
     TruncationRange,
+    cell_centers,
     grid_cells_per_axis,
     lp_norm,
     normalize_tuple,
@@ -183,6 +184,16 @@ class TestGridSampledFunction:
         assert x[0] == pytest.approx(-4.0 + 0.125)
         assert x[-1] == pytest.approx(4.0 - 0.125)
         assert len(x) == f.cells_per_axis == 32
+
+    @pytest.mark.parametrize("A, spacing", [(4.0, 0.25), (4.0, 0.125), (6.0, 0.75)])
+    def test_cell_centers_are_the_coordinates(self, A, spacing):
+        f = self.bump(A=A, spacing=spacing)
+        x = cell_centers(A, spacing, f.cells_per_axis)
+        # The float index of each cell, offset by half a cell, times the spacing.
+        j = np.arange(f.cells_per_axis, dtype=np.float64)
+        expected = -A + (j + 0.5) * spacing
+        assert [v.hex() for v in x.tolist()] == [v.hex() for v in expected.tolist()]
+        assert [v.hex() for v in f.coordinates().tolist()] == [v.hex() for v in x.tolist()]
 
     def test_spacing_must_divide(self):
         with pytest.raises(ValueError):

@@ -792,6 +792,28 @@ class TestGrowthSweep:
         with pytest.raises(ValueError, match="scale count"):
             growth_sweep("dyadic", 1, [1.5], exps, side_exponent=3)
 
+    @pytest.mark.parametrize(
+        "abscissa, rule",
+        [
+            (math.inf, "dyadic abscissae are scale counts"),
+            (math.nan, "dyadic abscissae are scale counts"),
+            (True, "dyadic abscissae are scale counts"),
+            (2.5, "dyadic abscissae are scale counts"),
+            (1e300, "scale_count must lie in 1..side_exponent=3"),
+        ],
+    )
+    def test_bad_dyadic_abscissa_named_as_given(self, abscissa, rule):
+        exps = HoelderExponents.geometric(1)
+        message = f"{rule}, got {abscissa!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            growth_sweep("dyadic", 1, [abscissa], exps, seeds=(0,), side_exponent=3)
+
+    def test_whole_float_abscissa_is_its_scale_count(self):
+        exps = HoelderExponents.geometric(1)
+        as_float = growth_sweep("dyadic", 1, [2.0], exps, seeds=(0,), max_iter=2, side_exponent=3)
+        as_int = growth_sweep("dyadic", 1, [2], exps, seeds=(0,), max_iter=2, side_exponent=3)
+        assert as_float == as_int
+
     def test_unknown_model_rejected(self):
         exps = HoelderExponents.geometric(1)
         with pytest.raises(ValueError, match="model"):

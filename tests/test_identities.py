@@ -9,14 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from simplexht.continuous import (
-    DilationParams,
-    TruncationRange,
-    gaussian,
-    gaussian_deriv,
-)
+from simplexht.continuous import TruncationRange, gaussian, gaussian_deriv
 from simplexht.identities import (
     DOMINATION_RATIO_BOUND,
+    DilationParams,
     FrequencyPoint,
     Gaussian1D,
     GtProduct,
@@ -25,7 +21,6 @@ from simplexht.identities import (
     check_domination,
     check_fourier_pair,
     check_ftc,
-    check_poly_identity,
     check_single_scale,
     poly_identity_terms,
     relative_discrepancy,
@@ -46,15 +41,9 @@ from helpers import (
 def random_point_and_params(rng, span=10.0, lo=0.5, hi=10.0, with_t=True):
     """(t, point, params): t is drawn after the point, or is None without with_t."""
     count = int(rng.integers(1, 4))
-    point = FrequencyPoint(
-        eta=float(rng.uniform(-span, span)),
-        xis=tuple(float(v) for v in rng.uniform(-span, span, size=count)),
-    )
+    point = FrequencyPoint(eta=rng.uniform(-span, span), xis=rng.uniform(-span, span, count))
     t = float(rng.uniform(0.1, 10.0)) if with_t else None
-    params = DilationParams(
-        alpha=float(rng.uniform(lo, hi)),
-        alphas=tuple(float(v) for v in rng.uniform(lo, hi, size=count)),
-    )
+    params = DilationParams(alpha=rng.uniform(lo, hi), alphas=rng.uniform(lo, hi, count))
     return t, point, params
 
 
@@ -87,18 +76,93 @@ def single_scale_draws(n, k):
 
 class TestFrequencyPoint:
     def test_requires_components(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least one xi component$"):
             FrequencyPoint(eta=0.0, xis=())
+        with pytest.raises(ValueError, match="^need at least one xi component$"):
+            FrequencyPoint(eta=[0.0, 1.0], xis=np.zeros((2, 0)))
 
     def test_requires_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^eta must be finite, got inf$"):
             FrequencyPoint(eta=math.inf, xis=(1.0,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^xis must be finite, got nan$"):
             FrequencyPoint(eta=0.0, xis=(math.nan,))
+        with pytest.raises(ValueError, match=r"^xis must be finite, got -inf$"):
+            FrequencyPoint(eta=[0.0, 1.0], xis=[[1.0], [-math.inf]])
 
     def test_coerces_to_floats(self):
-        point = FrequencyPoint(eta=1.0, xis=[1, 2])
-        assert point.xis == (1.0, 2.0)
+        xis = np.array([1, 2])
+        point = FrequencyPoint(eta=1, xis=xis)
+        assert point.eta.shape == () and point.xis.tolist() == [1.0, 2.0]
+        for field in (point.eta, point.xis):
+            assert field.dtype == np.float64 and not field.flags.writeable
+        # The caller's array is copied, not frozen.
+        assert xis.flags.writeable
+
+    @pytest.mark.parametrize(
+        "eta, xis",
+        [
+            (0.0, 1.0),
+            (0.0, [[1.0]]),
+            ([0.0, 1.0], [1.0, 2.0]),
+            ([0.0, 1.0], [[1.0], [2.0], [3.0]]),
+            ([[0.0]], [[[1.0]]]),
+        ],
+    )
+    def test_one_row_per_case(self, eta, xis):
+        with pytest.raises(ValueError, match="^eta must be a number or a 1-d array"):
+            FrequencyPoint(eta=eta, xis=xis)
+
+
+class TestDilationParams:
+    def test_rejects_nonpositive_alpha(self):
+        with pytest.raises(ValueError, match=r"^alpha must be positive and finite, got -2\.0$"):
+            DilationParams(alpha=-2.0, alphas=(1.0,))
+        with pytest.raises(ValueError, match=r"^alphas must be positive and finite, got 0\.0$"):
+            DilationParams(alpha=1.0, alphas=(1.0, 0.0))
+        with pytest.raises(ValueError, match="^alphas must be positive"):
+            DilationParams(alpha=[1.0, 1.0], alphas=[[1.0], [-1.0]])
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["alpha", "alphas"])
+    def test_rejects_non_finite(self, field, value):
+        fields = {"alpha": 1.0, "alphas": (1.0, 2.0)}
+        fields[field] = (1.0, value) if field == "alphas" else value
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            DilationParams(**fields)
+
+    def test_one_row_per_case(self):
+        with pytest.raises(ValueError, match="^alpha must be a number or a 1-d array"):
+            DilationParams(alpha=[1.0, 2.0], alphas=[[1.0]])
+
+    def test_holds_read_only_float_arrays(self):
+        params = DilationParams(alpha=[1, 2], alphas=[[1, 2], [3, 4]])
+        assert params.alphas.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        for field in (params.alpha, params.alphas):
+            assert field.dtype == np.float64 and not field.flags.writeable
+
+    def test_in_proof_range_threshold(self):
+        # two trailing factors (n=2, k=1): threshold 2^{-1} = 0.5
+        good = DilationParams(alpha=0.6, alphas=(0.5, 0.7))
+        assert good.in_proof_range(2, 1)
+        bad = DilationParams(alpha=0.6, alphas=(0.49, 0.7))
+        assert not bad.in_proof_range(2, 1)
+
+    def test_in_proof_range_checks_count(self):
+        params = DilationParams(alpha=1.0, alphas=(1.0,))
+        with pytest.raises(ValueError):
+            params.in_proof_range(2, 1)
+
+    def test_in_proof_range_checks_split(self):
+        params = DilationParams(alpha=1.0, alphas=(1.0,))
+        with pytest.raises(ValueError):
+            params.in_proof_range(1, 2)
+
+    def test_in_proof_range_takes_one_case(self):
+        params = DilationParams(alpha=[1.0, 1.0], alphas=[[1.0], [1.0]])
+        with pytest.raises(
+            ValueError, match="^in_proof_range takes one case of dilation parameters, got 2$"
+        ):
+            params.in_proof_range(1, 1)
 
 
 class TestGtProduct:
@@ -145,8 +209,17 @@ class TestGtProduct:
     def test_rejects_length_mismatch(self):
         point = FrequencyPoint(eta=1.0, xis=(1.0, 2.0))
         params = DilationParams(alpha=1.0, alphas=(1.0,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"xis have shape \(2,\) but .* alphas have shape \(1,\)"):
             GtProduct().quadratic(point, params)
+
+    def test_rejects_case_count_mismatch(self):
+        point = FrequencyPoint(eta=[1.0, 2.0], xis=[[1.0], [2.0]])
+        params = DilationParams(alpha=[1.0, 1.0, 1.0], alphas=[[1.0], [1.0], [1.0]])
+        for call in (poly_identity_terms, GtProduct()):
+            with pytest.raises(ValueError, match=r"xis have shape \(2, 1\)"):
+                call(1.0, point, params)
+        with pytest.raises(ValueError, match=r"xis have shape \(2, 1\)"):
+            check_ftc(point, params, TruncationRange(0.5, 8.0))
 
 
 class TestPolyIdentity:
@@ -162,6 +235,8 @@ class TestPolyIdentity:
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_sides_match_scalar_oracle(self, count):
+        # K cases in one call, then single cases, of poly_identity_terms
+        # and of GtProduct, each against the scalar oracle.
         # 7,000 draws over the suite's ranges, then eta = 0, all-zero
         # frequencies, and a t alpha at which both sides underflow.
         rng = np.random.default_rng(100 + count)
@@ -177,27 +252,30 @@ class TestPolyIdentity:
             t = np.append(t, scale)
             alpha = np.append(alpha, scale)
             alphas = np.vstack([alphas, np.full(count, scale)])
-        lhs, rhs = identities._poly_sides(
-            t, identities._cases(eta, xis, alpha, alphas)
+        point = FrequencyPoint(eta=eta, xis=xis)
+        params = DilationParams(alpha=alpha, alphas=alphas)
+        lhs, rhs = poly_identity_terms(t, point, params)
+        products = GtProduct()(t, point, params)
+        samples = list(
+            zip(t.tolist(), eta.tolist(), xis.tolist(), alpha.tolist(), alphas.tolist())
         )
-        expected = [
-            scalar_poly_sides(*sample)
-            for sample in zip(
-                t.tolist(), eta.tolist(), xis.tolist(), alpha.tolist(), alphas.tolist()
-            )
+        expected = [scalar_poly_sides(*sample) for sample in samples]
+        expected_products = [
+            math.exp(-math.pi * s * s * scalar_quadratic(*sample)) for s, *sample in samples
         ]
         assert [(a.hex(), b.hex()) for a, b in zip(lhs.tolist(), rhs.tolist())] == [
             (a.hex(), b.hex()) for a, b in expected
         ]
+        assert lhs.shape == rhs.shape == products.shape == t.shape
+        assert [v.hex() for v in products.tolist()] == [v.hex() for v in expected_products]
         assert max(abs(lhs[-1]), abs(rhs[-1])) < identities._UNDERFLOW_FLOOR
-        # The one-sample call is the same path.
         for i in (0, 1, size, size + 1, size + 2):
-            point = FrequencyPoint(eta=float(eta[i]), xis=tuple(xis[i].tolist()))
-            params = DilationParams(
-                alpha=float(alpha[i]), alphas=tuple(alphas[i].tolist())
-            )
-            got = poly_identity_terms(float(t[i]), point, params)
+            one_point = FrequencyPoint(eta=eta[i], xis=xis[i])
+            one_params = DilationParams(alpha=alpha[i], alphas=alphas[i])
+            got = poly_identity_terms(t[i], one_point, one_params)
             assert [v.hex() for v in got] == [v.hex() for v in expected[i]]
+            product = GtProduct()(t[i], one_point, one_params)
+            assert type(product) is float and product.hex() == expected_products[i].hex()
 
     def test_all_zero_frequencies(self):
         point = FrequencyPoint(eta=0.0, xis=(0.0, 0.0))
@@ -205,7 +283,6 @@ class TestPolyIdentity:
         lhs, rhs = poly_identity_terms(1.0, point, params)
         assert lhs == 0.0
         assert rhs == 0.0
-        assert check_poly_identity(1.0, point, params) == 0.0
 
     def test_zero_eta_collapse(self):
         # with eta = 0 both sides reduce to the same weighted sum of squares
@@ -233,9 +310,19 @@ class TestPolyIdentity:
     def test_one_check_of_the_scale(self, t):
         point = FrequencyPoint(eta=1.0, xis=(1.0,))
         params = DilationParams(alpha=1.0, alphas=(1.0,))
-        for call in (poly_identity_terms, check_poly_identity, GtProduct()):
+        for call in (poly_identity_terms, GtProduct()):
             with pytest.raises(ValueError, match="^scale t must be positive"):
                 call(t, point, params)
+
+    def test_a_scale_per_case(self):
+        point = FrequencyPoint(eta=[1.0, 2.0], xis=[[1.0], [0.5]])
+        params = DilationParams(alpha=[1.0, 1.0], alphas=[[1.0], [1.0]])
+        for call in (poly_identity_terms, GtProduct()):
+            with pytest.raises(ValueError, match=r"^scale t must be a number or one per case"):
+                call([1.0, 2.0, 3.0], point, params)
+        # One number is every case's scale.
+        lhs, _ = poly_identity_terms(0.5, point, params)
+        assert lhs.tolist() == poly_identity_terms([0.5, 0.5], point, params)[0].tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -250,24 +337,36 @@ class TestPolyIdentity:
         assert relative_discrepancy(*poly_identity_terms(t, point, params)) <= 1e-12
 
 
+def scalar_ftc(trunc, eta, xis, alpha, alphas) -> float:
+    """check_ftc of one case, by the scalar recursion and the scalar integrand."""
+    lhs = brute_adaptive_simpson(
+        lambda s: scalar_combined_integrand(math.exp(s), eta, xis, alpha, alphas),
+        math.log(trunc.r),
+        math.log(trunc.R),
+    )
+    q = scalar_quadratic(eta, xis, alpha, alphas)
+    rhs = math.pi * (
+        math.exp(-math.pi * trunc.r * trunc.r * q) - math.exp(-math.pi * trunc.R * trunc.R * q)
+    )
+    return abs(lhs - rhs)
+
+
 class TestFtc:
     def test_matches_scalar_recursion(self):
         rng = np.random.default_rng(5)
         _, point, params = random_point_and_params(rng, span=2.0, with_t=False)
         trunc = TruncationRange(0.5, 8.0)
-        lhs = brute_adaptive_simpson(
-            lambda s: scalar_combined_integrand(
-                math.exp(s), point.eta, point.xis, params.alpha, params.alphas
-            ),
-            math.log(trunc.r),
-            math.log(trunc.R),
+        one = (point.eta.item(), point.xis.tolist(), params.alpha.item(), params.alphas.tolist())
+        assert check_ftc(point, params, trunc).hex() == scalar_ftc(trunc, *one).hex()
+        # Four cases of two xis in one call.
+        points = FrequencyPoint(eta=rng.uniform(-2.0, 2.0, 4), xis=rng.uniform(-2.0, 2.0, (4, 2)))
+        dilations = DilationParams(alpha=rng.uniform(0.5, 4.0, 4), alphas=rng.uniform(0.5, 4.0, (4, 2)))
+        cases = zip(
+            points.eta.tolist(), points.xis.tolist(), dilations.alpha.tolist(), dilations.alphas.tolist()
         )
-        q = scalar_quadratic(point.eta, point.xis, params.alpha, params.alphas)
-        rhs = math.pi * (
-            math.exp(-math.pi * trunc.r * trunc.r * q)
-            - math.exp(-math.pi * trunc.R * trunc.R * q)
-        )
-        assert check_ftc(point, params, trunc).hex() == abs(lhs - rhs).hex()
+        assert [d.hex() for d in check_ftc(points, dilations, trunc).tolist()] == [
+            scalar_ftc(trunc, *case).hex() for case in cases
+        ]
 
     def test_small_discrepancy_on_random_samples(self):
         rng = np.random.default_rng(3)
@@ -646,6 +745,14 @@ class TestSingleScale:
         with pytest.raises(ValueError):
             check_single_scale([f], 1, 0.0, params)
 
+    def test_takes_one_case(self):
+        f = SeparableGaussian((Gaussian1D(1.0, 0.0, 1.0),))
+        params = DilationParams(alpha=[1.0, 1.0], alphas=[[1.0], [1.0]])
+        with pytest.raises(
+            ValueError, match="^check_single_scale takes one case of dilation parameters, got 2$"
+        ):
+            check_single_scale([f], 1, 1.0, params)
+
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_rejects_non_finite_scale(self, t):
         f = SeparableGaussian((Gaussian1D(1.0, 0.0, 1.0),))
@@ -736,28 +843,26 @@ class TestAnalyticSuite:
         assert sizes == [201, 20]
 
     def test_ftc_cases_match_one_case_calls(self, monkeypatch):
+        # The suite's 20 cases, batched across xi counts, against a check_ftc
+        # call per count and one per case.
         batches = []
         original = identities._ftc_discrepancies
 
-        def recorded(groups, trunc, tol):
-            result = original(groups, trunc, tol)
-            batches.append((groups, trunc, tol, result))
+        def recorded(pairs, trunc, tol):
+            result = original(pairs, trunc, tol)
+            batches.append((pairs, trunc, tol, result))
             return result
 
         monkeypatch.setattr(identities, "_ftc_discrepancies", recorded)
         run_analytic_suite(0)
-        groups, trunc, tol, result = batches[0]
-        assert sum(len(cases.eta) for cases in groups) == 20
-        for cases, batched in zip(groups, result):
+        pairs, trunc, tol, result = batches[0]
+        assert sum(point.eta.size for point, _ in pairs) == 20
+        for (point, params), batched in zip(pairs, result):
+            assert check_ftc(point, params, trunc, tol).tolist() == batched.tolist()
             for i, entry in enumerate(batched.tolist()):
-                point = FrequencyPoint(
-                    eta=float(cases.eta[i]), xis=tuple(cases.xis[i].tolist())
-                )
-                params = DilationParams(
-                    alpha=float(cases.alpha[i]),
-                    alphas=tuple(cases.alphas[i].tolist()),
-                )
-                assert check_ftc(point, params, trunc, tol).hex() == entry.hex()
+                one_point = FrequencyPoint(eta=point.eta[i], xis=point.xis[i])
+                one_params = DilationParams(alpha=params.alpha[i], alphas=params.alphas[i])
+                assert check_ftc(one_point, one_params, trunc, tol).hex() == entry.hex()
 
     def test_domination_is_one_call_per_pass(self, monkeypatch):
         calls = []
