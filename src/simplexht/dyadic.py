@@ -12,12 +12,17 @@ unit cells; scales run l = 1..m so Haar halves align with unit cells.
 
 Batched contractions: at scale l each grid splits into blocks of side 2^l,
 and a tuple selects one block per function; the tuples biject onto the
-blocks of each function.  One plan is built per (n, L, scale, slot), on
-the slot's first call at that scale: one flat index that gathers the
-slot's own block for every tuple and scatters its gradient back, and n
-signed gathers for the other blocks, n+1 grids of indices in all.  The
-cache keeps no more index cells than core.MAX_CELLS, so a large grid
-rebuilds its plans instead of keeping one index per function and scale.
+blocks of each function.  How a slot's kernel multiplies the other blocks
+(their order, which gather carries each sign, and the axes the matmul
+reads) depends on (n, slot) alone and is stated once, by _layout.  One
+plan is built per (n, L, scale, slot), on the slot's first call at that
+scale, and holds three arrays: one flat index that gathers the slot's own
+block for every tuple and scatters its gradient back, n signed gathers
+for the other blocks, each beside its block's number, and the Haar signs;
+n+1 grids of indices in all.  The kernel reads everything else off those
+arrays.  The cache keeps no more index cells than core.MAX_CELLS, so a
+large grid rebuilds its plans instead of keeping one index per function
+and scale.
 
 Sign-doubled gathers: slot s's per-tuple kernel sums over x_s the product
 of the other n blocks and the Haar signs of all n+1 variables.  Every sign
@@ -118,8 +123,7 @@ def _tuple_index_array(scale: int, side_exponent: int, degree: int) -> np.ndarra
     nb = 1 << (side_exponent - scale)
     n = degree
     free = np.indices((nb,) * n).reshape(n, -1).T.astype(np.int64)
-    first = np.bitwise_xor.reduce(free, axis=1) if n > 0 else np.zeros(1, np.int64)
-    return np.column_stack([first, free])
+    return np.column_stack([np.bitwise_xor.reduce(free, axis=1), free])
 
 
 def _gather_index(
@@ -155,54 +159,46 @@ class _SlotPlan:
 
     `own` gathers the slot's own block for every tuple, unsigned, shape
     (T, 2^l, .., 2^l) (see _gather_index): a permutation of the grid that
-    also scatters the slot's gradient back.  `signs` is one variable's
-    Haar sign vector and `weight` the scale's 2^{-l}.
-
-    The kernel of slot s sums over x_s the product of the other n blocks
-    and the Haar signs of all n+1 variables.  Each sign is a +-1 factor on
-    a variable that some operand block holds, and multiplying by +-1
-    commutes with rounding, so it rides on that operand's gather: every
-    operand reads the sign-doubled values [F, -F] of its function, and an
-    index at or above the grid size reads -F.  owners[v] is the operand
-    block whose gather carries x_v's sign, the lowest one that holds x_v.
-    At n = 1 no operand holds the kernel's own variable, so its owner is
-    None and its sign vector multiplies the kernel.
-
-    Indices are laid out from the full layout (tuple, x_0, .., x_n,
-    spare), where block i has a unit axis at x_i and the spare unit axis
-    stands in for a matmul dimension an operand lacks.  left[k] gathers
-    block folded[k] transposed by `left_axes` to (tuple, .., row, x_s),
-    C-contiguous, and the product of those blocks is the left operand (a
-    row of ones at n = 1, where none is folded).  `right` gathers block
-    `last` transposed by `right_axes` to (tuple, .., x_s, col).  Their
-    batched matmul sums over x_s.  At n >= 3 the product would hold every
-    variable, so it is built and contracted one x_last slice at a time
-    (`chunked`) and no intermediate outgrows one grid.  `shape` is the
-    kernel's shape when not chunked; the kernel's axes are the own
-    block's.  The plan holds slot_cells(n, L) index cells.
+    also scatters the slot's gradient back.  `operands` pairs each operand
+    block, in _layout's matmul order, with its signed gather into the
+    sign-doubled values [F, -F], and `signs` is the scale's Haar sign
+    vector, of length 2^l.  Everything else about the kernel is a function
+    of (n, slot), _layout, or of these arrays.  The plan holds
+    slot_cells(n, L) index cells.
     """
 
     own: np.ndarray
-    folded: tuple
-    left: tuple
-    last: int
-    right: np.ndarray
-    owners: tuple
-    left_axes: tuple
-    right_axes: tuple
-    chunked: bool
-    shape: tuple
+    operands: tuple
     signs: np.ndarray
-    weight: float
 
 
-def _build_slot_plan(n: int, side_exponent: int, scale: int, slot: int) -> _SlotPlan:
-    idx = _tuple_index_array(scale, side_exponent, n)
-    signs = _haar_signs(scale)
-    cell, grid = len(signs), 1 << (side_exponent * n)
+def _layout(n: int, slot: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """How slot `slot`'s kernel multiplies its n operand blocks at degree n.
+
+    Returns (blocks, owners, left_axes, right_axes).  The kernel of slot s
+    sums over x_s the product of the other n blocks and the Haar signs of
+    all n+1 variables.  Block i holds x_v for v != i.  `blocks` lists the
+    operands in matmul order: the folded blocks, whose product is the left
+    operand (a row of ones at n = 1, where none is folded), then block
+    `last`, the right operand.
+
+    Each sign is a +-1 factor on a variable that some operand block holds,
+    and multiplying by +-1 commutes with rounding, so it rides on that
+    operand's gather.  owners[v] is the operand block whose gather carries
+    x_v's sign, the lowest one that holds x_v; at n = 1 no operand holds
+    the kernel's own variable, so its owner is None and its sign vector
+    multiplies the kernel.
+
+    Axes index the full layout (tuple, x_0, .., x_n, spare), where block i
+    has a unit axis at x_i and the spare unit axis stands in for a matmul
+    dimension an operand lacks.  Each folded block is transposed by
+    `left_axes` to (tuple, .., row, x_s) and block `last` by `right_axes`
+    to (tuple, .., x_s, col); both share their batch axes, so their
+    batched matmul sums over x_s.
+    """
     variables = set(range(n + 1))
     others = sorted(variables - {slot})
-    last, folded = others[0], tuple(others[1:])
+    last, folded = others[0], others[1:]
     product_vars = {slot}.union(*(variables - {i} for i in folded))
     last_vars = variables - {last}
     # A variable held by one operand only becomes its matmul row or column:
@@ -219,6 +215,14 @@ def _build_slot_plan(n: int, side_exponent: int, scale: int, slot: int) -> _Slot
     left_axes = (0, *sorted(units - {row_axis}), *batch, row_axis, 1 + slot)
     right_axes = (0, *sorted(units - {col_axis}), *batch, 1 + slot, col_axis)
     owners = tuple(min(set(others) - {v}, default=None) for v in range(n + 1))
+    return (*folded, last), owners, left_axes, right_axes
+
+
+def _build_slot_plan(n: int, side_exponent: int, scale: int, slot: int) -> _SlotPlan:
+    blocks, owners, left_axes, right_axes = _layout(n, slot)
+    idx = _tuple_index_array(scale, side_exponent, n)
+    signs = _haar_signs(scale)
+    cell, grid = len(signs), 1 << (side_exponent * n)
     negative = signs < 0.0
 
     def signed(i: int, axes: tuple) -> np.ndarray:
@@ -230,38 +234,23 @@ def _build_slot_plan(n: int, side_exponent: int, scale: int, slot: int) -> _Slot
         )
         flips = [
             negative.reshape((1,) * (1 + v) + (cell,) + (1,) * (n + 1 - v))
-            for v in variables
+            for v in range(n + 1)
             if owners[v] == i
         ]
         flip = functools.reduce(np.logical_xor, flips, False)
         return (full + grid * flip).transpose(axes)
 
-    chunked = len(folded) >= 2
-    left = tuple(np.ascontiguousarray(signed(i, left_axes)) for i in folded)
+    *folded, last = blocks
+    gathers = [np.ascontiguousarray(signed(i, left_axes)) for i in folded]
     # OpenBLAS picks its gemm kernel by the operands' memory order, and its
     # kernels round differently, so at n <= 2 the right operand keeps block
     # `last`'s own order; every x_last slice at n >= 3 reads it contiguous.
     right = signed(last, right_axes)
-    if chunked:
-        right = np.ascontiguousarray(right)
+    gathers.append(np.ascontiguousarray(right) if n >= 3 else right)
     own = _gather_index(idx, slot, side_exponent, scale)
-    for arr in (own, *left, right, signs):
+    for arr in (own, *gathers, signs):
         arr.flags.writeable = False
-    held = product_vars | last_vars
-    return _SlotPlan(
-        own=own,
-        folded=folded,
-        left=left,
-        last=last,
-        right=right,
-        owners=owners,
-        left_axes=left_axes,
-        right_axes=right_axes,
-        chunked=chunked,
-        shape=(-1,) + tuple(cell if v in held else 1 for v in others),
-        signs=signs,
-        weight=2.0**-scale,
-    )
+    return _SlotPlan(own, tuple(zip(blocks, gathers)), signs)
 
 
 # Slot plans by (n, L, scale, slot), least recently used first.
@@ -304,10 +293,10 @@ def _slot_kernel(
     2^{-l} * <H[t], own block of t>.
     """
     cell = len(plan.signs)
-    factors = [doubled[i][g] for i, g in zip(plan.folded, plan.left)]
+    factors = [doubled[i][g] for i, g in plan.operands]
+    right = factors.pop()
     # At n = 1 no block is folded, and the left operand is a row of ones.
     factors = factors or [np.ones((1, cell))]
-    right = doubled[plan.last][plan.right]
 
     def fold(part: slice) -> np.ndarray:
         # The folded blocks at x_last in `part`, laid out as matmul reads
@@ -317,20 +306,24 @@ def _slot_kernel(
             product = np.multiply(product, f[..., part, :], order="C")
         return product
 
-    if plan.chunked:
+    if len(plan.operands) >= 3:
+        # At n >= 3 the product would hold every variable, so it is built
+        # and contracted one x_last slice at a time, no larger than a grid.
         kern = np.empty(plan.own.shape)
         for j in range(cell):
             kern[:, j] = np.matmul(fold(slice(j, j + 1)), right).reshape(
                 kern[:, j].shape
             )
     else:
-        kern = np.matmul(fold(slice(None)), right).reshape(plan.shape)
-    if None in plan.owners:
-        kern = kern * plan.signs
+        kern = np.matmul(fold(slice(None)), right)
+        if len(plan.operands) == 1:
+            # n = 1: no operand holds x_last, so its signs multiply the kernel.
+            kern = kern.reshape(-1, 1) * plan.signs
+        kern = kern.reshape(plan.own.shape)
     own = doubled[slot][plan.own]
     flat = (len(own), -1)
     pairings = np.matmul(kern.reshape(flat)[:, None, :], own.reshape(flat)[:, :, None])
-    return kern, pairings.reshape(-1) * plan.weight
+    return kern, pairings.reshape(-1) / cell
 
 
 def _pairings(functions: Sequence[CellFunction], scale_count: int):
@@ -466,7 +459,8 @@ def sup_gradient(
     for scale in range(1, scale_count + 1):
         plan = _slot_plan(n, L, scale, slot)
         kern, vals = _slot_kernel(plan, doubled, slot)
-        eps = np.where(vals >= 0.0, plan.weight, -plan.weight)
+        weight = 1.0 / len(plan.signs)  # 2^{-l}, exactly
+        eps = np.where(vals >= 0.0, weight, -weight)
         # The slot's own index is a permutation of the grid: no repeats.
         grad[plan.own] += eps.reshape((-1,) + (1,) * n) * kern
         # Let this plan go before the next is built, so that the budget

@@ -352,6 +352,10 @@ def top_octave(base_radius: float) -> int:
 def _sweep_form(model: str, n: int, abscissa: float, settings: Mapping[str, object]):
     if model == "dyadic":
         return DyadicSupForm(n, settings["side_exponent"], abscissa)
+    if isinstance(abscissa, bool) or not (
+        isinstance(abscissa, numbers.Real) and abscissa >= 0
+    ):
+        raise ValueError(f"continuous abscissae are octaves, got {abscissa!r}")
     top = top_octave(settings["base_radius"])
     if abscissa > top:
         raise ValueError(f"octave {abscissa!r} is past {top}, the last with a finite R")

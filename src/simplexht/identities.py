@@ -10,7 +10,7 @@ that are uniform in the scale.  Each check here recomputes one of these
 facts numerically and reports the discrepancy.
 
 FrequencyPoint and DilationParams hold one case or K cases as read-only
-float arrays; GtProduct, the polynomial identity and its integral over
+float arrays; gt_product, the polynomial identity and its integral over
 scales (check_ftc) take either and answer with a float or an array.  The
 suite's 2,000 polynomial samples run in one pass per xi count, and its 20
 scale integrals in one adaptive_simpson_many call.  Every symbol product
@@ -154,7 +154,7 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 
 def _quadratic(eta, xis, alpha, alphas):
-    """The quadratic form Q of GtProduct, per case, summed in the order of j.
+    """The quadratic form Q of gt_product, per case, summed in the order of j.
 
     float_power calls the C library's pow, as ** on a Python float does;
     ** on an array may take a SIMD pow that differs in the last bit.
@@ -170,21 +170,15 @@ def _symbol_product(t, q):
     return _exp(-math.pi * t * t * q)
 
 
-@dataclass(frozen=True)
-class GtProduct:
-    """Product of the Gaussian symbols paired at a frequency point.
+def gt_product(t, point: FrequencyPoint, params: DilationParams):
+    """Product of the Gaussian symbols paired at a frequency point, at the scale t.
 
-    As a function of the scale t this equals exp(-pi t^2 Q) with Q the
-    quadratic form alpha^2 eta^2 + sum_j alpha_j^2 (xi_j^2 + (xi_j+eta)^2);
-    it is positive everywhere and decays in t whenever Q > 0.
+    It equals exp(-pi t^2 Q) with Q the quadratic form alpha^2 eta^2 +
+    sum_j alpha_j^2 (xi_j^2 + (xi_j+eta)^2); it is positive everywhere and
+    decays in t whenever Q > 0.
     """
-
-    def quadratic(self, point: FrequencyPoint, params: DilationParams):
-        return _per_case(_quadratic(*_paired(point, params)), point)
-
-    def __call__(self, t, point: FrequencyPoint, params: DilationParams):
-        t = _scale(t, point)
-        return _per_case(_symbol_product(t, _quadratic(*_paired(point, params))), point)
+    t = _scale(t, point)
+    return _per_case(_symbol_product(t, _quadratic(*_paired(point, params))), point)
 
 
 def _hat_h_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -269,7 +263,7 @@ def _ftc_discrepancies(
     lhs = adaptive_simpson_many(integrand, a, b, tol)
     discrepancies = []
     for g, group in enumerate(groups):
-        # pi times the difference of GtProduct at the endpoint scales.
+        # pi times the difference of gt_product at the endpoint scales.
         q = _quadratic(*group)
         rhs = math.pi * (_symbol_product(trunc.r, q) - _symbol_product(trunc.R, q))
         discrepancies.append(np.abs(lhs[starts[g] : starts[g + 1]] - rhs))

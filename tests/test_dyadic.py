@@ -427,6 +427,12 @@ class TestEvalDyadicSup:
         fs = random_cell_functions(rng, 1, 2)
         assert eval_dyadic_sup(fs, 2) == pytest.approx(brute_sup(fs, 2), abs=1e-12)
 
+    @pytest.mark.parametrize("n,L,m", [(4, 2, 2), (5, 1, 1), (6, 1, 1)])
+    def test_matches_brute_force_past_degree_three(self, n, L, m):
+        # Only at n >= 4 does the folded product multiply more than two blocks.
+        fs = random_cell_functions(np.random.default_rng(10 * n + m), n, L)
+        assert eval_dyadic_sup(fs, m) == pytest.approx(brute_sup(fs, m), rel=1e-12)
+
     def test_deterministic_across_plan_rebuilds(self):
         # A rebuilt plan must give the same bits as the cached one.
         rng = np.random.default_rng(11)
@@ -793,6 +799,17 @@ class TestSupGradient:
             grad, brute_sup_gradient(fs, m, slot), rtol=1e-12, atol=1e-12 * sup
         )
 
+    @pytest.mark.parametrize(
+        "n,slot", [(n, slot) for n in (4, 5, 6) for slot in range(n + 1)]
+    )
+    def test_matches_brute_force_past_degree_three(self, n, slot):
+        fs = random_cell_functions(np.random.default_rng(100 * n + slot), n, 1)
+        sup = brute_sup(fs, 1)
+        np.testing.assert_allclose(
+            sup_gradient(fs, 1, slot), brute_sup_gradient(fs, 1, slot),
+            rtol=1e-12, atol=1e-12 * sup,
+        )
+
     def test_slot_update_cannot_decrease_sup(self):
         rng = np.random.default_rng(22)
         fs = random_cell_functions(rng, 2, 3)
@@ -811,7 +828,7 @@ class TestSupGradient:
 
 def _indices(plan) -> tuple:
     """The gather indices one slot plan holds."""
-    return (plan.own, *plan.left, plan.right)
+    return (plan.own, *(gather for _, gather in plan.operands))
 
 
 class TestScalePlan:
@@ -850,16 +867,18 @@ class TestScalePlan:
                 )
                 # Every variable's Haar sign has one home: an operand block
                 # that holds it, or, at n = 1 only, the kernel's multiply.
-                operands = set(plan.folded) | {plan.last}
-                assert len(plan.owners) == n + 1
-                for v, owner in enumerate(plan.owners):
+                blocks, owners, left_axes, right_axes = dyadic._layout(n, slot)
+                assert tuple(i for i, _ in plan.operands) == blocks
+                operands = set(blocks)
+                assert len(owners) == n + 1
+                for v, owner in enumerate(owners):
                     if owner is None:
                         assert n == 1 and v != slot
                     else:
                         assert owner in operands and owner != v
-                assert (None in plan.owners) == (n == 1)
-                signed = [(i, g, plan.left_axes) for i, g in zip(plan.folded, plan.left)]
-                signed.append((plan.last, plan.right, plan.right_axes))
+                assert (None in owners) == (n == 1)
+                signed = [(i, g, left_axes) for i, g in plan.operands[:-1]]
+                signed.append((*plan.operands[-1], right_axes))
                 for i, index, axes in signed:
                     full = (-1,) + tuple(1 if v == i else cell for v in range(n + 1)) + (1,)
                     gather = dyadic._gather_index(idx, i, L, scale)
@@ -868,10 +887,36 @@ class TestScalePlan:
                     # Function i's axes hold x_v for v != i, ascending.
                     coords = np.unravel_index(unsigned, (1 << L,) * n)
                     negative = np.zeros(index.shape, dtype=bool)
-                    for v, owner in enumerate(plan.owners):
+                    for v, owner in enumerate(owners):
                         if owner == i:
                             negative ^= coords[v - (v > i)] % cell >= cell // 2
                     assert np.array_equal(index >= grid, negative)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_layout_is_a_function_of_degree_and_slot(self, n):
+        variables = set(range(n + 1))
+        for slot in range(n + 1):
+            blocks, owners, left_axes, right_axes = dyadic._layout(n, slot)
+            assert all(isinstance(a, int) for a in blocks + left_axes + right_axes)
+            assert sorted(blocks) == sorted(variables - {slot})
+            # Block i holds x_v for every v != i; x_v's sign rides on the
+            # lowest operand that holds it, and only at n = 1 on none.
+            for v, owner in enumerate(owners):
+                holders = [i for i in blocks if i != v]
+                assert owner == (min(holders) if holders else None)
+            assert (None in owners) == (n == 1)
+            for axes in (left_axes, right_axes):
+                assert sorted(axes) == list(range(n + 3))
+            # The matmul sums over x_slot: the left operand's last axis and
+            # the right operand's second-to-last.
+            assert left_axes[-1] == right_axes[-2] == 1 + slot
+            # Leading axes an operand holds are batch axes, and both
+            # operands hold the same ones in the same order.
+            left_held = {slot}.union(*(variables - {i} for i in blocks[:-1]))
+            right_held = variables - {blocks[-1]}
+            left_batch = [a for a in left_axes[:-2] if a - 1 in left_held]
+            right_batch = [a for a in right_axes[:-2] if a - 1 in right_held]
+            assert left_batch == right_batch
 
     @pytest.mark.parametrize("n,L", [(1, 4), (2, 3), (3, 3)])
     def test_slot_zero_gathers_blocks_in_plain_order(self, n, L):

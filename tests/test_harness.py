@@ -808,6 +808,26 @@ class TestGrowthSweep:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             growth_sweep("dyadic", 1, [abscissa], exps, seeds=(0,), side_exponent=3)
 
+    @pytest.mark.parametrize(
+        "octave, message",
+        [
+            (True, "continuous abscissae are octaves, got True"),
+            (math.nan, "continuous abscissae are octaves, got nan"),
+            (-1.0, "continuous abscissae are octaves, got -1.0"),
+            ("1", "continuous abscissae are octaves, got '1'"),
+            (0.0, "degenerate truncation range: the form is identically 0"),
+            (math.inf, "octave inf is past 1023, the last with a finite R"),
+        ],
+    )
+    def test_bad_continuous_abscissa_named_as_given(self, monkeypatch, octave, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run started before every octave was admitted")
+
+        monkeypatch.setattr(harness, "alternating_maximize", refuse)
+        exps = HoelderExponents.geometric(1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            growth_sweep("continuous", 1, [2.0, octave], exps, seeds=(0,), max_iter=1)
+
     def test_whole_float_abscissa_is_its_scale_count(self):
         exps = HoelderExponents.geometric(1)
         as_float = growth_sweep("dyadic", 1, [2.0], exps, seeds=(0,), max_iter=2, side_exponent=3)

@@ -15,13 +15,13 @@ from simplexht.identities import (
     DilationParams,
     FrequencyPoint,
     Gaussian1D,
-    GtProduct,
     SeparableGaussian,
     check_convolution,
     check_domination,
     check_fourier_pair,
     check_ftc,
     check_single_scale,
+    gt_product,
     poly_identity_terms,
     relative_discrepancy,
     run_analytic_suite,
@@ -170,25 +170,22 @@ class TestGtProduct:
         # sampled within the regime where the product stays representable
         # in double precision (mathematically it is positive everywhere)
         rng = np.random.default_rng(0)
-        g_product = GtProduct()
         for _ in range(100):
             _, point, params = random_point_and_params(
                 rng, span=2.0, lo=0.5, hi=2.0, with_t=False
             )
-            assert g_product(float(rng.uniform(0.05, 0.5)), point, params) > 0.0
+            assert gt_product(float(rng.uniform(0.05, 0.5)), point, params) > 0.0
 
     def test_decays_in_t_for_nonzero_point(self):
-        g_product = GtProduct()
         point = FrequencyPoint(eta=1.0, xis=(0.5,))
         params = DilationParams(alpha=1.0, alphas=(1.0,))
-        values = [g_product(t, point, params) for t in (0.5, 1.0, 2.0, 8.0)]
+        values = [gt_product(t, point, params) for t in (0.5, 1.0, 2.0, 8.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-10
 
     def test_reflection_symmetry(self):
         # swapping xi_j with -xi_j - eta leaves the product unchanged
         rng = np.random.default_rng(1)
-        g_product = GtProduct()
         for _ in range(200):
             _, point, params = random_point_and_params(rng, span=4.0, with_t=False)
             j = int(rng.integers(0, len(point.xis)))
@@ -196,26 +193,26 @@ class TestGtProduct:
             xis[j] = -xis[j] - point.eta
             mirrored = FrequencyPoint(eta=point.eta, xis=tuple(xis))
             t = float(rng.uniform(0.1, 4.0))
-            a = g_product(t, point, params)
-            b = g_product(t, mirrored, params)
+            a = gt_product(t, point, params)
+            b = gt_product(t, mirrored, params)
             assert abs(a - b) <= 1e-15 * max(a, b)
 
     def test_rejects_nonpositive_t(self):
         point = FrequencyPoint(eta=1.0, xis=(1.0,))
         params = DilationParams(alpha=1.0, alphas=(1.0,))
         with pytest.raises(ValueError):
-            GtProduct()(0.0, point, params)
+            gt_product(0.0, point, params)
 
     def test_rejects_length_mismatch(self):
         point = FrequencyPoint(eta=1.0, xis=(1.0, 2.0))
         params = DilationParams(alpha=1.0, alphas=(1.0,))
         with pytest.raises(ValueError, match=r"xis have shape \(2,\) but .* alphas have shape \(1,\)"):
-            GtProduct().quadratic(point, params)
+            gt_product(1.0, point, params)
 
     def test_rejects_case_count_mismatch(self):
         point = FrequencyPoint(eta=[1.0, 2.0], xis=[[1.0], [2.0]])
         params = DilationParams(alpha=[1.0, 1.0, 1.0], alphas=[[1.0], [1.0], [1.0]])
-        for call in (poly_identity_terms, GtProduct()):
+        for call in (poly_identity_terms, gt_product):
             with pytest.raises(ValueError, match=r"xis have shape \(2, 1\)"):
                 call(1.0, point, params)
         with pytest.raises(ValueError, match=r"xis have shape \(2, 1\)"):
@@ -236,7 +233,7 @@ class TestPolyIdentity:
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_sides_match_scalar_oracle(self, count):
         # K cases in one call, then single cases, of poly_identity_terms
-        # and of GtProduct, each against the scalar oracle.
+        # and of gt_product, each against the scalar oracle.
         # 7,000 draws over the suite's ranges, then eta = 0, all-zero
         # frequencies, and a t alpha at which both sides underflow.
         rng = np.random.default_rng(100 + count)
@@ -255,7 +252,7 @@ class TestPolyIdentity:
         point = FrequencyPoint(eta=eta, xis=xis)
         params = DilationParams(alpha=alpha, alphas=alphas)
         lhs, rhs = poly_identity_terms(t, point, params)
-        products = GtProduct()(t, point, params)
+        products = gt_product(t, point, params)
         samples = list(
             zip(t.tolist(), eta.tolist(), xis.tolist(), alpha.tolist(), alphas.tolist())
         )
@@ -274,7 +271,7 @@ class TestPolyIdentity:
             one_params = DilationParams(alpha=alpha[i], alphas=alphas[i])
             got = poly_identity_terms(t[i], one_point, one_params)
             assert [v.hex() for v in got] == [v.hex() for v in expected[i]]
-            product = GtProduct()(t[i], one_point, one_params)
+            product = gt_product(t[i], one_point, one_params)
             assert type(product) is float and product.hex() == expected_products[i].hex()
 
     def test_all_zero_frequencies(self):
@@ -310,14 +307,14 @@ class TestPolyIdentity:
     def test_one_check_of_the_scale(self, t):
         point = FrequencyPoint(eta=1.0, xis=(1.0,))
         params = DilationParams(alpha=1.0, alphas=(1.0,))
-        for call in (poly_identity_terms, GtProduct()):
+        for call in (poly_identity_terms, gt_product):
             with pytest.raises(ValueError, match="^scale t must be positive"):
                 call(t, point, params)
 
     def test_a_scale_per_case(self):
         point = FrequencyPoint(eta=[1.0, 2.0], xis=[[1.0], [0.5]])
         params = DilationParams(alpha=[1.0, 1.0], alphas=[[1.0], [1.0]])
-        for call in (poly_identity_terms, GtProduct()):
+        for call in (poly_identity_terms, gt_product):
             with pytest.raises(ValueError, match=r"^scale t must be a number or one per case"):
                 call([1.0, 2.0, 3.0], point, params)
         # One number is every case's scale.
