@@ -28,8 +28,7 @@ of (0, r), (r, R) and (R, 8R) with the closed form of its own side of the
 jumps, endpoints included.  It integrates the three pieces in one
 adaptive_simpson_many call, whose single bisection loop carries many
 integrals level by level, each on its own tree, and evaluates every open
-interval of a level in one array call.  adaptive_simpson is its
-one-integral call.
+interval of a level in one array call.
 """
 
 from __future__ import annotations
@@ -47,10 +46,10 @@ from .core import MAX_CELLS_PER_AXIS, MAX_CONTINUOUS_DEGREE
 # Cells per slab of the lower-row axis (see _slabs): of 2**13 .. 2**20,
 # 2**14 gave the fastest gradients at (n, N) = (2, 32), (2, 128) and (3, 32).
 _SLAB_CELLS = 1 << 14
-# Doubles a bisection level of adaptive_simpson holds per interval at its
-# peak, rounded up from the 23-30 measured with tracemalloc over widest
-# levels of 2,328 to 142,436 intervals (phi_l1, check_domination and
-# adaptive_simpson of sin); trees of a few hundred intervals read up to 36,
+# Doubles a bisection level of adaptive_simpson_many holds per interval at
+# its peak, rounded up from the 23-30 measured with tracemalloc over widest
+# levels of 2,328 to 142,436 intervals (phi_l1, check_domination and one
+# integral of sin); trees of a few hundred intervals read up to 36,
 # fixed costs included.
 _SIMPSON_DOUBLES = 32
 
@@ -64,42 +63,6 @@ def gaussian_deriv(x):
     """Derivative of the Gaussian: -2 pi x e^{-pi x^2}."""
     x = np.asarray(x, dtype=np.float64)
     return -2.0 * np.pi * x * np.exp(-np.pi * np.square(x))
-
-
-def dilate(f: Callable, t: float, x):
-    """L^1-normalized dilate f_t(x) = f(x/t) / t."""
-    if not t > 0.0:
-        raise ValueError(f"dilation parameter must be positive, got {t!r}")
-    return f(np.asarray(x, dtype=np.float64) / t) / t
-
-
-def _cutoff_minus_gaussian_over_x(x: np.ndarray, rho: float) -> np.ndarray:
-    """(indicator_{|x| <= rho} - g(x/rho)) / x with the removable zero at 0.
-
-    Inside the cutoff the numerator is 1 - e^{-pi (x/rho)^2} = -expm1(...),
-    which vanishes to second order at 0, so the quotient extends by 0 there.
-    """
-    scaled = np.square(x / rho)
-    inside = np.abs(x) <= rho
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = -np.expm1(-np.pi * scaled) / x
-        outer = -np.exp(-np.pi * scaled) / x
-    return np.where(x == 0.0, 0.0, np.where(inside, inner, outer))
-
-
-def residual_kernel_phi(x, trunc: TruncationRange):
-    """Residual kernel: sharp annulus cutoff minus Gaussian cutoffs, over x.
-
-    Splits into one term per truncation radius, each depending on a single
-    parameter, so its integrability is uniform in (r, R).
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    out = _cutoff_minus_gaussian_over_x(
-        arr, trunc.R
-    ) - _cutoff_minus_gaussian_over_x(arr, trunc.r)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 def adaptive_simpson_many(
@@ -142,7 +105,7 @@ def adaptive_simpson_many(
     if a.shape != b.shape:
         raise ValueError(f"{a.size} lower and {b.size} upper endpoints")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("adaptive_simpson needs finite endpoints")
+        raise ValueError("adaptive_simpson_many needs finite endpoints")
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     result = np.zeros(a.size)
@@ -206,20 +169,6 @@ def adaptive_simpson_many(
         total = value
     result[roots] = total
     return result
-
-
-def adaptive_simpson(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float = 1e-10
-) -> float:
-    """Adaptive Simpson quadrature of f over [a, b]: adaptive_simpson_many on one integral.
-
-    f maps a 1-d array of abscissae to the array of integrand values; every
-    interval open at a bisection level gets its quarter points from one call
-    of f, and the result is bit for bit the recursive quadrature's.
-    """
-    return float(
-        adaptive_simpson_many(lambda x, which: f(x.ravel()), [a], [b], tol)[0]
-    )
 
 
 def phi_l1(trunc: TruncationRange, tol: float = 1e-10) -> float:

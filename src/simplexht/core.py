@@ -130,10 +130,6 @@ class GridSampledFunction:
     def cell_volume(self) -> float:
         return self.spacing**self.dimension
 
-    def coordinates(self) -> np.ndarray:
-        """Cell-center coordinates along one axis."""
-        return cell_centers(self.half_extent, self.spacing, self.cells_per_axis)
-
     def with_samples(
         self, samples: np.ndarray, tail_threshold: Union[float, None, str] = "keep"
     ) -> "GridSampledFunction":
@@ -224,10 +220,6 @@ class HoelderExponents:
         if not 1 <= n < sys.float_info.max_exp:
             raise ValueError(f"the geometric ladder needs 1 <= n <= 1023, got n={n}")
         return cls((float(2**n), float(2**n)) + tuple(float(2 ** (n - i + 1)) for i in range(2, n + 1)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.values) - 1
 
     def __iter__(self):
         return iter(self.values)

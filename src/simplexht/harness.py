@@ -11,10 +11,11 @@ sum(kernel * F_0), and that kernel also opens the next cycle, so a cycle
 costs n+1 kernel passes and no separate evaluation.
 
 A form (DyadicSupForm or ContinuousTruncatedForm) holds no iterate.  It
-answers through five members -- slot_count, cell_measure, initial, wrap
-and kernel.  The loop keeps each slot's plain array beside its validated
-CellFunction or GridSampledFunction wrap, wraps a slot again only when it
-stores that slot's update, and hands kernel() the wrapped functions.
+answers through four members -- cell_measure, initial, wrap and kernel --
+and the slot count is the length of the exponents.  The loop keeps each
+slot's plain array beside its validated CellFunction or
+GridSampledFunction wrap, wraps a slot again only when it stores that
+slot's update, and hands kernel() the wrapped functions.
 
 Every sweep row carries its seed and a digest of the loop's settings and
 exactly its model's row of MODEL_SETTINGS, so any record can be
@@ -71,7 +72,11 @@ class ExperimentRecord:
 
     abscissa is the scale count m for dyadic runs and log2(R/r) for
     continuous ones.  Rows are reproducible from (model, n, abscissa, seed)
-    plus the settings behind the digest.
+    plus the settings behind the digest.  Each field holds the type that
+    load_records gives its column, so every record saves to a file that
+    loads back equal: n, iters and seed an int (a numpy integer is
+    converted, a bool refused), abscissa and S a float, model and digest
+    a str.
     """
 
     model: str
@@ -83,6 +88,8 @@ class ExperimentRecord:
     digest: str
 
     def __post_init__(self) -> None:
+        for name, kind in _COLUMNS.items():
+            object.__setattr__(self, name, _AS_COLUMN[kind](name, getattr(self, name)))
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.n < 1:
@@ -157,6 +164,17 @@ def _real(name: str, value: object) -> float:
     return float(value)
 
 
+def _text(name: str, value: object) -> str:
+    """value as a Python str; anything else is refused."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return str(value)
+
+
+# The conversion that gives a record field its column type, or refuses it.
+_AS_COLUMN = {str: _text, int: _integer, float: _real}
+
+
 class DyadicSupForm:
     """Evaluator handle for the coefficient-optimal dyadic objective.
 
@@ -182,13 +200,9 @@ class DyadicSupForm:
         self.side_exponent = side_exponent
         self.scale_count = int(scale_count)
 
-    @property
-    def slot_count(self) -> int:
-        return self.n + 1
-
     def initial(self, rng: np.random.Generator) -> list:
         shape = (2**self.side_exponent,) * self.n
-        return [rng.standard_normal(shape) for _ in range(self.slot_count)]
+        return [rng.standard_normal(shape) for _ in range(self.n + 1)]
 
     def wrap(self, values: np.ndarray) -> CellFunction:
         return CellFunction(self.n, self.side_exponent, values)
@@ -224,15 +238,11 @@ class ContinuousTruncatedForm:
         self.trunc = trunc
         self.cell_measure = self.spacing**n
 
-    @property
-    def slot_count(self) -> int:
-        return self.n + 1
-
     def initial(self, rng: np.random.Generator) -> list:
         coords = cell_centers(self.half_extent, self.spacing, self.cells_per_axis)
         mesh = np.meshgrid(*([coords] * self.n), indexing="ij")
         out = []
-        for _ in range(self.slot_count):
+        for _ in range(self.n + 1):
             field = np.zeros((self.cells_per_axis,) * self.n)
             for _ in range(_BUMPS_PER_SLOT):
                 center = rng.uniform(-self.half_extent / 2, self.half_extent / 2, self.n)
@@ -285,22 +295,21 @@ def alternating_maximize(
     are kept and the result is flagged stagnated.  The result's functions
     are the last wraps themselves.
 
-    form supplies slot_count, cell_measure (the measure of one array cell
-    in the L^p norms), initial(rng) -> arrays, wrap(array) -> one typed
-    function, and kernel(functions, slot) -> array.  A slot is wrapped
-    when it is stored, and wrap() validates, so a non-finite iterate is
-    refused there.
+    form supplies cell_measure (the measure of one array cell in the L^p
+    norms), initial(rng) -> one array per exponent, wrap(array) -> one
+    typed function, and kernel(functions, slot) -> array; a draw of any
+    other length is refused.  A slot is wrapped when it is stored, and
+    wrap() validates, so a non-finite iterate is refused there.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    if len(exponents) != form.slot_count:
-        raise ValueError(
-            f"form pairs {form.slot_count} functions but got "
-            f"{len(exponents)} exponents"
-        )
     values = form.initial(np.random.default_rng(seed))
+    if len(values) != len(exponents):
+        raise ValueError(
+            f"form pairs {len(values)} functions but got {len(exponents)} exponents"
+        )
     for slot, v in enumerate(values):
         if not np.any(v):
             raise ValueError(f"the initial draw for seed {seed} has a zero slot {slot}")
@@ -315,7 +324,7 @@ def alternating_maximize(
     trace = [float(np.sum(kern * values[0]))]
     stagnated = False
     for _ in range(max_iter):
-        for slot in range(form.slot_count):
+        for slot in range(len(exponents)):
             if slot:
                 kern = form.kernel(functions, slot)
             if not np.any(kern):

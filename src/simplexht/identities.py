@@ -96,30 +96,6 @@ class DilationParams:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "alphas", alphas)
 
-    def in_proof_range(self, n: int, k: int) -> bool:
-        """Whether every factor of one case meets the lower bound 2^{-(n-k+1)/2}.
-
-        The inductive estimates are stated for dilation factors at or above
-        this threshold; the count of trailing factors must be n - k + 1.
-        """
-        alpha, alphas = _single(self, "in_proof_range")
-        if not (1 <= k <= n):
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        if len(alphas) != n - k + 1:
-            raise ValueError(
-                f"expected {n - k + 1} trailing factors for n={n}, k={k}, "
-                f"got {len(alphas)}"
-            )
-        threshold = 2.0 ** (-(n - k + 1) / 2.0)
-        return alpha >= threshold and all(a >= threshold for a in alphas)
-
-
-def _single(params: DilationParams, caller: str) -> tuple[float, list]:
-    """The one case params holds, as (alpha, alphas) floats; K cases are refused."""
-    if params.alpha.ndim:
-        raise ValueError(f"{caller} takes one case of dilation parameters, got {params.alpha.size}")
-    return float(params.alpha), params.alphas.tolist()
-
 
 def _paired(point: FrequencyPoint, params: DilationParams) -> tuple[np.ndarray, ...]:
     """The case arrays (eta, xis, alpha, alphas) of points and their dilations."""
@@ -365,8 +341,9 @@ def check_fourier_pair(xi: float) -> tuple[float, float]:
 
     Integrates f(x) e^{-2 pi i x xi} by midpoint quadrature on [-6, 6]
     with step 0.05 and compares against the closed forms e^{-pi xi^2}
-    and 2 pi i xi e^{-pi xi^2}.
+    and 2 pi i xi e^{-pi xi^2}.  xi is one finite number.
     """
+    xi = float(_floats("xi", xi))
     step = 0.05
     xs = np.arange(-6.0, 6.0, step) + step / 2.0
     phase = np.exp(-2j * math.pi * xs * xi)
@@ -535,7 +512,11 @@ def check_single_scale(
             f"got {len(functions)}"
         )
     t = float(_floats("scale t", t, positive=True))
-    alpha, alphas = _single(params, "check_single_scale")
+    if params.alpha.ndim:
+        raise ValueError(
+            f"check_single_scale takes one case of dilation parameters, got {params.alpha.size}"
+        )
+    alpha, alphas = float(params.alpha), params.alphas.tolist()
     if len(alphas) != n - k + 1:
         raise ValueError(
             f"expected {n - k + 1} trailing dilation factors, got {len(alphas)}"

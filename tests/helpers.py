@@ -133,10 +133,6 @@ class IntervalTuple:
     def indices(self) -> tuple[int, ...]:
         return tuple(i.index for i in self.intervals)
 
-    @property
-    def degree(self) -> int:
-        return len(self.intervals) - 1
-
     def __len__(self) -> int:
         return len(self.intervals)
 
@@ -501,7 +497,7 @@ def brute_adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
     half's plus its right half's.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("adaptive_simpson needs finite endpoints")
+        raise ValueError("adaptive Simpson needs finite endpoints")
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     if a == b:
@@ -572,6 +568,22 @@ def scalar_poly_sides(t: float, eta: float, xis, alpha: float, alphas) -> tuple[
     q = scalar_quadratic(eta, xis, alpha, alphas)
     rhs = 2.0 * math.pi**2 * t * t * q * math.exp(-math.pi * t * t * q)
     return float(lhs), float(rhs)
+
+
+def scalar_residual_kernel(x: float, r: float, R: float) -> float:
+    """The residual kernel phi at one point: sharp minus Gaussian cutoffs, over x.
+
+    phi(x) = c_R(x) - c_r(x), c_rho(x) = (1_{|x| <= rho} - g(x/rho)) / x,
+    with 1 - g written through expm1, and phi(0) = 0, its removable value.
+    """
+    if x == 0.0:
+        return 0.0
+
+    def cutoff(rho):
+        e = -math.pi * (x / rho) ** 2
+        return (-math.expm1(e) if abs(x) <= rho else -math.exp(e)) / x
+
+    return cutoff(R) - cutoff(r)
 
 
 def brute_phi_l1(r: float, R: float, tol: float = 1e-10) -> float:

@@ -17,15 +17,12 @@ from scipy.special import exp1
 from simplexht import continuous, core, harness, identities
 from simplexht.continuous import (
     QuadratureSpec,
-    adaptive_simpson,
     adaptive_simpson_many,
-    dilate,
     eval_simplex_truncated,
     eval_smooth_form,
     gaussian,
     gaussian_deriv,
     phi_l1,
-    residual_kernel_phi,
     simplex_profile,
     truncated_form_gradient,
 )
@@ -44,6 +41,7 @@ from helpers import (
     brute_truncated_form,
     brute_truncated_gradient,
     mc_truncated_form,
+    scalar_residual_kernel,
 )
 
 # L^1 norm of the residual kernel for (r, R) = (1, 4), frozen from an
@@ -108,87 +106,74 @@ class TestKernels:
         xs = np.arange(-10.0, 10.0, dx) + dx / 2
         assert abs(float(np.sum(gaussian_deriv(xs)) * dx)) < 1e-10
 
-    def test_dilate_at_zero(self):
-        assert dilate(gaussian, 2.0, 0.0) == 0.5
-
     def test_dilate_preserves_mass(self):
+        # The L^1-normalized dilate g(x/t)/t has the Gaussian's unit mass.
         dx = 1e-3
         xs = np.arange(-12.0, 12.0, dx) + dx / 2
         for t in (0.5, 1.0, 3.0):
-            mass = float(np.sum(dilate(gaussian, t, xs)) * dx)
+            mass = float(np.sum(gaussian(xs / t) / t) * dx)
             assert math.isclose(mass, 1.0, abs_tol=1e-8)
-
-    @pytest.mark.parametrize("t", [0.0, -1.0])
-    def test_dilate_rejects_bad_parameter(self, t):
-        with pytest.raises(ValueError):
-            dilate(gaussian, t, 1.0)
 
 
 class TestResidualKernel:
+    """The residual kernel oracle that the QUADPACK check of phi_l1 integrates."""
+
     def test_odd_symmetry(self):
-        trunc = TruncationRange(0.5, 4.0)
-        xs = np.linspace(0.01, 10.0, 500)
-        assert np.array_equal(
-            residual_kernel_phi(-xs, trunc), -residual_kernel_phi(xs, trunc)
-        )
+        for x in np.linspace(0.01, 10.0, 500).tolist():
+            assert scalar_residual_kernel(-x, 0.5, 4.0) == -scalar_residual_kernel(x, 0.5, 4.0)
 
     def test_zero_at_origin(self):
-        value = residual_kernel_phi(0.0, TruncationRange(1.0, 4.0))
-        assert isinstance(value, float)
-        assert value == 0.0
+        assert scalar_residual_kernel(0.0, 1.0, 4.0) == 0.0
 
     def test_equal_radii_vanish(self):
-        xs = np.linspace(-5.0, 5.0, 101)
-        vals = residual_kernel_phi(xs, TruncationRange(2.0, 2.0))
-        assert np.array_equal(vals, np.zeros_like(xs))
+        for x in np.linspace(-5.0, 5.0, 101).tolist():
+            assert scalar_residual_kernel(x, 2.0, 2.0) == 0.0
 
     def test_inside_both_radii_formula(self):
-        trunc = TruncationRange(1.0, 4.0)
         x = 0.3
         expected = (math.exp(-math.pi * x**2) - math.exp(-math.pi * (x / 4) ** 2)) / x
-        assert math.isclose(residual_kernel_phi(x, trunc), expected, rel_tol=1e-14)
+        assert math.isclose(scalar_residual_kernel(x, 1.0, 4.0), expected, rel_tol=1e-14)
 
     def test_between_radii_formula(self):
-        trunc = TruncationRange(1.0, 4.0)
         x = 2.0
         expected = (
             1.0 - math.exp(-math.pi * (x / 4) ** 2) + math.exp(-math.pi * x**2)
         ) / x
-        assert math.isclose(residual_kernel_phi(x, trunc), expected, rel_tol=1e-14)
+        assert math.isclose(scalar_residual_kernel(x, 1.0, 4.0), expected, rel_tol=1e-14)
 
-    def test_array_shape_preserved(self):
-        xs = np.zeros((3, 5))
-        out = residual_kernel_phi(xs, TruncationRange(1.0, 2.0))
-        assert out.shape == (3, 5)
+
+def one_integral(f, a: float, b: float, tol: float = 1e-10) -> float:
+    """adaptive_simpson_many on the one integral of f over [a, b]."""
+    return float(adaptive_simpson_many(lambda x, which: f(x.ravel()), [a], [b], tol)[0])
 
 
 class TestAdaptiveSimpson:
     def test_exact_on_cubics(self):
-        value = adaptive_simpson(lambda x: x**2, 0.0, 1.0)
+        value = one_integral(lambda x: x**2, 0.0, 1.0)
         assert math.isclose(value, 1.0 / 3.0, rel_tol=1e-15)
 
     def test_arctangent_integral(self):
-        value = adaptive_simpson(lambda x: 4.0 / (1.0 + x * x), 0.0, 1.0, tol=1e-12)
+        value = one_integral(lambda x: 4.0 / (1.0 + x * x), 0.0, 1.0, tol=1e-12)
         assert math.isclose(value, math.pi, abs_tol=1e-10)
 
     def test_gaussian_mass(self):
-        value = adaptive_simpson(gaussian, -6.0, 6.0, tol=1e-12)
+        value = one_integral(gaussian, -6.0, 6.0, tol=1e-12)
         assert math.isclose(value, 1.0, abs_tol=1e-10)
 
     def test_reversed_orientation_flips_sign(self):
-        value = adaptive_simpson(lambda x: x**2, 1.0, 0.0)
+        value = one_integral(lambda x: x**2, 1.0, 0.0)
         assert math.isclose(value, -1.0 / 3.0, rel_tol=1e-15)
 
     def test_empty_interval(self):
-        assert adaptive_simpson(math.sin, 2.0, 2.0) == 0.0
+        assert one_integral(math.sin, 2.0, 2.0) == 0.0
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
-            adaptive_simpson(math.sin, 0.0, 1.0, tol=0.0)
+            one_integral(math.sin, 0.0, 1.0, tol=0.0)
 
     def test_rejects_infinite_endpoint(self):
         with pytest.raises(ValueError):
-            adaptive_simpson(math.sin, 0.0, math.inf)
+            one_integral(math.sin, 0.0, math.inf)
 
     @pytest.mark.parametrize(
         "f, a, b, tol",
@@ -200,7 +185,7 @@ class TestAdaptiveSimpson:
         ],
     )
     def test_matches_scalar_recursion(self, f, a, b, tol):
-        assert adaptive_simpson(f, a, b, tol).hex() == brute_adaptive_simpson(
+        assert one_integral(f, a, b, tol).hex() == brute_adaptive_simpson(
             f, a, b, tol
         ).hex()
 
@@ -215,7 +200,7 @@ class TestAdaptiveSimpson:
             scalars.append(x)
             return gaussian(x)
 
-        adaptive_simpson(vector, -6.0, 6.0, tol=1e-12)
+        one_integral(vector, -6.0, 6.0, tol=1e-12)
         brute_adaptive_simpson(scalar, -6.0, 6.0, tol=1e-12)
         assert all(isinstance(x, np.ndarray) for x in arrays)
         assert len(arrays) <= 20 < len(scalars)
@@ -236,7 +221,7 @@ class TestAdaptiveSimpson:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="adaptive Simpson level 15 needs"):
-                adaptive_simpson(never_settles, 0.0, 1.0)
+                one_integral(never_settles, 0.0, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -391,7 +376,7 @@ class TestPhiL1:
         trunc = TruncationRange(0.7, 0.7 * ratio)
         between = np.geomspace(trunc.r, trunc.R, 2 + int(4 * math.log10(ratio)))
         reference, _ = quad(
-            lambda x: abs(residual_kernel_phi(x, trunc)),
+            lambda x: abs(scalar_residual_kernel(x, trunc.r, trunc.R)),
             0.0,
             8.0 * trunc.R,
             points=between,

@@ -9,6 +9,7 @@ import math
 import re
 import tracemalloc
 from fractions import Fraction
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -81,6 +82,43 @@ class TestExperimentRecord:
         with pytest.raises(ValueError, match="iters"):
             record(iters=-1)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n", 2.5),
+            ("iters", 3.0),
+            ("seed", True),
+            ("abscissa", True),
+            ("S", "1.5"),
+            ("model", 1),
+            ("digest", None),
+        ],
+    )
+    def test_rejects_a_value_its_column_cannot_hold(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            record(**{name: value})
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"n": np.int64(2), "iters": np.int32(7), "seed": np.uint8(0)},
+            {"abscissa": 3, "S": np.float32(1.5)},
+            {"model": np.str_("dyadic"), "digest": np.str_("0123456789abcdef")},
+        ],
+        ids=["numpy-integers", "int-and-numpy-reals", "numpy-strings"],
+    )
+    def test_holds_its_column_types_and_round_trips(self, tmp_path, suffix, fields):
+        # Every record the library builds saves to a file that loads back
+        # equal, and holds exactly the types the loader gives its columns.
+        built = record(**fields)
+        assert built == record()
+        for name, kind in get_type_hints(ExperimentRecord).items():
+            assert type(getattr(built, name)) is kind
+        path = tmp_path / f"records{suffix}"
+        save_records([built], path)
+        assert load_records(path) == [built]
+
 
 class TestGrowthFit:
     def test_accepts_valid_fit(self):
@@ -152,7 +190,7 @@ class TestDyadicSupForm:
         with pytest.raises(ValueError, match="n=2, L=3 needs 192 cells"):
             DyadicSupForm(2, 3, 2)
         monkeypatch.setattr(core, "MAX_CELLS", 3 * 8**2)
-        assert DyadicSupForm(2, 3, 2).slot_count == 3
+        assert len(DyadicSupForm(2, 3, 2).initial(np.random.default_rng(0))) == 3
 
     def test_sweep_refuses_oversized_slots(self, monkeypatch):
         monkeypatch.setattr(core, "MAX_CELLS", 3 * 8**2 - 1)
@@ -226,7 +264,7 @@ class TestContinuousTruncatedForm:
         values = form.initial(np.random.default_rng(3))
         functions = [form.wrap(v) for v in values]
         value = abs(eval_simplex_truncated(functions, form.trunc))
-        for slot in range(form.slot_count):
+        for slot in range(len(values)):
             kern = form.kernel(functions, slot)
             dot = float(np.sum(kern * values[slot]))
             assert dot == pytest.approx(value, rel=1e-12)
@@ -339,7 +377,7 @@ class TestAlternatingMaximize:
         form = make()
         exps = HoelderExponents.geometric(form.n)
         res = alternating_maximize(form, exps, max_iter=6, seed=3)
-        assert form.kernel_calls == 1 + form.slot_count * res.iterations
+        assert form.kernel_calls == 1 + len(exps) * res.iterations
 
     def test_converges_to_exhaustive_sign_pattern_max(self):
         # Degree 1 on a 4-cell grid with p = (2, 2): enumerate every +/-1
@@ -420,7 +458,7 @@ class TestAlternatingMaximize:
 
     def test_exponent_count_must_match_slots(self):
         form = DyadicSupForm(2, 2, 1)
-        with pytest.raises(ValueError, match="exponents"):
+        with pytest.raises(ValueError, match="^form pairs 3 functions but got 2 exponents$"):
             alternating_maximize(form, HoelderExponents.geometric(1))
 
     def test_rejects_bad_iteration_budget(self):
@@ -469,10 +507,9 @@ class TestAlternatingMaximize:
             return out
 
         monkeypatch.setattr(form, "kernel", recording)
-        k = form.slot_count
-        result = alternating_maximize(
-            form, HoelderExponents.geometric(k - 1), max_iter=3, seed=0
-        )
+        exps = HoelderExponents.geometric(form.n)
+        k = len(exps)
+        result = alternating_maximize(form, exps, max_iter=3, seed=0)
         assert not result.stagnated
         # n+1 wraps open the run; each stored update makes exactly one wrap,
         # and every slot but 0 is stored right after its own kernel call.
@@ -501,7 +538,6 @@ class TestAlternatingMaximize:
 class BilinearForm:
     """Array-only form v0 . (M @ v1) for a seeded 5x7 matrix M."""
 
-    slot_count = 2
     cell_measure = 1.0
 
     def __init__(self):
@@ -1058,7 +1094,7 @@ class TestRecordFiles:
   {
     "model": "dyadic",
     "n": 2,
-    "abscissa": 3,
+    "abscissa": 3.0,
     "S": 1.2345678901234567,
     "iters": 7,
     "seed": 0,

@@ -140,30 +140,6 @@ class TestDilationParams:
         for field in (params.alpha, params.alphas):
             assert field.dtype == np.float64 and not field.flags.writeable
 
-    def test_in_proof_range_threshold(self):
-        # two trailing factors (n=2, k=1): threshold 2^{-1} = 0.5
-        good = DilationParams(alpha=0.6, alphas=(0.5, 0.7))
-        assert good.in_proof_range(2, 1)
-        bad = DilationParams(alpha=0.6, alphas=(0.49, 0.7))
-        assert not bad.in_proof_range(2, 1)
-
-    def test_in_proof_range_checks_count(self):
-        params = DilationParams(alpha=1.0, alphas=(1.0,))
-        with pytest.raises(ValueError):
-            params.in_proof_range(2, 1)
-
-    def test_in_proof_range_checks_split(self):
-        params = DilationParams(alpha=1.0, alphas=(1.0,))
-        with pytest.raises(ValueError):
-            params.in_proof_range(1, 2)
-
-    def test_in_proof_range_takes_one_case(self):
-        params = DilationParams(alpha=[1.0, 1.0], alphas=[[1.0], [1.0]])
-        with pytest.raises(
-            ValueError, match="^in_proof_range takes one case of dilation parameters, got 2$"
-        ):
-            params.in_proof_range(1, 1)
-
 
 class TestGtProduct:
     def test_positive_everywhere(self):
@@ -566,6 +542,11 @@ class TestFourierPair:
             err_g, err_h = check_fourier_pair(float(xi))
             assert err_g <= 1e-6
             assert err_h <= 1e-6
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_frequency(self, bad):
+        with pytest.raises(ValueError, match=rf"^xi must be finite, got {bad!r}$"):
+            check_fourier_pair(bad)
 
 
 class TestGaussian1D:
