@@ -30,18 +30,22 @@ is a +-1 factor on a variable some operand block holds, and multiplying
 by +-1 commutes with rounding, so each sign is folded into one operand's
 gather: a call doubles each function's values once into [F, -F], and a
 signed index reads the negated half wherever the signs its operand
-carries multiply to -1.  The kernel is then gather, gather and one batched
-matmul (at n >= 3, one per x_last slice, so no intermediate outgrows one
-grid); only at n = 1, where no operand holds the kernel's own variable,
-does a sign vector multiply the kernel.  Its bits are those of a kernel
-that multiplies the signs in, but for the sign of a zero, which the
-gradient's zero-initialised sum erases and the pairing sign test ignores.
-No step calls np.einsum.  The kernel's inner product with the slot's
-own block is the tuple's pairing, so pairings and slot gradients come from
-the same pass.  The sup and the form read slot 0's plans and the gradient
-its own slot's, with no loop over tuples; the aux form, a term of the
-telescoped identity, gathers its blocks unsigned on each call and keeps
-only its einsum contraction paths.
+carries multiply to -1.  Past scale 1 the kernel is then gather, gather
+and one batched matmul (at n >= 3, one per x_last slice, so no
+intermediate outgrows one grid).  At scale 1, where a block is 2 cells a
+side and a matmul would make one BLAS call per tuple, the plan is
+tuple-minor (_tuple_minor): the kernel is a product of gathers at each
+value of x_slot and their sum, whole-array passes with no BLAS call, so
+its bits do not depend on the CPU's BLAS kernel.  Only at n = 1, where no
+operand holds the kernel's own variable, does a sign vector multiply the
+kernel.  Its bits are those of a kernel that multiplies the signs in, but
+for the sign of a zero, which the gradient's zero-initialised sum erases
+and the pairing sign test ignores.  No step calls np.einsum.  The
+kernel's inner product with the slot's own block is the tuple's pairing,
+so pairings and slot gradients come from the same pass.  The sup and the
+form read slot 0's plans and the gradient its own slot's, with no loop
+over tuples; the aux form, a term of the telescoped identity, gathers its
+blocks unsigned on each call and keeps only its einsum contraction paths.
 Per-scale results are reduced in a fixed order, scales in increasing
 order, so evaluations are deterministic.
 
@@ -155,16 +159,17 @@ def slot_cells(n: int, side_exponent: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _SlotPlan:
-    """One slot's kernel at one scale: gather, gather, one matmul.
+    """One slot's kernel at one scale: its gathers and the Haar signs.
 
     `own` gathers the slot's own block for every tuple, unsigned, shape
-    (T, 2^l, .., 2^l) (see _gather_index): a permutation of the grid that
-    also scatters the slot's gradient back.  `operands` pairs each operand
-    block, in _layout's matmul order, with its signed gather into the
-    sign-doubled values [F, -F], and `signs` is the scale's Haar sign
-    vector, of length 2^l.  Everything else about the kernel is a function
-    of (n, slot), _layout, or of these arrays.  The plan holds
-    slot_cells(n, L) index cells.
+    (T, 2^l, .., 2^l) (see _gather_index), or (2^l, .., 2^l, T) when
+    tuple-minor: a permutation of the grid that also scatters the slot's
+    gradient back.  `operands` pairs each operand block, in _layout's
+    matmul order, with its signed gather into the sign-doubled values
+    [F, -F], and `signs` is the scale's Haar sign vector, of length 2^l.
+    Everything else about the kernel is a function of (n, slot)
+    (_layout), of the scale (_tuple_minor) or of these arrays.  Every
+    index is contiguous.  The plan holds slot_cells(n, L) index cells.
     """
 
     own: np.ndarray
@@ -218,8 +223,25 @@ def _layout(n: int, slot: int) -> tuple[tuple, tuple, tuple, tuple]:
     return (*folded, last), owners, left_axes, right_axes
 
 
+def _tuple_minor(scale: int) -> bool:
+    """Whether the plans at this scale are tuple-minor, at every degree and slot.
+
+    A tuple-minor plan lays every index out (x_0, .., x_n, spare, tuple):
+    _layout's full layout with the tuple axis last and no matmul order.
+    Its kernel sums over the values of x_slot the operands' product there,
+    and its pairing sums the cells, in whole-array passes with no BLAS call.
+    At scale 1 a block is 2 cells a side, and a batched matmul would make
+    one BLAS call per tuple, the pairing one dot each.  At scale 2 the
+    same sums are slower than the matmul.
+    """
+    return scale == 1
+
+
 def _build_slot_plan(n: int, side_exponent: int, scale: int, slot: int) -> _SlotPlan:
     blocks, owners, left_axes, right_axes = _layout(n, slot)
+    minor = _tuple_minor(scale)
+    if minor:
+        left_axes = right_axes = (*range(1, n + 3), 0)
     idx = _tuple_index_array(scale, side_exponent, n)
     signs = _haar_signs(scale)
     cell, grid = len(signs), 1 << (side_exponent * n)
@@ -227,8 +249,8 @@ def _build_slot_plan(n: int, side_exponent: int, scale: int, slot: int) -> _Slot
 
     def signed(i: int, axes: tuple) -> np.ndarray:
         # Block i in the full layout, its index moved into the negated half
-        # wherever the product of the signs it carries is -1, then viewed
-        # in `axes`.  A gather keeps its index's memory order.
+        # wherever the product of the signs it carries is -1, then laid out
+        # contiguous in `axes`.
         full = _gather_index(idx, i, side_exponent, scale).reshape(
             (-1,) + tuple(1 if v == i else cell for v in range(n + 1)) + (1,)
         )
@@ -238,16 +260,13 @@ def _build_slot_plan(n: int, side_exponent: int, scale: int, slot: int) -> _Slot
             if owners[v] == i
         ]
         flip = functools.reduce(np.logical_xor, flips, False)
-        return (full + grid * flip).transpose(axes)
+        return np.ascontiguousarray((full + grid * flip).transpose(axes))
 
     *folded, last = blocks
-    gathers = [np.ascontiguousarray(signed(i, left_axes)) for i in folded]
-    # OpenBLAS picks its gemm kernel by the operands' memory order, and its
-    # kernels round differently, so at n <= 2 the right operand keeps block
-    # `last`'s own order; every x_last slice at n >= 3 reads it contiguous.
-    right = signed(last, right_axes)
-    gathers.append(np.ascontiguousarray(right) if n >= 3 else right)
+    gathers = [signed(i, left_axes) for i in folded] + [signed(last, right_axes)]
     own = _gather_index(idx, slot, side_exponent, scale)
+    if minor:
+        own = np.ascontiguousarray(np.moveaxis(own, 0, -1))
     for arr in (own, *gathers, signs):
         arr.flags.writeable = False
     return _SlotPlan(own, tuple(zip(blocks, gathers)), signs)
@@ -290,10 +309,22 @@ def _slot_kernel(
     doubled[i] is function i's sign-doubled values (_sign_doubled).  H[t]
     sums the product of every block but the slot's own against the Haar
     signs of all variables, so the pairing of tuple t is
-    2^{-l} * <H[t], own block of t>.
+    2^{-l} * <H[t], own block of t>.  H is laid out as plan.own.
     """
     cell = len(plan.signs)
     factors = [doubled[i][g] for i, g in plan.operands]
+    own = doubled[slot][plan.own]
+    if _tuple_minor(cell.bit_length() - 1):
+        # Operand i holds a unit axis at x_i, so their product broadcasts
+        # to (x_0, .., x_n, spare, tuple), at most two grids at scale 1,
+        # and its sum over x_slot, one addition of two terms, is the kernel.
+        kern = np.add.reduce(functools.reduce(np.multiply, factors), axis=slot)
+        if len(factors) == 1:
+            # n = 1: no operand holds x_last, so its signs multiply the kernel.
+            kern = plan.signs[:, None] * kern.reshape(1, -1)
+        kern = kern.reshape(own.shape)
+        pairings = np.add.reduce((kern * own).reshape(-1, own.shape[-1]), axis=0)
+        return kern, pairings / cell
     right = factors.pop()
     # At n = 1 no block is folded, and the left operand is a row of ones.
     factors = factors or [np.ones((1, cell))]
@@ -320,7 +351,6 @@ def _slot_kernel(
             # n = 1: no operand holds x_last, so its signs multiply the kernel.
             kern = kern.reshape(-1, 1) * plan.signs
         kern = kern.reshape(plan.own.shape)
-    own = doubled[slot][plan.own]
     flat = (len(own), -1)
     pairings = np.matmul(kern.reshape(flat)[:, None, :], own.reshape(flat)[:, :, None])
     return kern, pairings.reshape(-1) / cell
@@ -448,21 +478,28 @@ def sup_gradient(
     `slot`; the returned array G satisfies sum(G * F_slot) == the sup, so a
     Hoelder-extremal replacement of F_slot can only increase the sup.  One
     fused pass per scale: the slot's per-tuple kernel H gives the pairings
-    as <H, own block>, and sign(pairing) * 2^{-l} * H is scattered back
-    onto the slot's blocks.
+    as <H, own block>, and sign(pairing) * 2^{-l} * H is written onto the
+    slot's blocks of one grid-sized buffer, which the gradient then adds.
+    The own index is a permutation of the grid, so the write covers every
+    cell and reads none, and each cell gets the same additions in the same
+    scale order as a scatter-add would give it: the same bits.
     """
     n, L = _check_inputs(functions, scale_count)
     if not (0 <= slot <= n):
         raise ValueError(f"slot {slot} outside [0, {n}]")
     doubled = _sign_doubled(functions)
     grad = np.zeros(functions[0].values.size, dtype=np.float64)
+    scattered = np.empty_like(grad)
     for scale in range(1, scale_count + 1):
         plan = _slot_plan(n, L, scale, slot)
         kern, vals = _slot_kernel(plan, doubled, slot)
         weight = 1.0 / len(plan.signs)  # 2^{-l}, exactly
         eps = np.where(vals >= 0.0, weight, -weight)
-        # The slot's own index is a permutation of the grid: no repeats.
-        grad[plan.own] += eps.reshape((-1,) + (1,) * n) * kern
+        per_tuple = eps if _tuple_minor(scale) else eps.reshape((-1,) + (1,) * n)
+        # The slot's own index is a permutation of the grid, so this writes
+        # every cell once and reads none.
+        scattered[plan.own] = per_tuple * kern
+        grad += scattered
         # Let this plan go before the next is built, so that the budget
         # the cache keeps bounds every index alive.
         del plan

@@ -24,6 +24,7 @@ on one number.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -45,7 +46,22 @@ _SQRT_HALF = 2.0 ** -0.5
 
 
 def _floats(name: str, values, positive: bool = False) -> np.ndarray:
-    """values as a new read-only float array, each entry finite (and positive)."""
+    """values as a new read-only float array, each entry finite (and positive).
+
+    Every entry must be a real number by type: None, a string or a bool
+    (which numpy would read as nan, its number or 1.0) is refused by name.
+    """
+    if isinstance(values, np.ndarray):
+        wrong = None if values.dtype.kind in "iuf" else f"an array of {values.dtype}"
+    else:
+        entries = np.asarray(values, dtype=object).reshape(-1)
+        wrong = next(
+            (type(v).__name__ for v in entries
+             if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real)),
+            None,
+        )
+    if wrong is not None:
+        raise ValueError(f"{name} must hold real numbers, got {wrong}")
     arr = np.array(values, dtype=np.float64)
     bad = ~np.isfinite(arr) | (positive & ~(arr > 0.0))
     if bad.any():
@@ -265,12 +281,9 @@ def check_ftc(
 
 def _points(x) -> np.ndarray:
     """x as a 1-d float array: a scalar or a 1-d array of finite values."""
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    arr = np.atleast_1d(_floats("x", x))
     if arr.ndim > 1:
         raise ValueError(f"x must be a scalar or a 1-d array, got shape {arr.shape}")
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise ValueError(f"x[{bad[0]}] is {float(arr[bad[0]])!r}, not finite")
     return arr
 
 

@@ -320,21 +320,18 @@ def test_criterion_10_growth_measurement():
         f"(reported, not asserted), traces monotone {trace_ok}, "
         f"normalized {norm_ok}, {elapsed:.1f}s",
     )
-    # Each record's bits before the Haar signs moved into the gathers.  S
-    # is pinned to one unit in the last place: OpenBLAS's AVX2 and AVX-512
-    # gemm kernels round one slot kernel at scale 5 differently, which
-    # moves S at m = 5 and 6 by one ulp.
+    # Each record's bits, exact.  They are the same on OpenBLAS's SkylakeX
+    # (AVX-512), Haswell and Zen (AVX2) kernels, which round every slot
+    # kernel alike now that slot 2's right operand is read contiguous; the
+    # older Sandybridge (AVX) kernels still round scales >= 2 differently.
     golden = [
         ("0x1.7ffff755c8926p+0", 4, 40),
-        ("0x1.ff2d5c87ea3c6p+0", 1, 40),
+        ("0x1.ff2d5c87ea3c3p+0", 1, 40),
         ("0x1.170ecf288276bp+1", 4, 40),
-        ("0x1.2d67669969b9bp+1", 0, 40),
-        ("0x1.38672fb5f58afp+1", 4, 40),
+        ("0x1.2d67669969b9cp+1", 0, 40),
+        ("0x1.38672fb5f58adp+1", 4, 40),
     ]
-    assert [(r.seed, r.iters) for r in records] == [g[1:] for g in golden]
-    for record, (bits, _, _) in zip(records, golden):
-        pinned = float.fromhex(bits)
-        assert abs(record.S - pinned) <= math.ulp(pinned), (float.hex(record.S), bits)
+    assert [(float.hex(r.S), r.seed, r.iters) for r in records] == golden
 
 
 def test_criterion_11_brute_force_oracle_equivalence():

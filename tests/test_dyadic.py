@@ -810,6 +810,21 @@ class TestSupGradient:
             rtol=1e-12, atol=1e-12 * sup,
         )
 
+    @pytest.mark.parametrize("n,L", [(1, 6), (2, 4), (3, 3), (4, 2)])
+    def test_scale_one_matches_brute_force_on_normal_values(self, n, L):
+        # Normal values round at every step, so this checks the scale-1
+        # sums themselves, not only where they land.
+        rng = np.random.default_rng(40 + n)
+        fs = [CellFunction(n, L, rng.standard_normal((1 << L,) * n)) for _ in range(n + 1)]
+        sup = brute_sup(fs, 1)
+        assert eval_dyadic_sup(fs, 1) == pytest.approx(sup, rel=1e-13)
+        for slot in range(n + 1):
+            expected = brute_sup_gradient(fs, 1, slot)
+            np.testing.assert_allclose(
+                sup_gradient(fs, 1, slot), expected,
+                rtol=1e-13, atol=1e-13 * np.abs(expected).max(),
+            )
+
     def test_slot_update_cannot_decrease_sup(self):
         rng = np.random.default_rng(22)
         fs = random_cell_functions(rng, 2, 3)
@@ -858,13 +873,22 @@ class TestScalePlan:
         for scale in range(1, L + 1):
             cell = 1 << scale
             idx = dyadic._tuple_index_array(scale, L, n)
+            # A tuple-minor plan holds every index with its tuple axis moved
+            # last, its operands in the full layout (tuple, x_0, .., x_n, spare).
+            minor = dyadic._tuple_minor(scale)
+
+            def laid_out(index):
+                return np.moveaxis(index, 0, -1) if minor else index
+
             for slot in range(n + 1):
                 plan = dyadic._slot_plan(n, L, scale, slot)
-                assert plan.own.shape == (len(idx),) + (cell,) * n
+                shape = (len(idx),) + (cell,) * n
+                assert plan.own.shape == (shape[1:] + shape[:1] if minor else shape)
                 assert np.array_equal(np.sort(plan.own, axis=None), np.arange(grid))
                 assert np.array_equal(
-                    plan.own, dyadic._gather_index(idx, slot, L, scale)
+                    plan.own, laid_out(dyadic._gather_index(idx, slot, L, scale))
                 )
+                assert all(index.flags.c_contiguous for index in _indices(plan))
                 # Every variable's Haar sign has one home: an operand block
                 # that holds it, or, at n = 1 only, the kernel's multiply.
                 blocks, owners, left_axes, right_axes = dyadic._layout(n, slot)
@@ -881,8 +905,8 @@ class TestScalePlan:
                 signed.append((*plan.operands[-1], right_axes))
                 for i, index, axes in signed:
                     full = (-1,) + tuple(1 if v == i else cell for v in range(n + 1)) + (1,)
-                    gather = dyadic._gather_index(idx, i, L, scale)
-                    unsigned = gather.reshape(full).transpose(axes)
+                    gather = dyadic._gather_index(idx, i, L, scale).reshape(full)
+                    unsigned = np.moveaxis(gather, 0, -1) if minor else gather.transpose(axes)
                     assert np.array_equal(index % grid, unsigned)
                     # Function i's axes hold x_v for v != i, ascending.
                     coords = np.unravel_index(unsigned, (1 << L,) * n)
@@ -927,7 +951,25 @@ class TestScalePlan:
             grid = np.arange(2 ** (L * n)).reshape((nb, cell) * n)
             blocks = grid.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)))
             plan = dyadic._slot_plan(n, L, scale, 0)
-            assert np.array_equal(plan.own, blocks.reshape((nb**n,) + (cell,) * n))
+            in_order = blocks.reshape((nb**n,) + (cell,) * n)
+            if dyadic._tuple_minor(scale):
+                in_order = np.moveaxis(in_order, 0, -1)
+            assert np.array_equal(plan.own, in_order)
+
+    @pytest.mark.parametrize("n,L", [(1, 5), (2, 4), (3, 3), (4, 2)])
+    def test_scale_one_makes_no_blas_call(self, monkeypatch, n, L):
+        rng = np.random.default_rng(n)
+        fs = [CellFunction(n, L, rng.standard_normal((1 << L,) * n)) for _ in range(n + 1)]
+        monkeypatch.setattr(dyadic, "_plans", {})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("BLAS called at scale 1")
+
+        for name in ("matmul", "dot", "einsum", "inner", "tensordot"):
+            monkeypatch.setattr(np, name, refuse)
+        eval_dyadic_sup(fs, 1)
+        for slot in range(n + 1):
+            sup_gradient(fs, 1, slot)
 
     def test_index_budget_refused_before_allocation(self, monkeypatch):
         # n=2, L=3: three gather indices of 2^6 cells each, charged with
@@ -1123,14 +1165,18 @@ class TestSizeRule:
 
 
 class TestGoldenBits:
-    """Bits of the dyadic engine before the Haar signs moved into the gathers.
+    """Bits of the dyadic engine.
 
-    Digests hash the raw bytes, so a -0.0 shows.  The engine's pairings are
-    BLAS dot products, and OpenBLAS's AVX2 and AVX-512 kernels sum them in
-    different orders.  So the functions here hold eighths: non-integer, yet
-    every product and partial sum is exact, and every kernel gives the same
-    bits.  At n=2 the slot kernel is a gemm, which those kernels round alike
-    at L=4, so there normal values also pin the gradients' rounding.
+    The eighths-valued pins date from before the Haar signs moved into the
+    gathers, the normal-valued ones from scale 1's tuple-minor plan.
+    Digests hash the raw bytes, so a -0.0 shows.  Past scale 1 the engine's
+    pairings are BLAS dot products, and OpenBLAS's AVX2 and AVX-512 kernels
+    sum them in different orders.  So the functions here hold eighths:
+    non-integer, yet every product and partial sum is exact, and every
+    kernel gives the same bits.  At n=2 the slot kernel past scale 1 is a
+    gemm, which those kernels round alike at L=4, so there normal values
+    also pin the gradients' rounding; its older AVX kernels do not.  Scale 1
+    makes no BLAS call, so its normal-valued bits hold on every kernel.
     """
 
     GRADIENTS = {
@@ -1165,9 +1211,9 @@ class TestGoldenBits:
         (3, 3): "-0x1.07d5d40000000p+5",
     }
     NORMAL_GRADIENTS = [
-        ["301b1c85f5a98dc2", "208a663dd04bcd8c", "b3e7c0eba706766c", "7ad6a72813403142"],
-        ["d03e111952047c69", "839d6940e1fa1292", "1b0ac36f4f010892", "a3a5ddb5ce31c4a5"],
-        ["e84b46b913b98c00", "14ccfecf8ce47023", "c27b6c3bb246f008", "cc3804d88f37d8fc"],
+        ["3ec1ce0659c3ef9a", "4689f1fffa56c5fd", "86c22b4eef018a37", "ce64e23b272cff78"],
+        ["5b53153acec5deac", "b3800cd47824c537", "04ff6a4372e03e39", "850a955c980e1208"],
+        ["f09c97a4f047641a", "bf77abb53e1466cc", "c159ac798fc215bc", "9c3bd30493036c2a"],
     ]
 
     @pytest.mark.parametrize("n,L", [(1, 5), (2, 4), (3, 3)])
@@ -1200,6 +1246,12 @@ class TestGoldenBits:
             [_digest(sup_gradient(fs, m, slot)) for m in range(1, 5)] for slot in range(3)
         ]
         assert digests == self.NORMAL_GRADIENTS
+
+    def test_scale_one_bits_hold_on_every_kernel(self):
+        rng = np.random.default_rng(204)
+        fs = [CellFunction(2, 4, rng.standard_normal((16, 16))) for _ in range(3)]
+        digests = [_digest(sup_gradient(fs, 1, slot)) for slot in range(3)]
+        assert digests == [row[0] for row in self.NORMAL_GRADIENTS]
 
 
 class TestTelescoping:

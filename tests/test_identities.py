@@ -89,6 +89,16 @@ class TestFrequencyPoint:
         with pytest.raises(ValueError, match=r"^xis must be finite, got -inf$"):
             FrequencyPoint(eta=[0.0, 1.0], xis=[[1.0], [-math.inf]])
 
+    @pytest.mark.parametrize("bad, name", [(None, "NoneType"), ("1.0", "str"), (True, "bool")])
+    def test_rejects_a_non_number_by_type(self, bad, name):
+        with pytest.raises(ValueError, match=rf"^eta must hold real numbers, got {name}$"):
+            FrequencyPoint(eta=bad, xis=[1.0])
+        # numpy would read a bool beside a number as 1.0.
+        with pytest.raises(ValueError, match=rf"^xis must hold real numbers, got {name}$"):
+            FrequencyPoint(eta=0.0, xis=[1.0, bad])
+        with pytest.raises(ValueError, match="^xis must hold real numbers, got an array of bool$"):
+            FrequencyPoint(eta=0.0, xis=np.array([True, False]))
+
     def test_coerces_to_floats(self):
         xis = np.array([1, 2])
         point = FrequencyPoint(eta=1, xis=xis)
@@ -418,9 +428,16 @@ class TestDomination:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_points(self, bad):
-        with pytest.raises(ValueError, match=rf"^x\[2\] is {bad!r}, not finite"):
+        with pytest.raises(ValueError, match=rf"^x must be finite, got {bad!r}$"):
             check_domination([0.5, 1.5, bad, bad])
-        with pytest.raises(ValueError, match=rf"^x\[0\] is {bad!r}, not finite"):
+        with pytest.raises(ValueError, match=rf"^x must be finite, got {bad!r}$"):
+            check_domination(bad)
+
+    @pytest.mark.parametrize("bad, name", [(None, "NoneType"), ("0.5", "str"), (True, "bool")])
+    def test_rejects_a_non_number_by_type(self, bad, name):
+        with pytest.raises(ValueError, match=rf"^x must hold real numbers, got {name}$"):
+            check_domination([0.5, bad])
+        with pytest.raises(ValueError, match=rf"^x must hold real numbers, got {name}$"):
             check_domination(bad)
 
     def test_peak_fits_the_simpson_budget(self, monkeypatch):
@@ -521,9 +538,16 @@ class TestConvolution:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_points(self, bad):
-        with pytest.raises(ValueError, match=rf"^x\[2\] is {bad!r}, not finite"):
+        with pytest.raises(ValueError, match=rf"^x must be finite, got {bad!r}$"):
             check_convolution([0.5, 1.5, bad, bad])
-        with pytest.raises(ValueError, match=rf"^x\[0\] is {bad!r}, not finite"):
+        with pytest.raises(ValueError, match=rf"^x must be finite, got {bad!r}$"):
+            check_convolution(bad)
+
+    @pytest.mark.parametrize("bad, name", [(None, "NoneType"), ("0.5", "str"), (True, "bool")])
+    def test_rejects_a_non_number_by_type(self, bad, name):
+        with pytest.raises(ValueError, match=rf"^x must hold real numbers, got {name}$"):
+            check_convolution([0.5, bad])
+        with pytest.raises(ValueError, match=rf"^x must hold real numbers, got {name}$"):
             check_convolution(bad)
 
 
@@ -546,6 +570,11 @@ class TestFourierPair:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_frequency(self, bad):
         with pytest.raises(ValueError, match=rf"^xi must be finite, got {bad!r}$"):
+            check_fourier_pair(bad)
+
+    @pytest.mark.parametrize("bad, name", [(None, "NoneType"), ("1.0", "str"), (True, "bool")])
+    def test_rejects_a_non_number_by_type(self, bad, name):
+        with pytest.raises(ValueError, match=rf"^xi must hold real numbers, got {name}$"):
             check_fourier_pair(bad)
 
 
