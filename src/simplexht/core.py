@@ -177,6 +177,8 @@ class TruncationRange:
     def __post_init__(self) -> None:
         if not (0.0 < self.r <= self.R and math.isfinite(self.R)):
             raise ValueError(f"need 0 < r <= R < inf, got r={self.r!r}, R={self.R!r}")
+        if math.isinf(self.R / self.r):
+            raise ValueError(f"R/r overflows a float, got r={self.r!r}, R={self.R!r}")
 
     @property
     def log_ratio(self) -> float:

@@ -33,7 +33,7 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence, get_type_hints
 
@@ -72,11 +72,11 @@ class ExperimentRecord:
 
     abscissa is the scale count m for dyadic runs and log2(R/r) for
     continuous ones.  Rows are reproducible from (model, n, abscissa, seed)
-    plus the settings behind the digest.  Each field holds the type that
-    load_records gives its column, so every record saves to a file that
-    loads back equal: n, iters and seed an int (a numpy integer is
-    converted, a bool refused), abscissa and S a float, model and digest
-    a str.
+    plus the settings behind the digest.  Each field holds its column's
+    type, the one rule a value load_records reads must meet too, so every
+    record saves to a file that loads back equal: n, iters and seed an int
+    (a numpy integer is converted, a bool refused), abscissa and S a float
+    that a double holds, model and digest a str.
     """
 
     model: str
@@ -158,10 +158,13 @@ def _integer(name: str, value: object) -> int:
 
 
 def _real(name: str, value: object) -> float:
-    """value as a Python float; a bool or a non-real is refused."""
+    """value as a Python float; a bool, a non-real or one past the float range is refused."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be within the float range, got {value!r}") from None
 
 
 def _text(name: str, value: object) -> str:
@@ -518,40 +521,17 @@ def save_records(records: Sequence[ExperimentRecord], path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for r in records:
-                # repr of a float is the shortest decimal that round-trips.
-                writer.writerow(
-                    repr(float(getattr(r, name))) if parse is float else getattr(r, name)
-                    for name, parse in _COLUMNS.items()
-                )
+            # csv writes a float as its repr, the shortest decimal that round-trips.
+            writer.writerows(astuple(r) for r in records)
 
 
-# The JSON values each column type admits: a bool is never a number.
-_JSON_TYPES = {str: ("string", str), int: ("integer", int), float: ("number", (int, float))}
-
-
-def _record_from_fields(
-    fields: Mapping[str, object], where: str, from_json: bool = False
-) -> ExperimentRecord:
-    """A record from its fields: CSV text is parsed, JSON values must have their column's type."""
-    kwargs = {}
-    for name, parse in _COLUMNS.items():
+def _record(fields: Mapping[str, object], where: str) -> ExperimentRecord:
+    """The record from fields' columns (other keys are ignored); where prefixes a refusal."""
+    for name in CSV_COLUMNS:
         if name not in fields:
             raise ValueError(f"{where}: missing field {name!r}")
-        raw = fields[name]
-        kind, admitted = _JSON_TYPES[parse]
-        if from_json and (isinstance(raw, bool) or not isinstance(raw, admitted)):
-            raise ValueError(
-                f"{where}: field {name!r}: expected a JSON {kind}, got {json.dumps(raw)}"
-            )
-        try:
-            kwargs[name] = parse(raw)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(
-                f"{where}: field {name!r}: could not parse {raw!r}"
-            ) from None
     try:
-        return ExperimentRecord(**kwargs)
+        return ExperimentRecord(**{name: fields[name] for name in CSV_COLUMNS})
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
@@ -571,7 +551,7 @@ def load_records(path) -> list:
         for i, obj in enumerate(payload):
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}: record {i}: expected an object")
-            out.append(_record_from_fields(obj, f"{path}: record {i}", from_json=True))
+            out.append(_record(obj, f"{path}: record {i}"))
     else:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -592,6 +572,14 @@ def load_records(path) -> list:
                         f"{path}: line {lineno}: expected "
                         f"{len(CSV_COLUMNS)} fields, got {len(row)}"
                     )
-                fields = dict(zip(CSV_COLUMNS, row))
-                out.append(_record_from_fields(fields, f"{path}: line {lineno}"))
+                where = f"{path}: line {lineno}"
+                fields = {}
+                for (name, parse), text in zip(_COLUMNS.items(), row):
+                    try:
+                        fields[name] = parse(text)
+                    except ValueError:
+                        raise ValueError(
+                            f"{where}: field {name!r}: could not parse {text!r}"
+                        ) from None
+                out.append(_record(fields, where))
     return out

@@ -268,6 +268,15 @@ class TestEvalCommand:
         assert payload["norms"] == pytest.approx([1.0] * 4, abs=1e-12)
         assert math.isfinite(payload["value"])
 
+    @pytest.mark.parametrize(
+        "radii",
+        [("--n", "1", "--r", "1e-320", "--R", "1"), ("--n", "2", "--r", "1e-300", "--R", "1e300")],
+    )
+    def test_radius_ratio_past_the_float_range_refused(self, capsys, radii):
+        code, out, err = run_cli(capsys, "eval", "--model", "continuous", *radii)
+        assert code == 2 and out == ""
+        assert "R/r overflows a float" in err and "Traceback" not in err
+
     def test_dyadic_eval_requires_scale_flags(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--model", "dyadic", "--n", "1")
         assert code == 2
@@ -643,7 +652,7 @@ class TestSweepAndFit:
         code, out, err = run_cli(capsys, "fit", "--input", str(path))
         assert code == 2
         assert out == ""
-        assert f"{path}: record 1: field 'n': expected a JSON integer, got 2.7" in err
+        assert f"{path}: record 1: n must be an integer, got 2.7" in err
 
     def test_sweep_needs_matching_range_flag(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,12 @@ class TestTruncationRange:
 
     def test_degenerate_allowed(self):
         assert TruncationRange(1.0, 1.0).log_ratio == 0.0
+
+    @pytest.mark.parametrize("r,R", [(1e-320, 1.0), (1e-300, 1e300)])
+    def test_ratio_past_the_float_range_refused(self, r, R):
+        message = f"R/r overflows a float, got r={r!r}, R={R!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TruncationRange(r, R)
 
 
 class TestHoelderExponents:

@@ -464,7 +464,49 @@ def endpoint_value(m: int) -> Fraction:
 
 
 class TestEndpointAnchor:
-    """An exact n=2 anchor at p = (inf, 2, 2): a tuple whose value grows linearly in m."""
+    """The exact n=2 endpoint law: S_m(inf, 2, 2) = C_m = (6m + 2 - 2(-1/2)^m)/9.
+
+    The explicit tuple (endpoint_tuple) reads C_m, so S_m >= C_m.  Five
+    steps give S_m <= C_m:
+    (a) One x_0 row carries the sup (test_one_row_bounds_the_sup; its
+        docstring holds the proof).
+    (b) On one row, the sup over |F_0| <= 1, unit u and v, and the block
+        signs eps is the largest spectral norm of |K_eps|: the Perron step
+        |sum F_0 K u v| <= sum |K| |u| |v|.  At a row x_0 != 0 the XOR
+        translation only permutes columns, which leaves the norm as it is.
+    (c) |K_eps| is nonnegative and symmetric, so its spectral norm is at
+        most its largest row sum (test_spectral_norm_is_at_most_the_bound).
+    (d) Row x's sum depends only on the signs eps_l of x's ancestor blocks,
+        l = 1..m: it is |A_0| + sum_l 2^(l-1) |A_l - eps_l 2^-l|, where
+        A_l = sum_{j>l} eps_j 2^-j (test_row_sums_follow_the_ancestor_signs).
+    (e) Write x_l = |2^l A_l|, so x_m = 0 and eps_l takes x_{l-1} to
+        (1 - x_l)/2 or (1 + x_l)/2.  Scale l's term is 1 - x_{l-1}, so a row
+        sum is m - (x_1 + ... + x_{m-1}).  By induction down the scales, the
+        least sum of the x_k still to come from x_l = x is c - d x with
+        0 <= d < 1, so a step's x' plus what follows, c + (1 - d) x', grows
+        with x', and the largest row sum takes x' = (1 - x)/2 at every step:
+        x_k = 1/3 - (1/3)(-1/2)^(m-k).  That path is eps_l = (-1)^l up to a
+        global sign, with eps_1 free, and its sum is C_m
+        (test_largest_row_sum_is_the_closed_form and
+        test_only_alternating_paths_reach_it check this by enumeration).
+    """
+
+    @staticmethod
+    def _row_sum(path) -> Fraction:
+        """Step (d)'s row sum for the ancestor signs path[l - 1] = eps_l, l = 1..m.
+
+        In units of 2^-m every term is an integer, so the sum is exact.
+        """
+        m = len(path)
+        tail = [0] * (m + 1)  # tail[l] = 2^m A_l
+        for l in range(m - 1, -1, -1):
+            tail[l] = tail[l + 1] + path[l] * 2 ** (m - l - 1)
+        steps = (2 ** (l - 1) * abs(tail[l] - path[l - 1] * 2 ** (m - l)) for l in range(1, m + 1))
+        return Fraction(abs(tail[0]) + sum(steps), 2**m)
+
+    @staticmethod
+    def _random_signs(rng, m: int) -> list:
+        return [rng.choice([-1, 1], size=1 << (m - l)) for l in range(1, m + 1)]
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_sup_of_the_explicit_tuple(self, m):
@@ -491,6 +533,44 @@ class TestEndpointAnchor:
         assert len(largest) == 2 ** (2**m - 2)
         assert max(largest) == pytest.approx(best, abs=1e-12)
         assert float(endpoint_value(m)) == best
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_row_sums_follow_the_ancestor_signs(self, m):
+        # Each |K| entry is a dyadic rational, so the row sums are exact.
+        rng = np.random.default_rng(m)
+        for _ in range(10):
+            signs = self._random_signs(rng, m)
+            sums = np.abs(endpoint_kernel(m, signs)).sum(axis=1)
+            for x, total in enumerate(sums.tolist()):
+                path = [int(signs[l - 1][x >> l]) for l in range(1, m + 1)]
+                assert Fraction(total) == self._row_sum(path)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_largest_row_sum_is_the_closed_form(self, m):
+        paths = itertools.product((1, -1), repeat=m)
+        assert max(self._row_sum(path) for path in paths) == endpoint_value(m)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_only_alternating_paths_reach_it(self, m):
+        best = {
+            path
+            for path in itertools.product((1, -1), repeat=m)
+            if self._row_sum(path) == endpoint_value(m)
+        }
+        alternating = {
+            (first,) + tuple(sign * (-1) ** l for l in range(2, m + 1))
+            for first in (1, -1)
+            for sign in (1, -1)
+        }
+        assert best == alternating
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_spectral_norm_is_at_most_the_bound(self, m):
+        rng = np.random.default_rng(100 + m)
+        bound = float(endpoint_value(m))
+        for _ in range(10):
+            kernel = np.abs(endpoint_kernel(m, self._random_signs(rng, m)))
+            assert np.linalg.eigvalsh(kernel)[-1] <= bound * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("L, m", [(L, m) for L in range(1, 5) for m in range(1, L + 1)])
     def test_one_row_bounds_the_sup(self, L, m):
